@@ -9,8 +9,8 @@ failure.
 import argparse
 import cmath
 import math
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +133,8 @@ class RunConfig:
     tol_quad: float = thermo.TOL_QUAD
     basis_size: int = 256
     basis_omega: float = None
+    # accepted and validated, but sweeps run serially: the work holds the
+    # interpreter lock, and a thread pool measured slower than one thread
     workers: int = 1
     # propagator-only
     x_a: float = 0.0
@@ -231,13 +233,6 @@ def _header(cfg: RunConfig, command: str) -> list:
     return lines
 
 
-def _map_tasks(fn, tasks, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _spectrum(cfg: RunConfig):
     return oracle.solve_spectrum(cfg.params, cfg.basis_size, cfg.basis_omega)
 
@@ -264,8 +259,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
         except NUMERICAL_ERRORS as exc:
             return (beta, method, None, None, None, type(exc).__name__)
 
-    tasks = [(b, m) for b in cfg.betas for m in cfg.methods]
-    rows = _map_tasks(run, tasks, cfg.workers)
+    rows = [run((b, m)) for b in cfg.betas for m in cfg.methods]
     lines = _header(cfg, "free-energy")
     lines.append("beta,method,F,omega_diag,err_est,error")
     for beta, method, f, diag, err, code in rows:
@@ -326,8 +320,7 @@ def cmd_density_matrix(cfg: RunConfig) -> int:
         except NUMERICAL_ERRORS as exc:
             return (xa, xb, None, type(exc).__name__)
 
-    tasks = [(float(xa), float(xb)) for xa in grid for xb in grid]
-    rows = _map_tasks(run, tasks, cfg.workers)
+    rows = [run((float(xa), float(xb))) for xa in grid for xb in grid]
     lines = _header(cfg, "density-matrix")
     lines.append(f"# beta={_fmt(beta)}")
     lines.append("x_a,x_b,value,error")
@@ -405,11 +398,26 @@ def _add_common(sub):
     sub.add_argument("--tol-quad", dest="tol_quad", type=float)
     sub.add_argument("--basis-size", dest="basis_size", type=int)
     sub.add_argument("--basis-omega", dest="basis_omega", type=float)
-    sub.add_argument("--workers", type=int)
+    sub.add_argument("--workers", type=int,
+                     help="accepted for compatibility; sweeps run serially")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes "-1e-05" as a value, not as an option.
+
+    argparse reads a token as a negative number only in the forms -1 and
+    -1.5, so an exponent-form negative after a flag was taken for an option.
+    No option here starts with a digit or "-.", so every such token is a
+    number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anharm",
         description="First-order optimized propagator expansion for the "
                     "potential m2 x^2/2 + lambda x^4")

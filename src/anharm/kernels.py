@@ -16,10 +16,10 @@ also works for complex T in the lower-right quadrant (the analytic
 continuation wedge connecting T > 0 to T = -i*beta).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from . import hyper
@@ -158,6 +158,18 @@ def w0_imag(p: EuclideanPoint, omega: float) -> float:
             - 0.5 * omega * (sq * hyper.coth(z) - 2.0 * cross * hyper.inv_sinh(z)))
 
 
+def w0_imag_grid(x_a, x_b, beta, omega):
+    """w0_imag broadcast over arrays of endpoints and frequencies (omega > 0)."""
+    z = omega * beta
+    q = np.exp(-z)
+    inv_sinh = 2.0 * q / (1.0 - q * q)
+    log_sinh = z + np.log1p(-np.exp(-2.0 * z)) - math.log(2.0)
+    sq = x_a * x_a + x_b * x_b
+    cross = x_a * x_b
+    return (0.5 * (np.log(omega) - math.log(TWO_PI) - log_sinh)
+            - 0.5 * omega * (sq / np.tanh(z) - 2.0 * cross * inv_sinh))
+
+
 def _check_caustic(omega, T):
     t = complex(T)
     if t.imag == 0.0 and abs(math.sin(omega * t.real)) < CAUSTIC_TOL:
@@ -175,12 +187,13 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
     _check_caustic(omega, p.T)
-    t = complex(p.T)
-    zc = 1j * omega * t
+    zc = 1j * omega * complex(p.T)
     lnamp = 0.5 * (math.log(omega) - math.log(TWO_PI) - hyper.log_sinh_wedge(zc))
     sq = p.x_a * p.x_a + p.x_b * p.x_b
     cross = p.x_a * p.x_b
-    phase = omega * (sq * cmath.cos(omega * t) - 2.0 * cross) / (2.0 * cmath.sin(omega * t))
+    # cot(w T) = i coth(zc) and 1/sin(w T) = i/sinh(zc); unlike cos and sin
+    # of w T these stay finite however large the imaginary part of w T
+    phase = 0.5j * omega * (sq * hyper.coth(zc) - 2.0 * cross * hyper.inv_sinh(zc))
     return -1j * lnamp + phase
 
 

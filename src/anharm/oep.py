@@ -21,6 +21,10 @@ falls back at 41 points for beta = 0.25 and 49 for beta = 1, all with
 |x| <~ 1.5, and at none for beta = 5.  When the bracketing scan finds no sign
 change, the minimal-sensitivity fallback returns the omega of least
 |dW1/domega| in the window and flags it.
+
+optimize_omega_imag solves one point; optimize_omega_imag_diagonal runs the
+same rules over arrays for many diagonal points of one beta, which is how
+the thermal trace solves its nodes.
 """
 
 import math
@@ -31,15 +35,21 @@ import numpy as np
 
 from . import hyper
 from .kernels import (CausticError, EuclideanPoint, OscillatorParams,
-                      RealTimePoint, _assemble_domega, kernel_integrals_imag,
-                      kernel_integrals_imag_domega, kernel_integrals_real,
-                      kernel_integrals_real_domega, w0_imag, w0_real)
+                      RealTimePoint, _assemble, _assemble_domega,
+                      kernel_integrals_imag, kernel_integrals_imag_domega,
+                      kernel_integrals_real, kernel_integrals_real_domega,
+                      w0_imag, w0_imag_grid, w0_real)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
+SCAN_LOG_STEP = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
 BRACKET_REL_WIDTH = 1e-12
 NEWTON_POLISH_STEPS = 3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 80
+# residual-scan entries the batched solve holds at once; bounds its scratch
+# memory whatever the number of points
+SCAN_CHUNK_ELEMENTS = 1 << 11
 
 
 class NoStationaryPointError(RuntimeError):
@@ -58,17 +68,39 @@ class GapSolution:
 
 
 @dataclass(frozen=True)
+class DiagonalGapBatch:
+    """Gap solutions at the diagonal points (x, x) of one beta, one entry per x."""
+
+    omega_star: np.ndarray
+    residual: np.ndarray
+    n_roots: np.ndarray
+    fallback_used: np.ndarray
+    w1: np.ndarray              # W1 at omega_star
+
+    def counts(self) -> dict:
+        """Solves, fallbacks, points with more than one root, worst residual."""
+        return {"gap_solves": int(self.omega_star.size),
+                "fallbacks": int(np.count_nonzero(self.fallback_used)),
+                "multi_root": int(np.count_nonzero(self.n_roots > 1)),
+                "worst_residual": float(np.max(self.residual, initial=0.0))}
+
+
+@dataclass(frozen=True)
 class FirstOrderAmplitude:
     w_value: complex
     gap: GapSolution
     point: object
 
 
-def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
-    k = kernel_integrals_imag(p, omega)
-    return (w0_imag(p, omega)
-            - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
+def _w1_imag_terms(params: OscillatorParams, omega, k, w0=0.0):
+    """W1 in imaginary time from W0 and the kernel integrals k; with w0 = 0
+    and the omega-derivatives of the integrals, the gap residual dW1/domega."""
+    return (w0 - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
             - params.lam * (k.iL4 + 6.0 * k.iL2K + 3.0 * k.iKK))
+
+
+def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
+    return _w1_imag_terms(params, omega, kernel_integrals_imag(p, omega), w0_imag(p, omega))
 
 
 def w1_real(params: OscillatorParams, p: RealTimePoint, omega: float) -> complex:
@@ -80,9 +112,7 @@ def w1_real(params: OscillatorParams, p: RealTimePoint, omega: float) -> complex
 
 def gap_residual_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
     """dW1/domega, from the analytic omega-derivatives of the closed forms."""
-    d = kernel_integrals_imag_domega(p, omega)
-    return (-0.5 * (params.m2 - omega * omega) * (d.iL2 + d.iK)
-            - params.lam * (d.iL4 + 6.0 * d.iL2K + 3.0 * d.iKK))
+    return _w1_imag_terms(params, omega, kernel_integrals_imag_domega(p, omega))
 
 
 def gap_residual_real(params: OscillatorParams, p: RealTimePoint, omega: float) -> complex:
@@ -91,29 +121,42 @@ def gap_residual_real(params: OscillatorParams, p: RealTimePoint, omega: float) 
             - params.lam * (d.iL4 + 6j * d.iL2K - 3.0 * d.iKK))
 
 
+def _residual_grid(params: OscillatorParams, x_a, x_b, beta, omega):
+    """gap_residual_imag broadcast over arrays of endpoints and frequencies."""
+    z = omega * beta
+    s, sd = hyper.shape_factors_d_grid(z)
+    return _w1_imag_terms(params, omega, _assemble_domega(s, sd, x_a, x_b, omega, z))
+
+
+def _w1_grid(params: OscillatorParams, x_a, x_b, beta, omega):
+    """w1_imag broadcast over arrays of endpoints and frequencies."""
+    s, _ = hyper.shape_factors_d_grid(omega * beta)
+    return _w1_imag_terms(params, omega, _assemble(s, x_a, x_b, omega),
+                          w0_imag_grid(x_a, x_b, beta, omega))
+
+
 def _residual_scan(params: OscillatorParams, p: EuclideanPoint, omegas):
     """gap_residual_imag on a whole frequency grid at once."""
-    omegas = np.asarray(omegas, dtype=float)
-    z = omegas * p.beta
-    s, sd = hyper.shape_factors_d_grid(z)
-    d = _assemble_domega(s, sd, p.x_a, p.x_b, omegas, z)
-    return (-0.5 * (params.m2 - omegas * omegas) * (d.iL2 + d.iK)
-            - params.lam * (d.iL4 + 6.0 * d.iL2K + 3.0 * d.iKK))
+    return _residual_grid(params, p.x_a, p.x_b, p.beta, np.asarray(omegas, dtype=float))
 
 
-def scan_window(params: OscillatorParams, x_a: float, x_b: float, horizon: float):
-    """Log grid of candidate frequencies bracketing all relevant scales.
+def _log_window_start(params: OscillatorParams, sq: float, horizon: float) -> float:
+    """log of the lowest scan frequency for endpoints with x_a^2 + x_b^2 = sq.
 
     omega_ref mixes the bare curvature, the strong-coupling cubic scale and
     the inverse horizon (beta or T), so the window covers the harmonic limit,
     the zero-temperature limit and the short-time limit.
     """
     omega_ref = max(math.sqrt(abs(params.m2)),
-                    (6.0 * params.lam * max(1.0, x_a * x_a + x_b * x_b)) ** (1.0 / 3.0),
+                    (6.0 * params.lam * max(1.0, sq)) ** (1.0 / 3.0),
                     1.0 / horizon)
-    lo = math.log(omega_ref) - SCAN_DECADES * math.log(10.0)
-    step = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
-    return [math.exp(lo + i * step) for i in range(SCAN_POINTS)]
+    return math.log(omega_ref) - SCAN_DECADES * math.log(10.0)
+
+
+def scan_window(params: OscillatorParams, x_a: float, x_b: float, horizon: float):
+    """Log grid of candidate frequencies bracketing all relevant scales."""
+    lo = _log_window_start(params, x_a * x_a + x_b * x_b, horizon)
+    return [math.exp(lo + i * SCAN_LOG_STEP) for i in range(SCAN_POINTS)]
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -145,7 +188,7 @@ def _newton_polish(f, x, lo, hi):
     return x
 
 
-def _golden_min(f, lo, hi, iters=80):
+def _golden_min(f, lo, hi, iters=GOLDEN_STEPS):
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -232,6 +275,195 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
     hi = grid[min(i + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)), lo, hi)
     return GapSolution(omega, abs(resid(omega)), 0, bracket, True)
+
+
+def _scan_brackets(resid_scan, n, point):
+    """Per-row bracket data of the residual scan, in chunks of SCAN_CHUNK_ELEMENTS.
+
+    resid_scan(rows, cols) gives the scan residuals of those rows and
+    point(row) names a row in the error raised when none is finite.  Returns
+    the bracket count, the column where the last bracket ends, whether that
+    column is an exact zero, and the column of least |residual|: the data
+    _find_brackets and the fallback of optimize_omega_imag read off one row.
+    """
+    n_roots, last, exact, least = (np.zeros(n, dtype=int), np.zeros(n, dtype=int),
+                                   np.zeros(n, dtype=bool), np.zeros(n, dtype=int))
+    cols = np.arange(SCAN_POINTS)
+    step = max(1, SCAN_CHUNK_ELEMENTS // SCAN_POINTS)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(n, start + step))
+        vals = resid_scan(rows, cols)
+        finite = np.isfinite(vals)
+        zero = vals == 0.0
+        neg = vals < 0.0
+        ends = zero.copy()
+        ends[:, 1:] |= (finite[:, :-1] & finite[:, 1:] & ~zero[:, 1:]
+                        & (neg[:, :-1] != neg[:, 1:]))
+        n_roots[rows] = np.count_nonzero(ends, axis=1)
+        last[rows] = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
+        exact[rows] = zero[rows - start, last[rows]]
+        least[rows] = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=1)
+        dead = rows[~finite.any(axis=1)]
+        if dead.size:
+            raise NoStationaryPointError(
+                f"residual not finite anywhere in the scan window for {point(dead[0])}")
+    return n_roots, last, exact, least
+
+
+def _illinois_rows(f, lo, hi, flo, fhi):
+    """Shrink every row's sign-change bracket to BRACKET_REL_WIDTH at once.
+
+    Illinois regula falsi: the secant point of the bracket, with the function
+    value kept at an end that survives twice in a row halved so that both
+    ends close in; the midpoint wherever the secant point is not strictly
+    inside.  f(rows, omega) evaluates the residual.  Returns the brackets.
+    """
+    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    kept = np.zeros(lo.size, dtype=np.int8)     # -1: lo survived last step, +1: hi
+    act = np.arange(lo.size)
+    while act.size:
+        a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (a * fb - b * fa) / (fb - fa)
+        t = np.where((t > a) & (t < b), t, 0.5 * (a + b))
+        ft = f(act, t)
+        root = ft == 0.0
+        left = ~root & ((fa < 0.0) != (ft < 0.0))     # sign change in [lo, t]
+        right = ~root & ~left
+        lo[act[root]] = hi[act[root]] = t[root]
+        hi[act[left]], fhi[act[left]] = t[left], ft[left]
+        flo[act[left & (kept[act] == -1)]] *= 0.5
+        lo[act[right]], flo[act[right]] = t[right], ft[right]
+        fhi[act[right & (kept[act] == 1)]] *= 0.5
+        kept[act] = np.where(left, -1, 1)
+        a, b = lo[act], hi[act]
+        mid = 0.5 * (a + b)
+        act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
+    return lo, hi
+
+
+def _newton_polish_rows(f, x, lo, hi):
+    """_newton_polish on every row at once, each row inside its own [lo, hi]."""
+    x = x.copy()
+    act = np.arange(x.size)
+    for _ in range(NEWTON_POLISH_STEPS):
+        if not act.size:
+            break
+        xa = x[act]
+        h = 1e-6 * xa
+        up, down, here = np.split(f(np.tile(act, 3), np.concatenate([xa + h, xa - h, xa])), 3)
+        slope = (up - down) / (2.0 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = xa - here / slope
+        ok = (slope != 0.0) & (lo[act] <= cand) & (cand <= hi[act]) & np.isfinite(cand)
+        act = act[ok]
+        x[act] = cand[ok]
+    return x
+
+
+def _golden_rows(f, lo, hi):
+    """_golden_min on every row at once; returns the minimizers."""
+    a, b = lo.copy(), hi.copy()
+    rows = np.arange(a.size)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
+    for _ in range(GOLDEN_STEPS):
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fp = f(rows, probe)
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
+    return 0.5 * (a + b)
+
+
+def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
+                                 tol: float = 1e-10) -> DiagonalGapBatch:
+    """optimize_omega_imag at every diagonal point (x, x, beta) of x, at once.
+
+    The same rules run over arrays: each point's own scan window, the last
+    bracket of the scan, its re-anchoring on the pointwise residual, the
+    bracket shrunk to BRACKET_REL_WIDTH (by Illinois regula falsi rather than
+    bisection) and the Newton polish, the acceptance test
+    tol * max(1, |W1|/omega), and the golden-section fallback on the
+    least-|residual| cell.  omega_star agrees with the scalar solver to
+    rounding.  Raises NoStationaryPointError naming the first point whose
+    residual is nowhere finite.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    log_lo = np.array([_log_window_start(params, 2.0 * v * v, beta) for v in x.tolist()])
+
+    def grid(rows, cols):
+        return np.exp(log_lo[rows] + cols * SCAN_LOG_STEP)
+
+    def resid(rows, omega):
+        return _residual_grid(params, x[rows], x[rows], beta, omega)
+
+    def resid_scan(rows, cols):
+        return resid(rows[:, None], grid(rows[:, None], cols))
+
+    n_roots, last, exact, least = _scan_brackets(
+        resid_scan, n, lambda row: EuclideanPoint(float(x[row]), float(x[row]), beta))
+
+    omega = np.empty(n)
+    gold_lo, gold_hi = np.empty(n), np.empty(n)
+    fallback = n_roots == 0
+    # no bracket: golden section over the cells either side of the least |residual|
+    none = np.flatnonzero(fallback)
+    gold_lo[none] = grid(none, np.maximum(least[none] - 1, 0))
+    gold_hi[none] = grid(none, np.minimum(least[none] + 1, SCAN_POINTS - 1))
+
+    rows = np.flatnonzero(~fallback)
+    j = last[rows]
+    i = np.where(exact[rows], j, j - 1)
+    lo = grid(rows, i)
+    hi = lo.copy()
+    cell = np.flatnonzero(i != j)
+    if cell.size:
+        # the scan is vectorized; re-anchor each bracket on the pointwise
+        # residual, widening by one cell while an endpoint sits within
+        # rounding of the root
+        r = rows[cell]
+        i0, j0 = i[cell], j[cell]
+        flo, fhi = np.split(resid(np.tile(r, 2), np.concatenate([grid(r, i0), grid(r, j0)])), 2)
+        widen = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
+        while widen.size:
+            i0[widen] = np.maximum(i0[widen] - 1, 0)
+            j0[widen] = np.minimum(j0[widen] + 1, SCAN_POINTS - 1)
+            widen = widen[(i0[widen] > 0) | (j0[widen] < SCAN_POINTS - 1)]
+            rw = r[widen]
+            flo[widen], fhi[widen] = np.split(
+                resid(np.tile(rw, 2), np.concatenate([grid(rw, i0[widen]),
+                                                      grid(rw, j0[widen])])), 2)
+            widen = widen[(flo[widen] < 0.0) == (fhi[widen] < 0.0)]
+        a0, b0 = grid(r, i0), grid(r, j0)
+        blo, bhi = _illinois_rows(lambda k, w: resid(r[k], w), a0, b0, flo, fhi)
+        lo[cell], hi[cell] = blo, bhi
+        omega[r] = _newton_polish_rows(lambda k, w: resid(r[k], w), 0.5 * (blo + bhi), a0, b0)
+    point = np.flatnonzero(i == j)
+    omega[rows[point]] = lo[point]
+
+    res = np.abs(resid(rows, omega[rows]))
+    w1 = np.empty(n)
+    w1[rows] = _w1_grid(params, x[rows], x[rows], beta, omega[rows])
+    missed = ~(res <= tol * np.maximum(1.0, np.abs(w1[rows]) / omega[rows]))
+    # the bracket met its width target but the residual did not drop below
+    # tolerance: the least-sensitive point of the bracket instead
+    fallback[rows[missed]] = True
+    gold_lo[rows[missed]], gold_hi[rows[missed]] = lo[missed], hi[missed]
+
+    residual = np.empty(n)
+    residual[rows] = res
+    gold = np.flatnonzero(fallback)
+    if gold.size:
+        omega[gold] = _golden_rows(lambda k, w: np.abs(resid(gold[k], w)),
+                                   gold_lo[gold], gold_hi[gold])
+        residual[gold] = np.abs(resid(gold, omega[gold]))
+        w1[gold] = _w1_grid(params, x[gold], x[gold], beta, omega[gold])
+    return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
 
 
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,

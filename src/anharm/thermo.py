@@ -13,6 +13,13 @@ Three first-order routes to the free energy of the quartic oscillator:
 The per-point route is the only one that also yields the density matrix and
 the particle density without extra work, which is what density_oep and
 density_matrix_oep expose.
+
+The OEP trace probes its half-width and integrates on an adaptive
+Gauss-Legendre rule whose refinement levels are each one batched gap solve
+(oep.optimize_omega_imag_diagonal); see _log_partition_oep.  It raises
+QuadratureError when the tail or the panel count does not converge, and
+IntegrandError naming the point where a gap solve failed.  The FK route
+integrates its mean coordinate with scipy's quad.
 """
 
 import math
@@ -26,12 +33,19 @@ from scipy.optimize import brentq
 from . import hyper
 from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError)
 from .oep import (NoStationaryPointError, _bisect, _find_brackets, _golden_min,
-                  _newton_polish, optimize_omega_imag, scan_window, w1_imag)
+                  _newton_polish, optimize_omega_imag,
+                  optimize_omega_imag_diagonal, scan_window, w1_imag)
 
 TOL_QUAD = 1e-10
 TOL_ROOT = 1e-10
 TAIL_RATIO = 1e-12
 DENSITY_GRID_POINTS = 201
+PROBE_POINTS = 25
+# adaptive Gauss-Legendre trace: points per panel, panels at the start and
+# the most panels (open or accepted) before the trace gives up
+GAUSS_POINTS = 10
+QUAD_START_PANELS = 4
+QUAD_PANEL_LIMIT = 200
 
 
 class IntegrandError(RuntimeError):
@@ -76,17 +90,74 @@ def _initial_halfwidth(params: OscillatorParams, beta: float) -> float:
 
 
 def _grow_halfwidth(logf, x0, max_doublings=24):
-    """Double the half-width until the endpoint integrand is negligible."""
+    """Double the half-width until the endpoint integrand is negligible.
+
+    logf maps an array of points to their log-integrands; each probe is one
+    call on PROBE_POINTS points spread over [0, half-width].
+    """
     log_tail = math.log(TAIL_RATIO)
     x = x0
     for _ in range(max_doublings):
-        probe = [logf(t) for t in np.linspace(0.0, x, 25)]
-        peak = max(probe)
+        probe = logf(np.linspace(0.0, x, PROBE_POINTS))
+        peak = float(np.max(probe))
         if probe[-1] - peak <= log_tail:
             return x, peak
         x *= 2.0
     raise QuadratureError(f"integrand tail still {probe[-1] - peak:g} above "
                           f"threshold at half-width {x:g}")
+
+
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    # on first use, not at import: the eigensolver's first call costs memory
+    return np.polynomial.legendre.leggauss(GAUSS_POINTS)
+
+
+def _gauss_sums(f, a, h):
+    """Gauss-Legendre sums over the panels [a, a + h], all nodes in one call of f."""
+    t, w = _gauss_rule()
+    nodes = a[:, None] + (0.5 * h)[:, None] * (1.0 + t)
+    return 0.5 * h * (f(nodes.ravel()).reshape(nodes.shape) @ w)
+
+
+def _adaptive_gauss(f, x_max, tol):
+    """int_0^x_max f(x) dx, one call of f per refinement level.
+
+    Every open panel is compared with the sum over its two halves.  Where the
+    difference is within the panel's share of the tolerance,
+    tol * |integral| * width / x_max, the halves' sum is kept; elsewhere the
+    halves become open panels of the next level.  Only panels that miss their
+    share split, so a kink is refined locally.  Returns (integral, error
+    estimate, nodes evaluated); raises QuadratureError when the open and
+    accepted panels exceed QUAD_PANEL_LIMIT.
+    """
+    h = np.full(QUAD_START_PANELS, x_max / QUAD_START_PANELS)
+    a = h * np.arange(QUAD_START_PANELS)
+    whole, left, right = np.split(
+        _gauss_sums(f, np.concatenate([a, a, a + 0.5 * h]),
+                    np.concatenate([h, 0.5 * h, 0.5 * h])), 3)
+    nodes = 3 * QUAD_START_PANELS * GAUSS_POINTS
+    value = error = 0.0
+    accepted = 0
+    while True:
+        halves = left + right
+        diff = np.abs(whole - halves)
+        total = value + float(np.sum(halves))
+        ok = diff <= tol * abs(total) * h / x_max
+        value += float(np.sum(halves[ok]))
+        error += float(np.sum(diff[ok]))
+        accepted += int(np.count_nonzero(ok))
+        if ok.all():
+            return value, error, nodes
+        a, h, whole = a[~ok], 0.5 * h[~ok], np.concatenate([left[~ok], right[~ok]])
+        a, h = np.concatenate([a, a + h]), np.concatenate([h, h])
+        if accepted + a.size > QUAD_PANEL_LIMIT:
+            raise QuadratureError(
+                f"trace quadrature: more than {QUAD_PANEL_LIMIT} panels "
+                f"(error estimate {error + float(np.sum(diff[~ok])):g})")
+        left, right = np.split(_gauss_sums(f, np.concatenate([a, a + 0.5 * h]),
+                                           np.concatenate([0.5 * h, 0.5 * h])), 2)
+        nodes += 2 * a.size * GAUSS_POINTS
 
 
 def _diag_logweight(params, beta, x, tol_root):
@@ -101,16 +172,37 @@ def _diag_logweight(params, beta, x, tol_root):
 @lru_cache(maxsize=4096)
 def _log_partition_oep(params: OscillatorParams, beta: float,
                        tol_quad: float, tol_root: float):
-    """Returns (log Z, relative quadrature error, half-width used)."""
-    logw = lambda x: _diag_logweight(params, beta, x, tol_root)
+    """Returns (log Z, relative quadrature error, half-width used, diagnostics).
+
+    Z = 2 int_0^x_max exp(W1(x, x; omega*(x))) dx.  The half-width x_max
+    doubles from _initial_halfwidth until a PROBE_POINTS-point probe puts the
+    endpoint weight below TAIL_RATIO of the peak; the integral then runs on
+    the adaptive Gauss-Legendre rule of _adaptive_gauss.  Each probe and each
+    quadrature level solves all its nodes in one batched gap solve
+    (optimize_omega_imag_diagonal).  Raises QuadratureError when the tail or
+    the panel count does not converge, and IntegrandError naming the x where
+    the gap solve failed.  The diagnostics count the gap solves, fallbacks,
+    points with more than one root and quadrature nodes, and give the worst
+    residual and omega*(0), read off the first probe's x = 0 node.
+    """
+    batches = []
+
+    def logw(xs):
+        try:
+            batch = optimize_omega_imag_diagonal(params, beta, xs, tol_root)
+        except NoStationaryPointError as exc:
+            raise IntegrandError(f"trial-frequency optimization failed: {exc}") from exc
+        batches.append(batch)
+        return batch.w1
+
     x_max, peak = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
-    out = integrate.quad(lambda x: math.exp(logw(x) - peak), 0.0, x_max,
-                         epsabs=1e-14, epsrel=tol_quad, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"partition-function quadrature: {out[3]} "
-                              f"(error estimate {out[1]:g})")
-    val, err = out[0], out[1]
-    return peak + math.log(2.0 * val), err / val, x_max
+    val, err, nodes = _adaptive_gauss(lambda xs: np.exp(logw(xs) - peak), x_max, tol_quad)
+    counts = [b.counts() for b in batches]
+    diag = {key: sum(c[key] for c in counts)
+            for key in ("gap_solves", "fallbacks", "multi_root")}
+    diag.update(worst_residual=max(c["worst_residual"] for c in counts),
+                quad_nodes=nodes, omega_star_origin=float(batches[0].omega_star[0]))
+    return peak + math.log(2.0 * val), err / val, x_max, diag
 
 
 def partition_function_oep(params: OscillatorParams, beta: float,
@@ -118,7 +210,7 @@ def partition_function_oep(params: OscillatorParams, beta: float,
                            tol_root: float = TOL_ROOT):
     """Trace of the optimized diagonal amplitude; returns (Z, abs error)."""
     _check_beta(beta)
-    ln_z, rel_err, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
+    ln_z, rel_err, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     z = math.exp(ln_z)
     return z, z * rel_err
 
@@ -127,10 +219,8 @@ def free_energy_oep(params: OscillatorParams, beta: float,
                     tol_quad: float = TOL_QUAD,
                     tol_root: float = TOL_ROOT) -> FreeEnergyResult:
     _check_beta(beta)
-    ln_z, rel_err, x_max = _log_partition_oep(params, beta, tol_quad, tol_root)
-    gap0 = optimize_omega_imag(params, EuclideanPoint(0.0, 0.0, beta), tol_root)
-    info = {"quad_rel_error": rel_err, "halfwidth": x_max,
-            "omega_star_origin": gap0.omega_star}
+    ln_z, rel_err, x_max, diag = _log_partition_oep(params, beta, tol_quad, tol_root)
+    info = {"quad_rel_error": rel_err, "halfwidth": x_max, **diag}
     return FreeEnergyResult(beta, -ln_z / beta, "OEP", info)
 
 
@@ -143,7 +233,7 @@ def default_grid(params: OscillatorParams, beta: float,
     Antisymmetrized so x and -x are exact negatives, which makes the evenness
     of every produced profile exact rather than a rounding accident.
     """
-    _, _, x_max = _log_partition_oep(params, beta, tol_quad, tol_root)
+    _, _, x_max, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     grid = np.linspace(-x_max, x_max, n)
     return (grid - grid[::-1]) / 2.0
 
@@ -153,7 +243,7 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
                 tol_root: float = TOL_ROOT) -> DensityProfile:
     """Particle density exp(W1(x,x))/Z on a grid; reports its trapezoid defect."""
     _check_beta(beta)
-    ln_z, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
+    ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     if grid is None:
         grid = default_grid(params, beta, tol_quad=tol_quad, tol_root=tol_root)
     grid = np.asarray(grid, dtype=float)
@@ -171,7 +261,7 @@ def density_matrix_oep(params: OscillatorParams, beta: float,
                        tol_root: float = TOL_ROOT) -> DensityMatrixEntry:
     """Off-diagonal density matrix with a per-pair optimized frequency."""
     _check_beta(beta)
-    ln_z, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
+    ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     p = EuclideanPoint(x_a, x_b, beta)
     gap = optimize_omega_imag(params, p, tol_root)
     value = math.exp(w1_imag(params, p, gap.omega_star) - ln_z)
@@ -337,7 +427,8 @@ def free_energy_fk(params: OscillatorParams, beta: float,
         except ValueError as exc:
             raise IntegrandError(f"effective potential failed at x0={x0!r}") from exc
 
-    x_max, peak = _grow_halfwidth(neg_beta_v, _initial_halfwidth(params, beta))
+    x_max, peak = _grow_halfwidth(lambda xs: np.array([neg_beta_v(x) for x in xs]),
+                                  _initial_halfwidth(params, beta))
     out = integrate.quad(lambda x: math.exp(neg_beta_v(x) - peak), 0.0, x_max,
                          epsabs=1e-14, epsrel=tol_quad, limit=200, full_output=1)
     if len(out) > 3:

@@ -156,6 +156,17 @@ class TestPropagatorCommand:
         assert kv["omega_star"] == f"{gap.omega_star:.12g}"
         assert kv["W"] == f"{w1_imag(q, p, gap.omega_star):.12g}"
 
+    def test_exponent_form_negative_after_bare_flag(self, tmp_path):
+        outs = []
+        for xb in (["--xb", "-1e-05"], ["--xb=-1e-05"]):
+            out = tmp_path / f"prop{len(outs)}.txt"
+            rc = run_cli(["propagator", "--m2", "0", "--lambda", "1", "--mode", "imag",
+                          "--xa", "0.3", *xb, "--time", "2", "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b"x_b=-1e-05" in outs[0]
+
     def test_real_mode_caustic_exit_code(self, capsys):
         rc = run_cli(["propagator", "--m2", "1", "--lambda", "0", "--mode", "real",
                       "--xa", "0", "--xb", "0", "--time", str(math.pi),

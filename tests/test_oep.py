@@ -11,8 +11,9 @@ from anharm import (EuclideanPoint, OscillatorParams, RealTimePoint,
                     gap_residual_imag, gap_residual_real, optimize_omega_imag,
                     optimize_omega_real, optimized_w1_imag, optimized_w1_real,
                     w0_imag, w0_real, w1_imag, w1_real)
+from anharm import oep
 from anharm.kernels import kernel_integrals_imag
-from anharm.oep import _residual_scan, scan_window
+from anharm.oep import _residual_scan, optimize_omega_imag_diagonal, scan_window
 
 CUBIC_ROOT_6 = 1.8171205928321397   # real root of w^3 = 6
 
@@ -245,3 +246,53 @@ class TestOptimizeReal:
         ai = optimized_w1_imag(quartic, EuclideanPoint(0.4, -0.3, beta))
         assert ar.gap.omega_star == pytest.approx(gi.omega_star, rel=1e-9)
         assert 1j * ar.w_value == pytest.approx(ai.w_value, rel=1e-9)
+
+    def test_continuation_edge_with_scan_beyond_overflow(self):
+        # the scan reaches omega*beta ~ 1600, where cos(omega*T) overflows
+        params = OscillatorParams(0.373, 0.865)
+        ar = optimized_w1_real(params, RealTimePoint(-1.98, -1.87, -4.887j))
+        assert cmath.isfinite(ar.w_value)
+        wi = w1_imag(params, EuclideanPoint(-1.98, -1.87, 4.887), ar.gap.omega_star)
+        assert 1j * ar.w_value == pytest.approx(wi, rel=1e-9)
+
+
+class TestDiagonalBatch:
+    """optimize_omega_imag_diagonal against the scalar solver it batches."""
+
+    XS = np.linspace(-3.0, 3.0, 25)
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 5.0])
+    def test_matches_scalar_solver(self, quartic, single_well, double_well, beta):
+        for params in (quartic, single_well, double_well):
+            batch = optimize_omega_imag_diagonal(params, beta, self.XS)
+            gaps = [optimize_omega_imag(params, EuclideanPoint(x, x, beta)) for x in self.XS]
+            assert batch.fallback_used.tolist() == [g.fallback_used for g in gaps]
+            assert batch.n_roots.tolist() == [g.n_roots for g in gaps]
+            for x, g, omega, w1 in zip(self.XS, gaps, batch.omega_star, batch.w1):
+                # a fallback omega minimizes |dW1/domega| where it is flat to
+                # rounding: the scalar solver's own moves by ~7e-11 when the
+                # argument of its residual moves by one ulp
+                rel = 1e-9 if g.fallback_used else 1e-12
+                assert omega == pytest.approx(g.omega_star, rel=rel)
+                want = w1_imag(params, EuclideanPoint(x, x, beta), g.omega_star)
+                assert w1 == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if beta < 5.0:
+            assert batch.fallback_used.any()    # the double well falls back near x = 0
+
+    def test_counts(self, double_well):
+        batch = optimize_omega_imag_diagonal(double_well, 1.0, self.XS)
+        counts = batch.counts()
+        assert counts["gap_solves"] == self.XS.size
+        assert counts["fallbacks"] == int(batch.fallback_used.sum()) > 0
+        assert counts["multi_root"] == int((batch.n_roots > 1).sum())
+        assert counts["worst_residual"] == batch.residual.max()
+
+    def test_scan_chunks_do_not_change_solutions(self, double_well, monkeypatch):
+        xs = np.linspace(-3.0, 3.0, 41)
+        runs = []
+        for chunk in (1 << 30, oep.SCAN_CHUNK_ELEMENTS, 3 * oep.SCAN_POINTS + 7):
+            monkeypatch.setattr(oep, "SCAN_CHUNK_ELEMENTS", chunk)
+            runs.append(optimize_omega_imag_diagonal(double_well, 1.0, xs))
+        for run in runs[1:]:
+            for field in ("omega_star", "residual", "n_roots", "fallback_used", "w1"):
+                assert np.array_equal(getattr(run, field), getattr(runs[0], field))

@@ -10,7 +10,9 @@ from anharm import (EuclideanPoint, OscillatorParams, density_matrix_oep,
                     density_oep, exact_free_energy, free_energy_fk,
                     free_energy_oef, free_energy_oep, partition_function_oep,
                     solve_spectrum)
-from anharm.thermo import (fk_effective_potential, fk_smearing_width_sq,
+from anharm import QuadratureError, oep, optimize_omega_imag, thermo
+from anharm.thermo import (IntegrandError, fk_effective_potential,
+                           fk_smearing_width_sq,
                            fk_trial_frequency_sq, oef_series,
                            oef_series_domega)
 
@@ -64,6 +66,55 @@ class TestFreeEnergyOEP:
         f_oef = free_energy_oef(quartic, 1.0).f
         f_ex = exact_free_energy(quartic_spectrum, 1.0).f
         assert abs(f_oep - f_oef) <= abs(f_oef - f_ex)
+
+
+# ln Z and half-width of the trace before it was batched (scipy quad at the
+# default tolerances).  The double well at beta = 1 is quad at tol_quad = 1e-13
+# instead: at the default tolerance quad missed it by 1.0e-9.
+TRACE_PINS = [
+    (0.0, 1.0, 0.1, 1.3974983794429134, 9.486832980505138),
+    (0.0, 1.0, 2.0, -1.3279538236872188, 3.0),
+    (0.0, 1.0, 50.0, -34.066956774258855, 3.0),
+    (1.0, 10.0, 1.0, -1.5060099962868456, 3.0),
+    (1.0, 0.01, 0.3, 1.1275450612401339, 12.818610191887021),
+    (-1.0, 0.1, 1.0, 0.947186319721714, 5.334838230116768),
+    (-1.0, 0.1, 5.0, 0.635613132112516, 7.135242690016327),
+]
+
+
+class TestTrace:
+    @pytest.mark.parametrize("m2, lam, beta, ln_z, halfwidth", TRACE_PINS)
+    def test_pinned_log_partition_and_halfwidth(self, m2, lam, beta, ln_z, halfwidth):
+        r = free_energy_oep(OscillatorParams(m2, lam), beta)
+        assert abs(-beta * r.f - ln_z) <= 1e-10
+        assert r.omega_info["halfwidth"] == halfwidth
+
+    def test_diagnostics(self, quartic, double_well):
+        info = free_energy_oep(double_well, 1.0).omega_info
+        assert info["fallbacks"] > 0
+        assert info["gap_solves"] >= info["quad_nodes"] + thermo.PROBE_POINTS
+        assert 0.0 < info["worst_residual"] < 1e-2
+        info = free_energy_oep(quartic, 2.0).omega_info
+        assert info["fallbacks"] == 0 and info["multi_root"] == 0
+        assert info["worst_residual"] < 1e-8
+        gap0 = optimize_omega_imag(quartic, EuclideanPoint(0.0, 0.0, 2.0))
+        assert info["omega_star_origin"] == pytest.approx(gap0.omega_star, rel=1e-12)
+
+    def test_no_scalar_gap_solves(self):
+        before = optimize_omega_imag.cache_info()
+        free_energy_oep(OscillatorParams(0.9, 0.4), 1.3)
+        assert optimize_omega_imag.cache_info() == before
+
+    def test_integrand_error_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(oep, "_residual_grid",
+                            lambda params, x_a, x_b, beta, omega: np.full(np.shape(x_a * omega), np.nan))
+        with pytest.raises(IntegrandError, match="x_a=0.0"):
+            free_energy_oep(OscillatorParams(0.7, 0.3), 1.7)
+
+    def test_panel_limit(self, monkeypatch):
+        monkeypatch.setattr(thermo, "QUAD_PANEL_LIMIT", 6)
+        with pytest.raises(QuadratureError, match="more than 6 panels"):
+            free_energy_oep(OscillatorParams(-0.9, 0.15), 1.1)
 
 
 class TestDensity:
