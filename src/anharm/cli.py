@@ -164,7 +164,8 @@ def _merge_options(args) -> dict:
     return merged
 
 
-def _build_config(args, need_beta=True, density=False, need_methods=True) -> RunConfig:
+def _build_config(args, need_beta=True, methods=()) -> RunConfig:
+    """RunConfig from flags and config file; methods: the allowed ones, if any."""
     opt = _merge_options(args)
     if "m2" not in opt or "lambda" not in opt:
         raise ConfigError("--m2 and --lambda are required (flag or config file)")
@@ -181,17 +182,16 @@ def _build_config(args, need_beta=True, density=False, need_methods=True) -> Run
         if any(b <= 0 for b in cfg.betas):
             raise ConfigError("beta values must be > 0")
         cfg.echo["beta"] = str(opt["beta"])
-    if need_methods:
-        allowed = DENSITY_METHODS if density else FE_METHODS
-        spec = opt.get("methods", ",".join(allowed))
-        methods = tuple(sorted({tok.strip().upper() for tok in str(spec).split(",") if tok.strip()}))
-        if not methods:
+    if methods:
+        spec = opt.get("methods", ",".join(methods))
+        chosen = tuple(sorted({tok.strip().upper() for tok in str(spec).split(",") if tok.strip()}))
+        if not chosen:
             raise ConfigError("at least one method is required")
-        bad = [m for m in methods if m not in allowed]
+        bad = [m for m in chosen if m not in methods]
         if bad:
-            raise ConfigError(f"unknown methods {bad}; choose from {','.join(allowed)}")
-        cfg.methods = methods
-        cfg.echo["methods"] = ",".join(methods)
+            raise ConfigError(f"unknown methods {bad}; choose from {','.join(methods)}")
+        cfg.methods = chosen
+        cfg.echo["methods"] = ",".join(chosen)
     if "x-grid" in opt:
         cfg.x_grid = parse_grid(opt["x-grid"])
         cfg.echo["x-grid"] = str(opt["x-grid"])
@@ -428,21 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fe)
     fe.add_argument("--beta", help="grid spec: value, list, start:stop:count, log:...")
     fe.add_argument("--methods", help="comma subset of OEP,OEF,FK,EXACT")
-    fe.set_defaults(func=cmd_free_energy, need_beta=True, density=False)
+    fe.set_defaults(func=cmd_free_energy, need_beta=True, allowed_methods=FE_METHODS)
 
     de = subs.add_parser("density", help="particle density on a grid")
     _add_common(de)
     de.add_argument("--beta")
     de.add_argument("--methods", help="comma subset of OEP,EXACT")
     de.add_argument("--x-grid", dest="x_grid", help="position grid spec")
-    de.set_defaults(func=cmd_density, need_beta=True, density=True)
+    de.set_defaults(func=cmd_density, need_beta=True, allowed_methods=DENSITY_METHODS)
 
     dm = subs.add_parser("density-matrix", help="density matrix on a grid x grid")
     _add_common(dm)
     dm.add_argument("--beta")
     dm.add_argument("--x-grid", dest="x_grid")
-    dm.set_defaults(func=cmd_density_matrix, need_beta=True, density=True,
-                    need_methods=False, fixed_methods=("OEP",))
+    dm.set_defaults(func=cmd_density_matrix, need_beta=True, allowed_methods=())
 
     pr = subs.add_parser("propagator", help="single amplitude evaluation")
     _add_common(pr)
@@ -451,13 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--time", type=float, help="beta (imag mode) or T (real mode)")
     pr.add_argument("--mode", choices=("imag", "real"))
     pr.add_argument("--omega", type=float, help="skip optimization, force omega")
-    pr.set_defaults(func=cmd_propagator, need_beta=False, density=False,
-                    need_methods=False)
+    pr.set_defaults(func=cmd_propagator, need_beta=False, allowed_methods=())
 
     sp = subs.add_parser("exact-spectrum", help="oscillator-basis eigenvalues")
     _add_common(sp)
-    sp.set_defaults(func=cmd_exact_spectrum, need_beta=False, density=False,
-                    need_methods=False)
+    sp.set_defaults(func=cmd_exact_spectrum, need_beta=False, allowed_methods=())
     return parser
 
 
@@ -468,10 +465,7 @@ def main(argv=None) -> int:
     if hasattr(args, "lambda_"):
         setattr(args, "lambda", args.lambda_)
     try:
-        cfg = _build_config(args, need_beta=args.need_beta, density=args.density,
-                            need_methods=getattr(args, "need_methods", True))
-        if getattr(args, "fixed_methods", None):
-            cfg.methods = args.fixed_methods
+        cfg = _build_config(args, args.need_beta, args.allowed_methods)
     except ConfigError as exc:
         print(f"anharm: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

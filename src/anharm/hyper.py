@@ -134,41 +134,12 @@ LOG_SINH_RATIO_W = [
 K1_OVER_Z2_W = [c for c in _SERIES["k1"][2::2]]
 
 
-def _horner(coef, z):
-    r = 0.0
-    for c in reversed(coef):
-        r = r * z + c
-    return r
-
-
 def horner_w(coef, w):
-    """Evaluate a series in w (may be negative or complex)."""
+    """Evaluate the series sum_k coef[k] w^k (w may be negative or complex)."""
     r = 0.0
     for c in reversed(coef):
         r = r * w + c
     return r
-
-
-def _closed(z, m):
-    q = m.exp(-z)
-    q2 = q * q
-    den = 1.0 - q2
-    u = 2.0 * q / den          # 1/sinh(z), exact and overflow-free
-    ch = (1.0 + q2) / den      # coth(z)
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    k1 = z * ch - 1.0
-    l2_sum = ch - z * u2
-    l2_cross = k1 * u
-    l4_sum = ch * ch * ch / 4.0 - 0.625 * ch * u2 + 0.375 * z * u4
-    l4_cross = (u - 3.0 * k1 * u3) / 8.0
-    l4_sq = 0.375 * z * u4 + 0.25 * z * u2 - 0.375 * ch * u2
-    l2k_sum = (1.0 - 3.0 * k1 * u2) / 8.0
-    l2k_cross = 0.375 * z * u3 + 0.25 * z * u - 0.375 * ch * u
-    k2 = 0.25 * z + 0.375 * z * u2 - 0.375 * ch
-    return ShapeFactors(l2_sum, l2_cross, k1, l4_sum, l4_cross, l4_sq,
-                        l2k_sum, l2k_cross, k2)
 
 
 def _closed_d(z, m):
@@ -176,8 +147,8 @@ def _closed_d(z, m):
     q = m.exp(-z)
     q2 = q * q
     den = 1.0 - q2
-    u = 2.0 * q / den
-    ch = (1.0 + q2) / den
+    u = 2.0 * q / den          # 1/sinh(z), exact and overflow-free
+    ch = (1.0 + q2) / den      # coth(z)
     u2 = u * u
     u3 = u2 * u
     u4 = u2 * u2
@@ -212,28 +183,19 @@ def _closed_d(z, m):
     return val, der
 
 
+def shape_factors_d(z):
+    """Shape factors and their z-derivatives at z = omega*beta (or z = i*omega*T),
+    as a pair of tuples."""
+    is_complex = isinstance(z, complex)
+    if (abs(z) if is_complex else z) < Z_SWITCH:
+        return (ShapeFactors(*(horner_w(c, z) for c in _COEF)),
+                ShapeFactors(*(horner_w(c, z) for c in _DCOEF)))
+    return _closed_d(z, cmath if is_complex else math)
+
+
 def shape_factors(z):
     """The nine kernel shape factors at z = omega*beta (or z = i*omega*T)."""
-    if isinstance(z, complex):
-        if abs(z) < Z_SWITCH:
-            return ShapeFactors(*(_horner(c, z) for c in _COEF))
-        return _closed(z, cmath)
-    if z < Z_SWITCH:
-        return ShapeFactors(*(_horner(c, z) for c in _COEF))
-    return _closed(z, math)
-
-
-def shape_factors_d(z):
-    """Shape factors and their z-derivatives, as a pair of tuples."""
-    if isinstance(z, complex):
-        if abs(z) < Z_SWITCH:
-            return (ShapeFactors(*(_horner(c, z) for c in _COEF)),
-                    ShapeFactors(*(_horner(c, z) for c in _DCOEF)))
-        return _closed_d(z, cmath)
-    if z < Z_SWITCH:
-        return (ShapeFactors(*(_horner(c, z) for c in _COEF)),
-                ShapeFactors(*(_horner(c, z) for c in _DCOEF)))
-    return _closed_d(z, math)
+    return shape_factors_d(z)[0]
 
 
 # Both coefficient tables as one (18 x powers) matrix, zero-padded to a

@@ -22,9 +22,12 @@ falls back at 41 points for beta = 0.25 and 49 for beta = 1, all with
 change, the minimal-sensitivity fallback returns the omega of least
 |dW1/domega| in the window and flags it.
 
-optimize_omega_imag solves one point; optimize_omega_imag_diagonal runs the
-same rules over arrays for many diagonal points of one beta, which is how
-the thermal trace solves its nodes.
+optimize_omega_imag solves one point: a vectorized scan, then the scalar
+sequence of _solve_scanned (last bracket, bisection, Newton polish,
+acceptance test, golden-section fallback), which thermo.free_energy_oef
+shares for the stationary point of its free-energy series.
+optimize_omega_imag_diagonal runs the same rules over arrays for many
+diagonal points of one beta, which is how the thermal trace solves its nodes.
 """
 
 import math
@@ -46,7 +49,6 @@ SCAN_LOG_STEP = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
 BRACKET_REL_WIDTH = 1e-12
 NEWTON_POLISH_STEPS = 3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_STEPS = 80
 # residual-scan entries the batched solve holds at once; bounds its scratch
 # memory whatever the number of points
 SCAN_CHUNK_ELEMENTS = 1 << 11
@@ -188,12 +190,13 @@ def _newton_polish(f, x, lo, hi):
     return x
 
 
-def _golden_min(f, lo, hi, iters=GOLDEN_STEPS):
+def _golden_min(f, lo, hi):
+    """Golden-section minimum of f, narrowed to BRACKET_REL_WIDTH like _bisect."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    while b - a > BRACKET_REL_WIDTH * b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -222,25 +225,20 @@ def _find_brackets(grid, vals):
     return brackets
 
 
-@lru_cache(maxsize=1 << 17)
-def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
-                        tol: float = 1e-10) -> GapSolution:
-    """Solve dW1/domega = 0 for this endpoint pair and temperature.
+def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
+    """The gap solve once the residual has been scanned on the grid.
 
-    Scans a log grid, bisects the sign change connected to the large-omega
-    branch (the largest root), and polishes with a few Newton steps.  With no
-    sign change anywhere, returns the minimal-sensitivity frequency (least
-    |dW1/domega|) with fallback_used set.
+    resid(omega) is the scalar residual and vals its scan on grid (possibly
+    vectorized); value(omega) sets the acceptance scale.  Bisects the last
+    sign change (the one connected to the large-omega branch) after
+    re-anchoring it on resid, polishes with a few Newton steps and accepts
+    |resid| <= tol * max(1, |value|/omega).  Otherwise, or with no sign change
+    anywhere, returns the minimal-sensitivity frequency (least |resid|) with
+    fallback_used set.  where names the solve in NoStationaryPointError.
     """
-    grid = scan_window(params, p.x_a, p.x_b, p.beta)
-
-    def resid(w):
-        return gap_residual_imag(params, p, w)
-
-    vals = [float(v) for v in _residual_scan(params, p, grid)]
     if not any(math.isfinite(v) for v in vals):
         raise NoStationaryPointError(
-            f"residual not finite anywhere in the scan window for {p}")
+            f"residual not finite anywhere in the scan window for {where}")
     brackets = _find_brackets(grid, vals)
     n_roots = len(brackets)
     if brackets:
@@ -249,32 +247,43 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
             omega = grid[i]
             lo = hi = omega
         else:
-            # the scan is vectorized; re-anchor the bracket on the scalar
-            # residual before bisecting (widen by one cell if an endpoint
-            # sits within rounding of the root)
-            i0, j0 = i, j
+            # a vectorized scan may differ from resid in the last bit:
+            # re-anchor the bracket on resid before bisecting (widen by one
+            # cell if an endpoint sits within rounding of the root)
             flo, fhi = resid(grid[i]), resid(grid[j])
             while (flo < 0.0) == (fhi < 0.0):
-                i0, j0 = max(i0 - 1, 0), min(j0 + 1, len(grid) - 1)
-                if (i0, j0) == (0, len(grid) - 1):
+                i, j = max(i - 1, 0), min(j + 1, len(grid) - 1)
+                if (i, j) == (0, len(grid) - 1):
                     break
-                flo, fhi = resid(grid[i0]), resid(grid[j0])
-            lo, hi = _bisect(resid, grid[i0], grid[j0], flo, fhi)
-            omega = _newton_polish(resid, 0.5 * (lo + hi), grid[i0], grid[j0])
+                flo, fhi = resid(grid[i]), resid(grid[j])
+            lo, hi = _bisect(resid, grid[i], grid[j], flo, fhi)
+            omega = _newton_polish(resid, 0.5 * (lo + hi), grid[i], grid[j])
         res = abs(resid(omega))
-        scale = max(1.0, abs(w1_imag(params, p, omega)) / omega)
-        if res <= tol * scale:
+        if res <= tol * max(1.0, abs(value(omega)) / omega):
             return GapSolution(omega, res, n_roots, (lo, hi), False)
         # bisection met its width target but the residual did not drop below
         # tolerance: report the least-sensitive point instead of a fake root
-        omega, (lo, hi) = _golden_min(lambda w: abs(resid(w)), lo, hi)
-        return GapSolution(omega, abs(resid(omega)), n_roots, (lo, hi), True)
-    absvals = [abs(v) if math.isfinite(v) else math.inf for v in vals]
-    i = min(range(len(absvals)), key=absvals.__getitem__)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    else:
+        # no sign change: the cells either side of the least |residual|
+        absvals = [abs(v) if math.isfinite(v) else math.inf for v in vals]
+        i = min(range(len(absvals)), key=absvals.__getitem__)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)), lo, hi)
-    return GapSolution(omega, abs(resid(omega)), 0, bracket, True)
+    return GapSolution(omega, abs(resid(omega)), n_roots, bracket, True)
+
+
+@lru_cache(maxsize=1 << 12)
+def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
+                        tol: float = 1e-10) -> GapSolution:
+    """Solve dW1/domega = 0 for this endpoint pair and temperature.
+
+    Scans a log grid at once and hands it to _solve_scanned: the largest
+    root, or the minimal-sensitivity frequency with fallback_used set.
+    """
+    grid = scan_window(params, p.x_a, p.x_b, p.beta)
+    return _solve_scanned(lambda w: gap_residual_imag(params, p, w),
+                          lambda w: w1_imag(params, p, w),
+                          grid, [float(v) for v in _residual_scan(params, p, grid)], tol, p)
 
 
 def _scan_brackets(resid_scan, n, point):
@@ -368,14 +377,18 @@ def _golden_rows(f, lo, hi):
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
-    for _ in range(GOLDEN_STEPS):
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fp = f(rows, probe)
-        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
-                        np.where(left, fp, fd), np.where(left, fc, fp))
+    act = rows[b - a > BRACKET_REL_WIDTH * b]
+    while act.size:
+        left = fc[act] < fd[act]
+        b[act] = np.where(left, d[act], b[act])
+        a[act] = np.where(left, a[act], c[act])
+        probe = np.where(left, b[act] - GOLDEN * (b[act] - a[act]),
+                         a[act] + GOLDEN * (b[act] - a[act]))
+        fp = f(act, probe)
+        c[act], d[act], fc[act], fd[act] = (
+            np.where(left, probe, d[act]), np.where(left, c[act], probe),
+            np.where(left, fp, fd[act]), np.where(left, fc[act], fp))
+        act = act[b[act] - a[act] > BRACKET_REL_WIDTH * b[act]]
     return 0.5 * (a + b)
 
 
@@ -502,8 +515,8 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     # exact stationary points: zeros of one component where the other one
     # vanishes too; keep the largest
     roots = []
-    for part in (lambda w: resid(w).real, lambda w: resid(w).imag):
-        pvals = [part(w) for w in grid]
+    for part, pvals in ((lambda w: resid(w).real, [v.real for v in vals]),
+                        (lambda w: resid(w).imag, [v.imag for v in vals])):
         for i, j in _find_brackets(grid, pvals):
             if i == j:
                 cand, bracket = grid[i], (grid[i], grid[i])

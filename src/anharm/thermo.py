@@ -5,7 +5,8 @@ Three first-order routes to the free energy of the quartic oscillator:
 * ``free_energy_oep``   - trace the per-point optimized diagonal amplitude:
                           Z = int exp(W1(x, x, beta; omega*(x))) dx.
 * ``free_energy_oef``   - optimize the free-energy series directly, one
-                          global frequency per temperature.
+                          global frequency per temperature, found by the
+                          scalar gap search of oep (_solve_scanned).
 * ``free_energy_fk``    - smeared-potential variational route: Gaussian
                           average of the potential over a self-consistent
                           fluctuation width, integrated over the path mean.
@@ -24,7 +25,7 @@ integrates its mean coordinate with scipy's quad.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import integrate
@@ -32,8 +33,7 @@ from scipy.optimize import brentq
 
 from . import hyper
 from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError)
-from .oep import (NoStationaryPointError, _bisect, _find_brackets, _golden_min,
-                  _newton_polish, optimize_omega_imag,
+from .oep import (NoStationaryPointError, _solve_scanned, optimize_omega_imag,
                   optimize_omega_imag_diagonal, scan_window, w1_imag)
 
 TOL_QUAD = 1e-10
@@ -299,31 +299,6 @@ def oef_series_domega(params: OscillatorParams, beta: float, omega: float) -> fl
             - 6.0 * params.lam * halfn * halfn / (omega * w2))
 
 
-def _optimize_scalar(f, df, grid, tol):
-    """Largest root of df on the grid, with minimal-sensitivity fallback."""
-    vals = [df(w) for w in grid]
-    if not any(math.isfinite(v) for v in vals):
-        raise NoStationaryPointError("series derivative not finite on the scan window")
-    brackets = _find_brackets(grid, vals)
-    n_roots = len(brackets)
-    if brackets:
-        i, j = brackets[-1]
-        if i == j:
-            omega = grid[i]
-            lo = hi = omega
-        else:
-            lo, hi = _bisect(df, grid[i], grid[j], vals[i], vals[j])
-            omega = _newton_polish(df, 0.5 * (lo + hi), grid[i], grid[j])
-        res = abs(df(omega))
-        if res <= tol * max(1.0, abs(f(omega)) / omega):
-            return omega, res, n_roots, False
-    absvals = [abs(v) if math.isfinite(v) else math.inf for v in vals]
-    i = min(range(len(absvals)), key=absvals.__getitem__)
-    omega, _ = _golden_min(lambda w: abs(df(w)),
-                           grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
-    return omega, abs(df(omega)), n_roots, True
-
-
 def free_energy_oef(params: OscillatorParams, beta: float,
                     tol_root: float = TOL_ROOT) -> FreeEnergyResult:
     """Free-energy series at its stationary global trial frequency.
@@ -344,13 +319,12 @@ def free_energy_oef(params: OscillatorParams, beta: float,
     """
     _check_beta(beta)
     grid = scan_window(params, 0.0, 0.0, beta)
-    omega, res, n_roots, fallback = _optimize_scalar(
-        lambda w: oef_series(params, beta, w),
-        lambda w: oef_series_domega(params, beta, w),
-        grid, tol_root)
-    info = {"omega_star": omega, "residual": res, "n_roots": n_roots,
-            "fallback_used": fallback}
-    return FreeEnergyResult(beta, oef_series(params, beta, omega), "OEF", info)
+    resid = partial(oef_series_domega, params, beta)
+    gap = _solve_scanned(resid, partial(oef_series, params, beta), grid,
+                         [resid(w) for w in grid], tol_root, f"the OEF series at beta={beta!r}")
+    info = {"omega_star": gap.omega_star, "residual": gap.residual,
+            "n_roots": gap.n_roots, "fallback_used": gap.fallback_used}
+    return FreeEnergyResult(beta, oef_series(params, beta, gap.omega_star), "OEF", info)
 
 
 # ---------------------------------------------------------------------------

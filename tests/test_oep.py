@@ -256,6 +256,59 @@ class TestOptimizeReal:
         assert 1j * ar.w_value == pytest.approx(wi, rel=1e-9)
 
 
+# optimize_omega_real before it read both residual components off one scan:
+# (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used) at real T, in the
+# wedge, in the harmonic limit and on the continuation edge T = -i beta.
+REAL_PINS = [
+    (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0), 1.0, 2, False),
+    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0), 1.0013401742060046, 0, True),
+    (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
+    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552528281, 0, True),
+    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
+]
+
+
+class TestOptimizeRealPinned:
+    @pytest.mark.parametrize("m2, lam, x_a, x_b, T, omega, n_roots, fallback", REAL_PINS)
+    def test_pinned(self, m2, lam, x_a, x_b, T, omega, n_roots, fallback):
+        g = optimize_omega_real(OscillatorParams(m2, lam), RealTimePoint(x_a, x_b, T))
+        assert (g.n_roots, g.fallback_used) == (n_roots, fallback)
+        if fallback:
+            # the golden section stops at BRACKET_REL_WIDTH
+            assert g.omega_star == pytest.approx(omega, rel=1e-12)
+        else:
+            assert g.omega_star == omega
+
+
+class TestGoldenFallback:
+    def test_fallback_brackets_within_bisection_width(self, double_well, quartic):
+        gaps = [optimize_omega_imag(double_well, EuclideanPoint(x, x, beta))
+                for beta in (0.25, 1.0) for x in np.linspace(-1.5, 1.5, 9)]
+        gaps += [optimize_omega_real(quartic, RealTimePoint(0.5, 0.2, t))
+                 for t in (0.4, 0.9, 1.3 * cmath.exp(-0.3j * math.pi))]
+        fallbacks = [g for g in gaps if g.fallback_used]
+        assert len(fallbacks) >= 10
+        for g in fallbacks:
+            lo, hi = g.bracket
+            assert lo <= g.omega_star <= hi
+            assert hi - lo <= oep.BRACKET_REL_WIDTH * hi
+
+    def test_stops_at_bisection_width(self):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return (w - 1.03) ** 2
+
+        omega, (lo, hi) = oep._golden_min(f, 0.9, 1.1)
+        assert omega == pytest.approx(1.03, rel=1e-11)
+        # the first step that brings the width under BRACKET_REL_WIDTH is the last
+        assert oep.GOLDEN * oep.BRACKET_REL_WIDTH * hi < hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        steps = math.ceil(math.log(oep.BRACKET_REL_WIDTH * hi / 0.2) / math.log(oep.GOLDEN))
+        assert len(calls) == 2 + steps
+
+
 class TestDiagonalBatch:
     """optimize_omega_imag_diagonal against the scalar solver it batches."""
 

@@ -188,7 +188,37 @@ class TestDensityMatrix:
             assert v * v <= va * vb * (1.0 + 1e-12)
 
 
+# F and omega_info of free_energy_oef before it shared the scalar gap solve of
+# oep: (m2, lam, beta, F, omega_star, residual, n_roots, fallback_used).  The
+# last one has no sign change in the window (its stationary omega ~ 6 lam lies
+# below it) and ends in the golden-section fallback.
+OEF_PINS = [
+    (0.0, 1.0, 0.01, -308.25066332272434, 5.886086664625896, 3.552713678800501e-15, 1, False),
+    (0.0, 1.0, 1.0, 0.5212968972431612, 1.9913826402741213, 0.0, 1, False),
+    (0.0, 1.0, 100.0, 0.6814202223120523, 1.8171205928321397, 0.0, 1, False),
+    (1.0, 10.0, 2.0, 1.5310823840376075, 4.00085513645028, 0.0, 1, False),
+    (-1.0, 0.1, 0.5, -2.185639026345254, 1.0701842307759968, 4.440892098500626e-16, 1, False),
+    (-1.0, 0.1, 5.0, -0.09144051051011859, 0.5352899724732618, 0.0, 1, False),
+    (1.2, 0.01, 3.0, 0.5420689412636284, 1.1213135279388868, 6.591949208711867e-17, 1, False),
+    (-1.0, 0.0001, 100.0, 24.997500007500008, 100.00000000000004, 0.25002499985, 0, True),
+]
+
+
 class TestFreeEnergyOEF:
+    @pytest.mark.parametrize("m2, lam, beta, f, omega, residual, n_roots, fallback", OEF_PINS)
+    def test_pinned(self, m2, lam, beta, f, omega, residual, n_roots, fallback):
+        r = free_energy_oef(OscillatorParams(m2, lam), beta)
+        info = r.omega_info
+        assert (info["n_roots"], info["fallback_used"]) == (n_roots, fallback)
+        if fallback:
+            # the golden section stops at BRACKET_REL_WIDTH, not after a fixed
+            # step count, so the fallback frequency moves within that width
+            for got, want in ((r.f, f), (info["omega_star"], omega),
+                              (info["residual"], residual)):
+                assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert (r.f, info["omega_star"], info["residual"]) == (f, omega, residual)
+
     def test_harmonic_closed_form(self, harmonic):
         for beta in (0.3, 1.0, 4.0):
             r = free_energy_oef(harmonic, beta)
