@@ -164,7 +164,7 @@ def _merge_options(args) -> dict:
     return merged
 
 
-def _build_config(args, need_beta=True, methods=()) -> RunConfig:
+def _build_config(args, need_beta, methods) -> RunConfig:
     """RunConfig from flags and config file; methods: the allowed ones, if any."""
     opt = _merge_options(args)
     if "m2" not in opt or "lambda" not in opt:
