@@ -2,8 +2,8 @@
 
 Subcommands emit CSV (with a ``#`` comment header echoing the full
 configuration) or key=value records, so sweeps are reproducible from their
-output alone.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+output alone.  Exit codes: 0 success, 2 configuration error (also an
+argument the library rejects), 3 numerical failure.
 """
 
 import argparse
@@ -272,6 +272,8 @@ def cmd_density(cfg: RunConfig) -> int:
     beta = cfg.betas[0]
     if len(cfg.betas) != 1:
         raise ConfigError("density takes a single beta")
+    if cfg.x_grid is not None and len(cfg.x_grid) < 2:
+        raise ConfigError("density needs an x-grid of at least two points")
     grid = (np.asarray(cfg.x_grid, dtype=float) if cfg.x_grid is not None
             else thermo.default_grid(cfg.params, beta, tol_quad=cfg.tol_quad,
                                      tol_root=cfg.tol_root))
@@ -471,12 +473,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(cfg)
-    except ConfigError as exc:
-        print(f"anharm: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NUMERICAL_ERRORS as exc:
         print(f"anharm: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # a ConfigError, or the library rejecting an argument (CausticError,
+        # also a ValueError, is numerical and handled above)
+        print(f"anharm: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

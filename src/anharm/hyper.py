@@ -11,10 +11,11 @@ loses roughly half the mantissa as z -> 0.  We therefore split:
 * |z| >= 0.5: closed hyperbolic forms, written so that nothing overflows for
   arbitrarily large z (only coth(z) -> 1 and exp(-z) -> 0 appear).
 
-Real arguments run on ``math``; complex arguments (the analytically continued
-real-time kernels live at z = i*omega*T) run on ``cmath``; arrays of real z
-(the batched gap solve of the trace) run on ``numpy``.  The shape-factor
-names encode which integral and which endpoint monomial they multiply:
+Every function here takes a real z (``math``), a complex z (``cmath``: the
+real-time amplitudes are the imaginary-time ones at beta = i*T, so they live
+at z = i*omega*T) or an array of real z (``numpy``: the batched gap solve of
+the trace), and dispatches on that type.  The shape-factor names encode which
+integral and which endpoint monomial they multiply:
 
     int K dt        =  k1(z) / (2 w^2)
     int L^2 dt      = [(xa^2+xb^2) l2_sum(z)/2 + xa xb l2_cross(z)] / w
@@ -183,14 +184,23 @@ def _closed_d(z, m):
     return val, der
 
 
+def _lib(z):
+    """The module that evaluates z: numpy for arrays, cmath for complex, math for real."""
+    if isinstance(z, np.ndarray):
+        return np
+    return cmath if isinstance(z, complex) else math
+
+
 def shape_factors_d(z):
     """Shape factors and their z-derivatives at z = omega*beta (or z = i*omega*T),
-    as a pair of tuples."""
-    is_complex = isinstance(z, complex)
-    if (abs(z) if is_complex else z) < Z_SWITCH:
+    as a pair of tuples (of arrays, for an array z)."""
+    m = _lib(z)
+    if m is np:
+        return shape_factors_d_grid(z)
+    if (abs(z) if m is cmath else z) < Z_SWITCH:
         return (ShapeFactors(*(horner_w(c, z) for c in _COEF)),
                 ShapeFactors(*(horner_w(c, z) for c in _DCOEF)))
-    return _closed_d(z, cmath if is_complex else math)
+    return _closed_d(z, m)
 
 
 def shape_factors(z):
@@ -241,35 +251,29 @@ def shape_factors_d_grid(z):
 
 
 def coth(z):
-    if isinstance(z, complex):
-        return 1.0 / cmath.tanh(z)
-    return 1.0 / math.tanh(z)
+    return 1.0 / _lib(z).tanh(z)
 
 
 def inv_sinh(z):
     """1/sinh(z) without overflow for large real z (or large Re z)."""
-    if isinstance(z, complex):
-        if abs(z.real) < 20.0:
-            # 1 - exp(-2z) would cancel near z = 0, and cmath.sinh cannot
-            # overflow here
-            return 1.0 / cmath.sinh(z)
-        q = cmath.exp(-z)
-        return 2.0 * q / (1.0 - q * q)
-    q = math.exp(-z)
+    if isinstance(z, complex) and abs(z.real) < 20.0:
+        # 1 - exp(-2z) would cancel near z = 0, and cmath.sinh cannot
+        # overflow here
+        return 1.0 / cmath.sinh(z)
+    q = _lib(z).exp(-z)
     return 2.0 * q / (1.0 - q * q)
 
 
 def log_sinh(z):
-    """log(sinh(z)) for real z > 0, valid up to z ~ 1e308."""
-    return z + math.log1p(-math.exp(-2.0 * z)) - _LN2
+    """log(sinh(z)), valid up to z ~ 1e308 for real z > 0.
 
-
-def log_sinh_wedge(z):
-    """Continuous branch of log(sinh(z)) on Re(z) >= 0.
-
-    1 - exp(-2z) stays in the right half plane there, so the principal log of
-    it never crosses a cut; on the boundary z = i*theta this picks up exactly
-    one factor -i*pi/2 per zero of sinh passed, which is the phase the
+    For complex z this is the continuous branch on Re(z) >= 0: 1 - exp(-2z)
+    stays in the right half plane there, so the principal log of it never
+    crosses a cut; on the boundary z = i*theta this picks up exactly one
+    factor -i*pi/2 per zero of sinh passed, which is the phase the
     time-sliced propagator accumulates at its focal points.
     """
-    return z + cmath.log(1.0 - cmath.exp(-2.0 * z)) - _LN2
+    if isinstance(z, complex):
+        return z + cmath.log(1.0 - cmath.exp(-2.0 * z)) - _LN2
+    m = _lib(z)
+    return z + m.log1p(-m.exp(-2.0 * z)) - _LN2

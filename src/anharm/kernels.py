@@ -10,16 +10,19 @@ with the convention L(0) = x_a, L(beta) = x_b.  The five integrals of
 L^2, K, L^4, L^2 K and K^2 over [0, beta] are evaluated in closed form
 (see hyper.py) and can be cross-checked against adaptive quadrature.
 
-Real time: the same objects with trigonometric functions.  All real-time
-quantities are obtained by evaluating the closed forms at z = i*w*T, which
-also works for complex T in the lower-right quadrant (the analytic
-continuation wedge connecting T > 0 to T = -i*beta).
+Real time: the same objects with trigonometric functions.  The real-time
+amplitude is the imaginary-time one at beta = i*T, so every real-time
+quantity is the imaginary-time closed form evaluated at z = i*w*T: one body
+(_w0 here, _w1 and _gap_residual in oep) takes a real beta, an array of them
+or a complex beta = i*T.  This also works for complex T in the lower-right
+quadrant (the analytic continuation wedge connecting T > 0 to T = -i*beta).
+The public functions check their arguments and call those bodies; solvers
+call the bodies directly.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from . import hyper
@@ -148,33 +151,38 @@ def path_K(t, omega, beta):
     return (coth - cosh_ratio) / (2.0 * omega)
 
 
-def w0_imag(p: EuclideanPoint, omega: float) -> float:
-    """log of the harmonic imaginary-time amplitude <x_b|exp(-beta H_w)|x_a>."""
-    _check_path_args(omega, p.beta)
-    z = omega * p.beta
-    sq = p.x_a * p.x_a + p.x_b * p.x_b
-    cross = p.x_a * p.x_b
-    return (0.5 * (math.log(omega) - math.log(TWO_PI) - hyper.log_sinh(z))
+def _w0(x_a, x_b, beta, omega):
+    """log of the harmonic amplitude <x_b|exp(-beta H_w)|x_a>, unchecked.
+
+    beta is real (a float, or arrays broadcast with the endpoints and omega)
+    or beta = i*T, which gives i times the real-time phase W0 (w0_real).
+    Unlike cos and sin of w*T, coth(z) and 1/sinh(z) stay finite however
+    large the real part of z = i*w*T.
+    """
+    z = omega * beta
+    sq = x_a * x_a + x_b * x_b
+    cross = x_a * x_b
+    return (0.5 * (hyper._lib(omega).log(omega) - math.log(TWO_PI) - hyper.log_sinh(z))
             - 0.5 * omega * (sq * hyper.coth(z) - 2.0 * cross * hyper.inv_sinh(z)))
 
 
-def w0_imag_grid(x_a, x_b, beta, omega):
-    """w0_imag broadcast over arrays of endpoints and frequencies (omega > 0)."""
-    z = omega * beta
-    q = np.exp(-z)
-    inv_sinh = 2.0 * q / (1.0 - q * q)
-    log_sinh = z + np.log1p(-np.exp(-2.0 * z)) - math.log(2.0)
-    sq = x_a * x_a + x_b * x_b
-    cross = x_a * x_b
-    return (0.5 * (np.log(omega) - math.log(TWO_PI) - log_sinh)
-            - 0.5 * omega * (sq / np.tanh(z) - 2.0 * cross * inv_sinh))
+def w0_imag(p: EuclideanPoint, omega: float) -> float:
+    """log of the harmonic imaginary-time amplitude <x_b|exp(-beta H_w)|x_a>."""
+    _check_path_args(omega, p.beta)
+    return _w0(p.x_a, p.x_b, p.beta, omega)
 
 
-def _check_caustic(omega, T):
-    t = complex(T)
+def _real_time_beta(p: RealTimePoint, omega: float) -> complex:
+    """beta = i*T of a real-time point, once omega is checked and no focal
+    point is hit: the real-time amplitudes are the imaginary-time ones there."""
+    _require_finite(omega=omega)
+    if omega <= 0.0:
+        raise ValueError("omega must be > 0")
+    t = complex(p.T)
     if t.imag == 0.0 and abs(math.sin(omega * t.real)) < CAUSTIC_TOL:
         raise CausticError(
             f"|sin(omega*T)| < {CAUSTIC_TOL:g} at omega={omega!r}, T={t.real!r}")
+    return 1j * t
 
 
 def w0_real(p: RealTimePoint, omega: float) -> complex:
@@ -183,18 +191,7 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
     The log branch is continuous in T from T -> 0+, so the phase steps by
     -pi/2 across each focal point instead of wrapping.
     """
-    _require_finite(omega=omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    _check_caustic(omega, p.T)
-    zc = 1j * omega * complex(p.T)
-    lnamp = 0.5 * (math.log(omega) - math.log(TWO_PI) - hyper.log_sinh_wedge(zc))
-    sq = p.x_a * p.x_a + p.x_b * p.x_b
-    cross = p.x_a * p.x_b
-    # cot(w T) = i coth(zc) and 1/sin(w T) = i/sinh(zc); unlike cos and sin
-    # of w T these stay finite however large the imaginary part of w T
-    phase = 0.5j * omega * (sq * hyper.coth(zc) - 2.0 * cross * hyper.inv_sinh(zc))
-    return -1j * lnamp + phase
+    return -1j * _w0(p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
 def _assemble(s, x_a, x_b, omega):
@@ -296,21 +293,12 @@ def _map_continued(k: KernelIntegrals) -> KernelIntegrals:
 
 def kernel_integrals_real(p: RealTimePoint, omega: float) -> KernelIntegrals:
     """Complex integrals of the trigonometric kernels over [0, T]."""
-    _require_finite(omega=omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    _check_caustic(omega, p.T)
-    zc = 1j * omega * complex(p.T)
-    s = hyper.shape_factors(zc)
-    return _map_continued(_assemble(s, p.x_a, p.x_b, omega))
+    zc = omega * _real_time_beta(p, omega)
+    return _map_continued(_assemble(hyper.shape_factors(zc), p.x_a, p.x_b, omega))
 
 
 def kernel_integrals_real_domega(p: RealTimePoint, omega: float) -> KernelIntegrals:
     """omega-derivatives of the real-time kernel integrals (T fixed)."""
-    _require_finite(omega=omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    _check_caustic(omega, p.T)
-    zc = 1j * omega * complex(p.T)
+    zc = omega * _real_time_beta(p, omega)
     s, sd = hyper.shape_factors_d(zc)
     return _map_continued(_assemble_domega(s, sd, p.x_a, p.x_b, omega, zc))

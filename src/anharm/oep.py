@@ -6,8 +6,11 @@ to first order
     W1 = W0(omega) - (m2 - omega^2)/2 * (iL2 + iK)
                    - lam * (iL4 + 6 iL2K + 3 iKK)
 
-in imaginary time, and the continued combination in real time.  The trial
-frequency is then fixed point-by-point by stationarity, dW1/domega = 0.
+in imaginary time.  The real-time W1 is -i times the same expression at
+beta = i*T, so _w1 and _gap_residual are the one body of W1 and of its
+residual for a real beta, an array of them or beta = i*T; the public
+functions check their arguments and call them.  The trial frequency is then
+fixed point-by-point by stationarity, dW1/domega = 0.
 Because dW0/domega = -omega*(iL2 + iK) exactly, the residual reduces to
 derivatives of the kernel integrals alone:
 
@@ -28,6 +31,8 @@ acceptance test, golden-section fallback), which thermo.free_energy_oef
 shares for the stationary point of its free-energy series.
 optimize_omega_imag_diagonal runs the same rules over arrays for many
 diagonal points of one beta, which is how the thermal trace solves its nodes.
+Every solve, optimize_omega_real's too, reads its brackets off the scan with
+one array rule, _bracket_ends.
 """
 
 import math
@@ -39,9 +44,7 @@ import numpy as np
 from . import hyper
 from .kernels import (CausticError, EuclideanPoint, OscillatorParams,
                       RealTimePoint, _assemble, _assemble_domega,
-                      kernel_integrals_imag, kernel_integrals_imag_domega,
-                      kernel_integrals_real, kernel_integrals_real_domega,
-                      w0_imag, w0_imag_grid, w0_real)
+                      _check_path_args, _real_time_beta, _w0)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
@@ -94,52 +97,45 @@ class FirstOrderAmplitude:
     point: object
 
 
-def _w1_imag_terms(params: OscillatorParams, omega, k, w0=0.0):
-    """W1 in imaginary time from W0 and the kernel integrals k; with w0 = 0
-    and the omega-derivatives of the integrals, the gap residual dW1/domega."""
+def _w1_terms(params: OscillatorParams, omega, k, w0=0.0):
+    """W1 from W0 and the kernel integrals k; with w0 = 0 and the
+    omega-derivatives of the integrals, the gap residual dW1/domega."""
     return (w0 - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
             - params.lam * (k.iL4 + 6.0 * k.iL2K + 3.0 * k.iKK))
 
 
+def _w1(params: OscillatorParams, x_a, x_b, beta, omega):
+    """W1 at a real beta (float, or arrays broadcast with the endpoints and
+    omega) or at beta = i*T, where it is i times the real-time W1; unchecked."""
+    s = hyper.shape_factors(omega * beta)
+    return _w1_terms(params, omega, _assemble(s, x_a, x_b, omega), _w0(x_a, x_b, beta, omega))
+
+
+def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):
+    """dW1/domega at a real beta (float or arrays) or at beta = i*T, from the
+    analytic omega-derivatives of the closed forms; unchecked."""
+    z = omega * beta
+    s, sd = hyper.shape_factors_d(z)
+    return _w1_terms(params, omega, _assemble_domega(s, sd, x_a, x_b, omega, z))
+
+
 def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
-    return _w1_imag_terms(params, omega, kernel_integrals_imag(p, omega), w0_imag(p, omega))
+    _check_path_args(omega, p.beta)
+    return _w1(params, p.x_a, p.x_b, p.beta, omega)
 
 
 def w1_real(params: OscillatorParams, p: RealTimePoint, omega: float) -> complex:
-    k = kernel_integrals_real(p, omega)
-    return (w0_real(p, omega)
-            - 0.5 * (params.m2 - omega * omega) * (k.iL2 + 1j * k.iK)
-            - params.lam * (k.iL4 + 6j * k.iL2K - 3.0 * k.iKK))
+    return -1j * _w1(params, p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
 def gap_residual_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
     """dW1/domega, from the analytic omega-derivatives of the closed forms."""
-    return _w1_imag_terms(params, omega, kernel_integrals_imag_domega(p, omega))
+    _check_path_args(omega, p.beta)
+    return _gap_residual(params, p.x_a, p.x_b, p.beta, omega)
 
 
 def gap_residual_real(params: OscillatorParams, p: RealTimePoint, omega: float) -> complex:
-    d = kernel_integrals_real_domega(p, omega)
-    return (-0.5 * (params.m2 - omega * omega) * (d.iL2 + 1j * d.iK)
-            - params.lam * (d.iL4 + 6j * d.iL2K - 3.0 * d.iKK))
-
-
-def _residual_grid(params: OscillatorParams, x_a, x_b, beta, omega):
-    """gap_residual_imag broadcast over arrays of endpoints and frequencies."""
-    z = omega * beta
-    s, sd = hyper.shape_factors_d_grid(z)
-    return _w1_imag_terms(params, omega, _assemble_domega(s, sd, x_a, x_b, omega, z))
-
-
-def _w1_grid(params: OscillatorParams, x_a, x_b, beta, omega):
-    """w1_imag broadcast over arrays of endpoints and frequencies."""
-    s, _ = hyper.shape_factors_d_grid(omega * beta)
-    return _w1_imag_terms(params, omega, _assemble(s, x_a, x_b, omega),
-                          w0_imag_grid(x_a, x_b, beta, omega))
-
-
-def _residual_scan(params: OscillatorParams, p: EuclideanPoint, omegas):
-    """gap_residual_imag on a whole frequency grid at once."""
-    return _residual_grid(params, p.x_a, p.x_b, p.beta, np.asarray(omegas, dtype=float))
+    return -1j * _gap_residual(params, p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
 def _log_window_start(params: OscillatorParams, sq: float, horizon: float) -> float:
@@ -208,21 +204,20 @@ def _golden_min(f, lo, hi):
     return 0.5 * (a + b), (a, b)
 
 
-def _find_brackets(grid, vals):
-    brackets = []
-    prev_i = None
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
-            prev_i = None
-            continue
-        if v == 0.0:
-            brackets.append((i, i))
-            prev_i = i
-            continue
-        if prev_i is not None and (vals[prev_i] < 0.0) != (v < 0.0):
-            brackets.append((prev_i, i))
-        prev_i = i
-    return brackets
+def _bracket_ends(vals):
+    """Where the brackets of a residual scan end, along its last axis.
+
+    A bracket ends at an exact zero (which is its own bracket) and at a
+    finite value whose finite left neighbour has the other sign (the cell to
+    its left is the bracket).
+    """
+    finite = np.isfinite(vals)
+    zero = vals == 0.0
+    neg = vals < 0.0
+    ends = zero.copy()
+    ends[..., 1:] |= (finite[..., :-1] & finite[..., 1:] & ~zero[..., 1:]
+                      & (neg[..., :-1] != neg[..., 1:]))
+    return ends
 
 
 def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
@@ -236,13 +231,16 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     anywhere, returns the minimal-sensitivity frequency (least |resid|) with
     fallback_used set.  where names the solve in NoStationaryPointError.
     """
-    if not any(math.isfinite(v) for v in vals):
+    vals = np.asarray(vals, dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {where}")
-    brackets = _find_brackets(grid, vals)
-    n_roots = len(brackets)
-    if brackets:
-        i, j = brackets[-1]
+    ends = np.flatnonzero(_bracket_ends(vals))
+    n_roots = ends.size
+    if n_roots:
+        j = int(ends[-1])
+        i = j if vals[j] == 0.0 else j - 1
         if i == j:
             omega = grid[i]
             lo = hi = omega
@@ -265,8 +263,7 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
         # tolerance: report the least-sensitive point instead of a fake root
     else:
         # no sign change: the cells either side of the least |residual|
-        absvals = [abs(v) if math.isfinite(v) else math.inf for v in vals]
-        i = min(range(len(absvals)), key=absvals.__getitem__)
+        i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)), lo, hi)
     return GapSolution(omega, abs(resid(omega)), n_roots, bracket, True)
@@ -281,9 +278,9 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
     root, or the minimal-sensitivity frequency with fallback_used set.
     """
     grid = scan_window(params, p.x_a, p.x_b, p.beta)
-    return _solve_scanned(lambda w: gap_residual_imag(params, p, w),
-                          lambda w: w1_imag(params, p, w),
-                          grid, [float(v) for v in _residual_scan(params, p, grid)], tol, p)
+    return _solve_scanned(lambda w: _gap_residual(params, p.x_a, p.x_b, p.beta, w),
+                          lambda w: _w1(params, p.x_a, p.x_b, p.beta, w), grid,
+                          _gap_residual(params, p.x_a, p.x_b, p.beta, np.asarray(grid)), tol, p)
 
 
 def _scan_brackets(resid_scan, n, point):
@@ -293,7 +290,7 @@ def _scan_brackets(resid_scan, n, point):
     point(row) names a row in the error raised when none is finite.  Returns
     the bracket count, the column where the last bracket ends, whether that
     column is an exact zero, and the column of least |residual|: the data
-    _find_brackets and the fallback of optimize_omega_imag read off one row.
+    _solve_scanned reads off one row.
     """
     n_roots, last, exact, least = (np.zeros(n, dtype=int), np.zeros(n, dtype=int),
                                    np.zeros(n, dtype=bool), np.zeros(n, dtype=int))
@@ -303,14 +300,10 @@ def _scan_brackets(resid_scan, n, point):
         rows = np.arange(start, min(n, start + step))
         vals = resid_scan(rows, cols)
         finite = np.isfinite(vals)
-        zero = vals == 0.0
-        neg = vals < 0.0
-        ends = zero.copy()
-        ends[:, 1:] |= (finite[:, :-1] & finite[:, 1:] & ~zero[:, 1:]
-                        & (neg[:, :-1] != neg[:, 1:]))
+        ends = _bracket_ends(vals)
         n_roots[rows] = np.count_nonzero(ends, axis=1)
         last[rows] = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
-        exact[rows] = zero[rows - start, last[rows]]
+        exact[rows] = vals[rows - start, last[rows]] == 0.0
         least[rows] = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=1)
         dead = rows[~finite.any(axis=1)]
         if dead.size:
@@ -413,7 +406,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
         return np.exp(log_lo[rows] + cols * SCAN_LOG_STEP)
 
     def resid(rows, omega):
-        return _residual_grid(params, x[rows], x[rows], beta, omega)
+        return _gap_residual(params, x[rows], x[rows], beta, omega)
 
     def resid_scan(rows, cols):
         return resid(rows[:, None], grid(rows[:, None], cols))
@@ -461,7 +454,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 
     res = np.abs(resid(rows, omega[rows]))
     w1 = np.empty(n)
-    w1[rows] = _w1_grid(params, x[rows], x[rows], beta, omega[rows])
+    w1[rows] = _w1(params, x[rows], x[rows], beta, omega[rows])
     missed = ~(res <= tol * np.maximum(1.0, np.abs(w1[rows]) / omega[rows]))
     # the bracket met its width target but the residual did not drop below
     # tolerance: the least-sensitive point of the bracket instead
@@ -475,7 +468,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
         omega[gold] = _golden_rows(lambda k, w: np.abs(resid(gold[k], w)),
                                    gold_lo[gold], gold_hi[gold])
         residual[gold] = np.abs(resid(gold, omega[gold]))
-        w1[gold] = _w1_grid(params, x[gold], x[gold], beta, omega[gold])
+        w1[gold] = _w1(params, x[gold], x[gold], beta, omega[gold])
     return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
 
 
@@ -506,18 +499,21 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
             return False
         return abs(resid(w)) <= tol * scale
 
-    vals = [resid(w) for w in grid]
-    mags = [abs(v) if math.isfinite(abs(v)) else math.inf for v in vals]
-    if not any(math.isfinite(m) for m in mags):
+    vals = np.array([resid(w) for w in grid])
+    mags = np.abs(vals)
+    finite = np.isfinite(mags)
+    if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {p}")
+    mags[~finite] = math.inf
 
     # exact stationary points: zeros of one component where the other one
     # vanishes too; keep the largest
     roots = []
-    for part, pvals in ((lambda w: resid(w).real, [v.real for v in vals]),
-                        (lambda w: resid(w).imag, [v.imag for v in vals])):
-        for i, j in _find_brackets(grid, pvals):
+    for part, pvals in ((lambda w: resid(w).real, vals.real),
+                        (lambda w: resid(w).imag, vals.imag)):
+        for j in np.flatnonzero(_bracket_ends(pvals)).tolist():
+            i = j if pvals[j] == 0.0 else j - 1
             if i == j:
                 cand, bracket = grid[i], (grid[i], grid[i])
             else:
@@ -534,13 +530,9 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     # edges are excluded (the residual always decays towards omega -> 0), and
     # for real T the shallow dips between successive focal-point poles lose
     # against the genuine near-stationary dip.
-    dips = [i for i in range(1, len(mags) - 1)
-            if mags[i] < mags[i - 1] and mags[i] <= mags[i + 1]
-            and math.isfinite(mags[i])]
-    if dips:
-        pick = min(dips, key=mags.__getitem__)
-    else:
-        pick = min(range(len(mags)), key=mags.__getitem__)
+    inner = mags[1:-1]
+    dips = 1 + np.flatnonzero((inner < mags[:-2]) & (inner <= mags[2:]) & finite[1:-1])
+    pick = int(dips[np.argmin(mags[dips])] if dips.size else np.argmin(mags))
     lo = grid[max(pick - 1, 0)]
     hi = grid[min(pick + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)) ** 2, lo, hi)

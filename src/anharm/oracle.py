@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import OscillatorParams
-from .thermo import DensityProfile, FreeEnergyResult
+from .thermo import DensityProfile, FreeEnergyResult, _check_beta
 
 TAIL_BOUND = 1e-14
 JACOBI_TOL = 1e-13
@@ -158,8 +158,7 @@ def _check_tail(s: SpectralSolution, beta: float) -> float:
 
 def exact_free_energy(s: SpectralSolution, beta: float) -> FreeEnergyResult:
     """F = -log(sum exp(-beta E_n))/beta, summed relative to the ground state."""
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    _check_beta(beta)
     tail = _check_tail(s, beta)
     e0 = s.energies[0]
     z_rel = float(np.sum(np.exp(-beta * (s.energies - e0))))
@@ -190,8 +189,7 @@ def hermite_functions(n: int, omega: float, grid: np.ndarray) -> np.ndarray:
 
 def exact_density(s: SpectralSolution, beta: float, grid) -> DensityProfile:
     """Boltzmann-weighted sum of |psi_n(x)|^2, normalized by the same sum."""
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    _check_beta(beta)
     _check_tail(s, beta)
     grid = np.asarray(grid, dtype=float)
     weights = np.exp(-beta * (s.energies - s.energies[0]))

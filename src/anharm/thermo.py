@@ -24,6 +24,7 @@ integrates its mean coordinate with scipy's quad.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -77,7 +78,8 @@ class DensityMatrixEntry:
 
 
 def _check_beta(beta):
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+    # numbers.Real takes numpy scalars too, which the oracle has always accepted
+    if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be a positive finite number, got {beta!r}")
 
 

@@ -248,3 +248,25 @@ class TestConfigHandling:
     def test_exit_2_on_nonpositive_tolerance(self):
         assert run_cli(["free-energy", "--m2", "1", "--lambda", "0", "--beta", "1",
                         "--tol-quad", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-spectrum", "--m2", "1", "--lambda", "0", "--basis-size", "8"],
+        ["exact-spectrum", "--m2", "1", "--lambda", "0", "--basis-omega", "-1"],
+        ["free-energy", "--m2", "1", "--lambda", "0", "--beta", "1",
+         "--methods", "EXACT", "--basis-size", "8"],
+        ["free-energy", "--m2", "1", "--lambda", "0", "--beta", "1",
+         "--methods", "EXACT", "--basis-omega", "-1"],
+        ["propagator", "--m2", "1", "--lambda", "1", "--time", "1", "--omega", "0"],
+        ["propagator", "--m2", "1", "--lambda", "1", "--time", "1", "--omega", "0",
+         "--mode", "real"],
+        ["density", "--m2", "1", "--lambda", "1", "--beta", "1", "--x-grid=0.5",
+         "--methods", "OEP"],
+        ["density", "--m2", "1", "--lambda", "1", "--beta", "1", "--x-grid=0.5",
+         "--methods", "EXACT"],
+    ], ids=["basis-size", "basis-omega", "exact-row-basis-size", "exact-row-basis-omega",
+            "omega-imag", "omega-real", "one-point-grid-oep", "one-point-grid-exact"])
+    def test_exit_2_on_bad_library_argument(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("anharm: config error: ")
+        assert captured.out == ""

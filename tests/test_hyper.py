@@ -73,10 +73,18 @@ def test_derivatives_match_finite_differences(z):
 
 
 def test_values_and_derivatives_consistent_between_entry_points():
-    for z in (0.02, 0.3, 0.7, 3.0, 45.0):
+    for z in (0.02, 0.3, 0.7, 3.0, 45.0, complex(0.2, 0.1), complex(0.4, 3.0)):
         val = hyper.shape_factors(z)
         val2, _ = hyper.shape_factors_d(z)
         assert val == val2
+    # an array z runs the grid evaluation
+    zs = np.array([0.02, 0.3, 0.7, 3.0, 45.0])
+    val, der = hyper.shape_factors_d(zs)
+    gval, gder = hyper.shape_factors_d_grid(zs)
+    for a, b, c in zip(hyper.shape_factors(zs), val, gval):
+        assert np.array_equal(a, b) and np.array_equal(b, c)
+    for a, b in zip(der, gder):
+        assert np.array_equal(a, b)
 
 
 def test_grid_evaluation_matches_scalar():
@@ -99,20 +107,39 @@ def test_complex_evaluation_matches_real_axis():
 
 
 def test_log_sinh_stable():
-    for z in (0.01, 0.5, 3.0, 300.0, 800.0, 5000.0):
+    zs = (0.01, 0.5, 3.0, 300.0, 800.0, 5000.0)
+    on_array = hyper.log_sinh(np.array(zs))
+    for z, from_array in zip(zs, on_array):
         if z < 350:
-            assert hyper.log_sinh(z) == pytest.approx(math.log(math.sinh(z)), rel=1e-13)
+            want = math.log(math.sinh(z))
         else:
             # sinh overflows but the log must not
-            assert hyper.log_sinh(z) == pytest.approx(z - math.log(2.0), rel=1e-13)
+            want = z - math.log(2.0)
+        assert hyper.log_sinh(z) == pytest.approx(want, rel=1e-13)
+        assert from_array == pytest.approx(want, rel=1e-13)
 
 
 def test_log_sinh_wedge_exponentiates_to_sinh():
     pts = [0.3 + 0.2j, 1.0 + 2.0j, 0.5 + 4.5j, 2.0 + 9.0j, 1e-3 + 0.6j]
     for z in pts:
-        assert cmath.exp(hyper.log_sinh_wedge(z)) == pytest.approx(cmath.sinh(z), rel=1e-12)
+        assert cmath.exp(hyper.log_sinh(z)) == pytest.approx(cmath.sinh(z), rel=1e-12)
 
 
 def test_inv_sinh_no_overflow():
     assert hyper.inv_sinh(800.0) == 0.0
     assert hyper.inv_sinh(1.0) == pytest.approx(1.0 / math.sinh(1.0), rel=1e-14)
+    assert hyper.inv_sinh(complex(800.0, 0.3)) == 0.0
+    for z in (complex(1.0, 0.5), complex(25.0, 2.0), complex(1e-9, 0.7)):
+        assert hyper.inv_sinh(z) == pytest.approx(1.0 / cmath.sinh(z), rel=1e-14)
+    on_array = hyper.inv_sinh(np.array([800.0, 1.0]))
+    assert on_array[0] == 0.0
+    assert on_array[1] == pytest.approx(1.0 / math.sinh(1.0), rel=1e-14)
+
+
+def test_coth_real_complex_and_array():
+    for z in (0.01, 1.0, 40.0):
+        assert hyper.coth(z) == pytest.approx(math.cosh(z) / math.sinh(z), rel=1e-14)
+    for z in (complex(0.3, 0.2), complex(1e-9, 1.2), complex(3.0, -4.0)):
+        assert hyper.coth(z) == pytest.approx(cmath.cosh(z) / cmath.sinh(z), rel=1e-14)
+    zs = np.array([0.01, 1.0, 40.0])
+    assert hyper.coth(zs) == pytest.approx(np.cosh(zs) / np.sinh(zs), rel=1e-14)

@@ -13,7 +13,7 @@ from anharm import (EuclideanPoint, OscillatorParams, RealTimePoint,
                     w0_imag, w0_real, w1_imag, w1_real)
 from anharm import oep
 from anharm.kernels import kernel_integrals_imag
-from anharm.oep import _residual_scan, optimize_omega_imag_diagonal, scan_window
+from anharm.oep import _gap_residual, optimize_omega_imag_diagonal, scan_window
 
 CUBIC_ROOT_6 = 1.8171205928321397   # real root of w^3 = 6
 
@@ -147,7 +147,7 @@ class TestGapResidual:
     def test_residual_changes_sign_on_scan(self, quartic):
         p = EuclideanPoint(0.0, 0.0, 5.0)
         grid = scan_window(quartic, 0.0, 0.0, 5.0)
-        vals = _residual_scan(quartic, p, grid)
+        vals = _gap_residual(quartic, p.x_a, p.x_b, p.beta, np.asarray(grid))
         signs = np.sign(vals)
         assert np.any(signs[:-1] != signs[1:])
 
@@ -267,18 +267,32 @@ REAL_PINS = [
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552528281, 0, True),
     (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
 ]
+# W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
+# compared exactly
+REAL_PIN_W1 = {
+    (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0)): complex(-0.71063533725713, 0.8713970151570923),
+    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0)): complex(-0.7563319866538861, 0.5512430465506604),
+    (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318)):
+        complex(-0.581898000940667, 1.241712188977814),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363213848974, -0.04302889341581394),
+    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
+        complex(-1.1906424908901787, 1.8328590702506182),
+    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
+}
 
 
 class TestOptimizeRealPinned:
     @pytest.mark.parametrize("m2, lam, x_a, x_b, T, omega, n_roots, fallback", REAL_PINS)
     def test_pinned(self, m2, lam, x_a, x_b, T, omega, n_roots, fallback):
-        g = optimize_omega_real(OscillatorParams(m2, lam), RealTimePoint(x_a, x_b, T))
+        params, p = OscillatorParams(m2, lam), RealTimePoint(x_a, x_b, T)
+        g = optimize_omega_real(params, p)
         assert (g.n_roots, g.fallback_used) == (n_roots, fallback)
         if fallback:
             # the golden section stops at BRACKET_REL_WIDTH
             assert g.omega_star == pytest.approx(omega, rel=1e-12)
         else:
             assert g.omega_star == omega
+        assert w1_real(params, p, g.omega_star) == REAL_PIN_W1[m2, lam, x_a, x_b, T]
 
 
 class TestGoldenFallback:

@@ -99,6 +99,18 @@ class TestExactFreeEnergy:
         assert exact_free_energy(quartic_spectrum, 200.0).f == pytest.approx(
             E0_QUARTIC, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_beta(self, harmonic, beta):
+        s = solve_spectrum(harmonic, 64, 1.0)
+        with pytest.raises(ValueError, match="beta must be a positive finite number"):
+            exact_free_energy(s, beta)
+        with pytest.raises(ValueError, match="beta must be a positive finite number"):
+            exact_density(s, beta, np.linspace(-1.0, 1.0, 5))
+
+    def test_accepts_numpy_beta(self, harmonic):
+        s = solve_spectrum(harmonic, 64, 1.0)
+        assert exact_free_energy(s, np.int64(2)).f == exact_free_energy(s, 2.0).f
+
     def test_truncation_guard(self, quartic):
         small = solve_spectrum(quartic, 16, 2.0)
         with pytest.raises(TruncationError):

@@ -106,7 +106,7 @@ class TestTrace:
         assert optimize_omega_imag.cache_info() == before
 
     def test_integrand_error_names_the_point(self, monkeypatch):
-        monkeypatch.setattr(oep, "_residual_grid",
+        monkeypatch.setattr(oep, "_gap_residual",
                             lambda params, x_a, x_b, beta, omega: np.full(np.shape(x_a * omega), np.nan))
         with pytest.raises(IntegrandError, match="x_a=0.0"):
             free_energy_oep(OscillatorParams(0.7, 0.3), 1.7)
