@@ -32,9 +32,6 @@ NUMERICAL_ERRORS = (CausticError, QuadratureError, NoStationaryPointError,
                     TruncationError, ConvergenceError, IntegrandError,
                     OverflowError, ZeroDivisionError)
 
-FE_METHODS = ("EXACT", "FK", "OEF", "OEP")
-DENSITY_METHODS = ("EXACT", "OEP")
-
 
 class ConfigError(ValueError):
     pass
@@ -101,90 +98,74 @@ def read_config_file(path) -> dict:
     return values
 
 
-# option name -> parser applied to values coming from the config file
-_OPTION_PARSERS = {
-    "m2": float,
-    "lambda": float,
-    "beta": str,
-    "x-grid": str,
-    "methods": str,
-    "out": str,
-    "tol-root": float,
-    "tol-quad": float,
-    "basis-size": int,
-    "basis-omega": float,
-    "xa": float,
-    "xb": float,
-    "time": float,
-    "mode": str,
-    "omega": float,
-    "workers": int,
+# Each option once: name -> (type, default, help).  The name is the flag,
+# the argparse dest and the config-file key.  The type also parses
+# config-file values; a tuple of choices is checked by argparse for the flag
+# and by the subcommand for a config-file value.  The default is the value
+# when neither the flag nor the file gives one.
+OPTIONS = {
+    "m2": (float, None, "quadratic coefficient (may be < 0)"),
+    "lambda": (float, None, "quartic coupling (>= 0)"),
+    "out": (str, None, "output file (default stdout)"),
+    "tol-root": (float, thermo.TOL_ROOT, "gap-equation root tolerance"),
+    "tol-quad": (float, thermo.TOL_QUAD, "relative quadrature tolerance"),
+    "basis-size": (int, 256, "oscillator basis size of the exact reference"),
+    "basis-omega": (float, None, "oscillator basis frequency of the exact reference"),
+    # accepted and validated, but sweeps run serially: the work holds the
+    # interpreter lock, and a thread pool measured slower than one thread
+    "workers": (int, 1, "accepted for compatibility; sweeps run serially"),
+    "beta": (str, None, "grid spec: value, list, start:stop:count, log:..."),
+    "methods": (str, None, "comma subset of the subcommand's methods (default all)"),
+    "x-grid": (str, None, "position grid spec"),
+    "xa": (float, 0.0, "initial position"),
+    "xb": (float, 0.0, "final position"),
+    "time": (float, None, "beta (imag mode) or T (real mode)"),
+    "mode": (("imag", "real"), "imag", "imaginary (Euclidean) or real time"),
+    "omega": (float, None, "skip optimization, force omega"),
 }
 
 
 @dataclass
 class RunConfig:
-    params: OscillatorParams = None
-    methods: tuple = ()
+    params: OscillatorParams
+    opt: dict       # option name -> value: flag, else config file, else default
     betas: tuple = ()
+    methods: tuple = ()
     x_grid: object = None
-    out: str = None
-    tol_root: float = thermo.TOL_ROOT
-    tol_quad: float = thermo.TOL_QUAD
-    basis_size: int = 256
-    basis_omega: float = None
-    # accepted and validated, but sweeps run serially: the work holds the
-    # interpreter lock, and a thread pool measured slower than one thread
-    workers: int = 1
-    # propagator-only
-    x_a: float = 0.0
-    x_b: float = 0.0
-    time: float = None
-    mode: str = "imag"
-    omega: float = None
     echo: dict = field(default_factory=dict)
 
 
-def _merge_options(args) -> dict:
-    """Config-file values overridden by explicitly passed flags."""
-    merged = {}
-    if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, val in raw.items():
-            if key not in _OPTION_PARSERS:
+def _build_config(args) -> RunConfig:
+    """RunConfig from flags, the config file and the option table's defaults."""
+    _, _, own, methods = COMMANDS[args.command]
+    opt = {name: default for name, (_, default, _) in OPTIONS.items()}
+    if args.config:
+        for key, val in read_config_file(args.config).items():
+            if key not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
+            parse = OPTIONS[key][0]
             try:
-                merged[key] = _OPTION_PARSERS[key](val)
+                opt[key] = parse(val) if callable(parse) else val
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
-    for key in _OPTION_PARSERS:
-        flag = key.replace("-", "_")
-        if getattr(args, flag, None) is not None:
-            merged[key] = getattr(args, flag)
-    return merged
-
-
-def _build_config(args, need_beta, methods) -> RunConfig:
-    """RunConfig from flags and config file; methods: the allowed ones, if any."""
-    opt = _merge_options(args)
-    if "m2" not in opt or "lambda" not in opt:
+    opt.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
+    if opt["m2"] is None or opt["lambda"] is None:
         raise ConfigError("--m2 and --lambda are required (flag or config file)")
-    try:
-        params = OscillatorParams(opt["m2"], opt["lambda"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(params=params)
-    cfg.echo = {"m2": repr(opt["m2"]), "lambda": repr(opt["lambda"])}
-    if need_beta:
-        if "beta" not in opt:
+    # workers is deliberately not echoed: output bytes are identical for any
+    # parallelism degree, and the echo must not break that
+    cfg = RunConfig(OscillatorParams(opt["m2"], opt["lambda"]), opt, echo={
+        name: "" if opt[name] is None else repr(opt[name])
+        for name in ("m2", "lambda", "tol-root", "tol-quad", "basis-size", "basis-omega")})
+    if "beta" in own:
+        if opt["beta"] is None:
             raise ConfigError("--beta is required")
         cfg.betas = tuple(sorted(parse_grid(opt["beta"])))
         if any(b <= 0 for b in cfg.betas):
             raise ConfigError("beta values must be > 0")
-        cfg.echo["beta"] = str(opt["beta"])
+        cfg.echo["beta"] = opt["beta"]
     if methods:
-        spec = opt.get("methods", ",".join(methods))
-        chosen = tuple(sorted({tok.strip().upper() for tok in str(spec).split(",") if tok.strip()}))
+        spec = ",".join(methods) if opt["methods"] is None else opt["methods"]
+        chosen = tuple(sorted({tok.strip().upper() for tok in spec.split(",") if tok.strip()}))
         if not chosen:
             raise ConfigError("at least one method is required")
         bad = [m for m in chosen if m not in methods]
@@ -192,28 +173,14 @@ def _build_config(args, need_beta, methods) -> RunConfig:
             raise ConfigError(f"unknown methods {bad}; choose from {','.join(methods)}")
         cfg.methods = chosen
         cfg.echo["methods"] = ",".join(chosen)
-    if "x-grid" in opt:
+    # a config-file x-grid is parsed and echoed by every subcommand
+    if opt["x-grid"] is not None:
         cfg.x_grid = parse_grid(opt["x-grid"])
-        cfg.echo["x-grid"] = str(opt["x-grid"])
-    cfg.out = opt.get("out")
-    for name, attr in (("tol-root", "tol_root"), ("tol-quad", "tol_quad"),
-                       ("basis-size", "basis_size"), ("basis-omega", "basis_omega"),
-                       ("workers", "workers")):
-        if name in opt:
-            setattr(cfg, attr, opt[name])
-    if cfg.tol_root <= 0 or cfg.tol_quad <= 0:
+        cfg.echo["x-grid"] = opt["x-grid"]
+    if opt["tol-root"] <= 0 or opt["tol-quad"] <= 0:
         raise ConfigError("tolerances must be positive")
-    if cfg.workers < 1:
+    if opt["workers"] < 1:
         raise ConfigError("workers must be >= 1")
-    # workers is deliberately not echoed: output bytes are identical for any
-    # parallelism degree, and the echo must not break that
-    cfg.echo.update({"tol-root": repr(cfg.tol_root), "tol-quad": repr(cfg.tol_quad),
-                     "basis-size": str(cfg.basis_size),
-                     "basis-omega": "" if cfg.basis_omega is None else repr(cfg.basis_omega)})
-    for name, attr in (("xa", "x_a"), ("xb", "x_b"), ("time", "time"),
-                       ("mode", "mode"), ("omega", "omega")):
-        if name in opt:
-            setattr(cfg, attr, opt[name])
     return cfg
 
 
@@ -234,23 +201,26 @@ def _header(cfg: RunConfig, command: str) -> list:
 
 
 def _spectrum(cfg: RunConfig):
-    return oracle.solve_spectrum(cfg.params, cfg.basis_size, cfg.basis_omega)
+    return oracle.solve_spectrum(cfg.params, cfg.opt["basis-size"],
+                                 cfg.opt["basis-omega"])
 
 
 def cmd_free_energy(cfg: RunConfig) -> int:
+    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
+
     def run(task):
         beta, method = task
         try:
             if method == "OEP":
-                r = thermo.free_energy_oep(cfg.params, beta, cfg.tol_quad, cfg.tol_root)
+                r = thermo.free_energy_oep(cfg.params, beta, tol_quad, tol_root)
                 return (beta, method, r.f, r.omega_info["omega_star_origin"],
                         r.omega_info["quad_rel_error"], "")
             if method == "OEF":
-                r = thermo.free_energy_oef(cfg.params, beta, cfg.tol_root)
+                r = thermo.free_energy_oef(cfg.params, beta, tol_root)
                 return (beta, method, r.f, r.omega_info["omega_star"],
                         r.omega_info["residual"], "")
             if method == "FK":
-                r = thermo.free_energy_fk(cfg.params, beta, cfg.tol_quad)
+                r = thermo.free_energy_fk(cfg.params, beta, tol_quad)
                 s0 = r.omega_info["omega_sq_origin"]
                 diag = math.sqrt(s0) if s0 > 0 else None
                 return (beta, method, r.f, diag, r.omega_info["quad_rel_error"], "")
@@ -264,26 +234,26 @@ def cmd_free_energy(cfg: RunConfig) -> int:
     lines.append("beta,method,F,omega_diag,err_est,error")
     for beta, method, f, diag, err, code in rows:
         lines.append(f"{_fmt(beta)},{method},{_fmt(f)},{_fmt(diag)},{_fmt(err)},{code}")
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.opt["out"], lines)
     return EXIT_OK
 
 
 def cmd_density(cfg: RunConfig) -> int:
     beta = cfg.betas[0]
+    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
     if len(cfg.betas) != 1:
         raise ConfigError("density takes a single beta")
     if cfg.x_grid is not None and len(cfg.x_grid) < 2:
         raise ConfigError("density needs an x-grid of at least two points")
     grid = (np.asarray(cfg.x_grid, dtype=float) if cfg.x_grid is not None
-            else thermo.default_grid(cfg.params, beta, tol_quad=cfg.tol_quad,
-                                     tol_root=cfg.tol_root))
+            else thermo.default_grid(cfg.params, beta, tol_quad=tol_quad, tol_root=tol_root))
     profiles = {}
     failures = {}
     for method in cfg.methods:
         try:
             if method == "OEP":
                 profiles[method] = thermo.density_oep(cfg.params, beta, grid,
-                                                      cfg.tol_quad, cfg.tol_root)
+                                                      tol_quad, tol_root)
             else:
                 profiles[method] = oracle.exact_density(_spectrum(cfg), beta, grid)
         except NUMERICAL_ERRORS as exc:
@@ -301,7 +271,7 @@ def cmd_density(cfg: RunConfig) -> int:
         if method in profiles:
             lines.append(f"# normalization_error {method}="
                          f"{profiles[method].normalization_error:.3e}")
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.opt["out"], lines)
     return EXIT_OK
 
 
@@ -309,15 +279,15 @@ def cmd_density_matrix(cfg: RunConfig) -> int:
     if len(cfg.betas) != 1:
         raise ConfigError("density-matrix takes a single beta")
     beta = cfg.betas[0]
+    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
     grid = (np.asarray(cfg.x_grid, dtype=float) if cfg.x_grid is not None
-            else thermo.default_grid(cfg.params, beta, n=21, tol_quad=cfg.tol_quad,
-                                     tol_root=cfg.tol_root))
+            else thermo.default_grid(cfg.params, beta, n=21, tol_quad=tol_quad,
+                                     tol_root=tol_root))
 
     def run(pair):
         xa, xb = pair
         try:
-            entry = thermo.density_matrix_oep(cfg.params, beta, xa, xb,
-                                              cfg.tol_quad, cfg.tol_root)
+            entry = thermo.density_matrix_oep(cfg.params, beta, xa, xb, tol_quad, tol_root)
             return (xa, xb, entry.value, "")
         except NUMERICAL_ERRORS as exc:
             return (xa, xb, None, type(exc).__name__)
@@ -328,54 +298,44 @@ def cmd_density_matrix(cfg: RunConfig) -> int:
     lines.append("x_a,x_b,value,error")
     for xa, xb, val, code in rows:
         lines.append(f"{_fmt(xa)},{_fmt(xb)},{_fmt(val)},{code}")
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.opt["out"], lines)
     return EXIT_OK
 
 
 def cmd_propagator(cfg: RunConfig) -> int:
-    if cfg.time is None:
+    o = cfg.opt
+    if o["time"] is None:
         raise ConfigError("--time is required")
-    if cfg.mode not in ("imag", "real"):
+    if o["mode"] == "imag":
+        point, resid, solve, w1 = (EuclideanPoint, gap_residual_imag,
+                                   optimize_omega_imag, w1_imag)
+    elif o["mode"] == "real":
+        point, resid, solve, w1 = (RealTimePoint, gap_residual_real,
+                                   optimize_omega_real, w1_real)
+    else:
         raise ConfigError("--mode must be imag or real")
-    lines = _header(cfg, "propagator")
-    kv = {"mode": cfg.mode, "x_a": _fmt(cfg.x_a), "x_b": _fmt(cfg.x_b),
-          "time": _fmt(cfg.time)}
-    if cfg.mode == "imag":
-        try:
-            p = EuclideanPoint(cfg.x_a, cfg.x_b, cfg.time)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if cfg.omega is not None:
-            omega, resid = cfg.omega, gap_residual_imag(cfg.params, p, cfg.omega)
-            kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid)),
-                      n_roots="", fallback="forced")
-        else:
-            gap = optimize_omega_imag(cfg.params, p, cfg.tol_root)
-            omega = gap.omega_star
-            kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
-                      n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
-        w = w1_imag(cfg.params, p, omega)
+    p = point(o["xa"], o["xb"], o["time"])
+    kv = {"mode": o["mode"], "x_a": _fmt(o["xa"]), "x_b": _fmt(o["xb"]),
+          "time": _fmt(o["time"])}
+    if o["omega"] is not None:
+        omega = o["omega"]
+        kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid(cfg.params, p, omega))),
+                  n_roots="", fallback="forced")
+    else:
+        gap = solve(cfg.params, p, o["tol-root"])
+        omega = gap.omega_star
+        kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
+                  n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
+    w = w1(cfg.params, p, omega)
+    if o["mode"] == "imag":
         kv.update(W=_fmt(w), amplitude=_fmt(math.exp(w)))
     else:
-        try:
-            p = RealTimePoint(cfg.x_a, cfg.x_b, cfg.time)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if cfg.omega is not None:
-            omega, resid = cfg.omega, gap_residual_real(cfg.params, p, cfg.omega)
-            kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid)),
-                      n_roots="", fallback="forced")
-        else:
-            gap = optimize_omega_real(cfg.params, p, cfg.tol_root)
-            omega = gap.omega_star
-            kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
-                      n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
-        w = w1_real(cfg.params, p, omega)
         amp = cmath.exp(1j * w)
         kv.update(W_re=_fmt(w.real), W_im=_fmt(w.imag),
                   amp_re=_fmt(amp.real), amp_im=_fmt(amp.imag))
+    lines = _header(cfg, "propagator")
     lines.extend(f"{k}={v}" for k, v in kv.items())
-    _write_lines(cfg.out, lines)
+    _write_lines(o["out"], lines)
     return EXIT_OK
 
 
@@ -386,22 +346,8 @@ def cmd_exact_spectrum(cfg: RunConfig) -> int:
     lines.append("n,E")
     for n, e in enumerate(s.energies):
         lines.append(f"{n},{_fmt(e)}")
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.opt["out"], lines)
     return EXIT_OK
-
-
-def _add_common(sub):
-    sub.add_argument("--m2", type=float, help="quadratic coefficient (may be < 0)")
-    sub.add_argument("--lambda", dest="lambda_", type=float,
-                     help="quartic coupling (>= 0)")
-    sub.add_argument("--config", help="key=value file; flags override it")
-    sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--tol-root", dest="tol_root", type=float)
-    sub.add_argument("--tol-quad", dest="tol_quad", type=float)
-    sub.add_argument("--basis-size", dest="basis_size", type=int)
-    sub.add_argument("--basis-omega", dest="basis_omega", type=float)
-    sub.add_argument("--workers", type=int,
-                     help="accepted for compatibility; sweeps run serially")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -418,6 +364,21 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+# subcommand -> (function, help, its own options, its allowed methods); every
+# subcommand also takes the options that no subcommand lists as its own
+COMMANDS = {
+    "free-energy": (cmd_free_energy, "free-energy sweep over beta",
+                    ("beta", "methods"), ("EXACT", "FK", "OEF", "OEP")),
+    "density": (cmd_density, "particle density on a grid",
+                ("beta", "methods", "x-grid"), ("EXACT", "OEP")),
+    "density-matrix": (cmd_density_matrix, "density matrix on a grid x grid",
+                       ("beta", "x-grid"), ()),
+    "propagator": (cmd_propagator, "single amplitude evaluation",
+                   ("xa", "xb", "time", "mode", "omega"), ()),
+    "exact-spectrum": (cmd_exact_spectrum, "oscillator-basis eigenvalues", (), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anharm",
@@ -425,54 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "potential m2 x^2/2 + lambda x^4")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    fe = subs.add_parser("free-energy", help="free-energy sweep over beta")
-    _add_common(fe)
-    fe.add_argument("--beta", help="grid spec: value, list, start:stop:count, log:...")
-    fe.add_argument("--methods", help="comma subset of OEP,OEF,FK,EXACT")
-    fe.set_defaults(func=cmd_free_energy, need_beta=True, allowed_methods=FE_METHODS)
-
-    de = subs.add_parser("density", help="particle density on a grid")
-    _add_common(de)
-    de.add_argument("--beta")
-    de.add_argument("--methods", help="comma subset of OEP,EXACT")
-    de.add_argument("--x-grid", dest="x_grid", help="position grid spec")
-    de.set_defaults(func=cmd_density, need_beta=True, allowed_methods=DENSITY_METHODS)
-
-    dm = subs.add_parser("density-matrix", help="density matrix on a grid x grid")
-    _add_common(dm)
-    dm.add_argument("--beta")
-    dm.add_argument("--x-grid", dest="x_grid")
-    dm.set_defaults(func=cmd_density_matrix, need_beta=True, allowed_methods=())
-
-    pr = subs.add_parser("propagator", help="single amplitude evaluation")
-    _add_common(pr)
-    pr.add_argument("--xa", type=float)
-    pr.add_argument("--xb", type=float)
-    pr.add_argument("--time", type=float, help="beta (imag mode) or T (real mode)")
-    pr.add_argument("--mode", choices=("imag", "real"))
-    pr.add_argument("--omega", type=float, help="skip optimization, force omega")
-    pr.set_defaults(func=cmd_propagator, need_beta=False, allowed_methods=())
-
-    sp = subs.add_parser("exact-spectrum", help="oscillator-basis eigenvalues")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_exact_spectrum, need_beta=False, allowed_methods=())
+    own = {name for _, _, names, _ in COMMANDS.values() for name in names}
+    common = [name for name in OPTIONS if name not in own]
+    for command, (_, help_, names, _) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_)
+        sub.add_argument("--config", help="key=value file; flags override it")
+        for name in common + list(names):
+            parse, _, text = OPTIONS[name]
+            kind = {"type": parse} if callable(parse) else {"choices": parse}
+            sub.add_argument(f"--{name}", dest=name, help=text, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse stores --lambda under lambda_; the option table wants "lambda"
-    if hasattr(args, "lambda_"):
-        setattr(args, "lambda", args.lambda_)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args, args.need_beta, args.allowed_methods)
-    except ConfigError as exc:
-        print(f"anharm: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(cfg)
+        return COMMANDS[args.command][0](_build_config(args))
     except NUMERICAL_ERRORS as exc:
         print(f"anharm: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
