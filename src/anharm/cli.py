@@ -4,6 +4,14 @@ Subcommands emit CSV (with a ``#`` comment header echoing the full
 configuration) or key=value records, so sweeps are reproducible from their
 output alone.  Exit codes: 0 success, 2 configuration error (also an
 argument the library rejects), 3 numerical failure.
+
+Two tables drive the parser.  ``OPTIONS`` declares each option once; its
+name is the flag, the argparse dest and the config-file key.  ``COMMANDS``
+gives each subcommand its function, help, own options and allowed methods.
+A config file may carry any option; a subcommand ignores the ones it does
+not take, except ``x-grid``, which every subcommand parses and echoes.
+``propagator`` runs one path in both modes: real time uses the real-time
+point, residual, solver and W1 in place of the imaginary-time ones.
 """
 
 import argparse
@@ -177,7 +185,10 @@ def _build_config(args) -> RunConfig:
     if opt["x-grid"] is not None:
         cfg.x_grid = parse_grid(opt["x-grid"])
         cfg.echo["x-grid"] = opt["x-grid"]
-    if opt["tol-root"] <= 0 or opt["tol-quad"] <= 0:
+    tols = (opt["tol-root"], opt["tol-quad"])
+    if not all(math.isfinite(t) for t in tols):
+        raise ConfigError("tolerances must be finite")
+    if min(tols) <= 0:
         raise ConfigError("tolerances must be positive")
     if opt["workers"] < 1:
         raise ConfigError("workers must be >= 1")

@@ -482,7 +482,8 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     stationary point in the harmonic limit and on the continuation edge
     T = -i*beta).  Otherwise the least-sensitive omega is returned: the
     largest interior local minimum of |dW1/domega| in the scan window, with
-    fallback_used set.  n_roots counts the accepted exact roots.
+    fallback_used set.  n_roots counts the scan cells holding an accepted
+    exact root.
     """
     grid = scan_window(params, p.x_a, p.x_b, abs(complex(p.T)))
 
@@ -508,8 +509,9 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     mags[~finite] = math.inf
 
     # exact stationary points: zeros of one component where the other one
-    # vanishes too; keep the largest
-    roots = []
+    # vanishes too, one per scan cell (both components may bracket the same
+    # root); keep the largest
+    roots = {}
     for part, pvals in ((lambda w: resid(w).real, vals.real),
                         (lambda w: resid(w).imag, vals.imag)):
         for j in np.flatnonzero(_bracket_ends(pvals)).tolist():
@@ -521,9 +523,9 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
                 cand = _newton_polish(part, 0.5 * (lo + hi), grid[i], grid[j])
                 bracket = (lo, hi)
             if good(cand):
-                roots.append((cand, bracket))
+                roots[i] = max(roots.get(i, (cand, bracket)), (cand, bracket))
     if roots:
-        omega, bracket = max(roots)
+        omega, bracket = max(roots.values())
         return GapSolution(omega, abs(resid(omega)), len(roots), bracket, False)
 
     # minimal sensitivity: the deepest interior dip of |residual|.  Window

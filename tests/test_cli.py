@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anharm import EuclideanPoint, OscillatorParams, optimize_omega_imag, w1_imag
-from anharm.cli import main, parse_grid
+from anharm.cli import build_parser, main, parse_grid
 
 W0_11 = -0.99965821399027056
 
@@ -270,3 +270,85 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith("anharm: config error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["tol-root", "tol-quad"])
+    def test_exit_2_on_non_finite_tolerance(self, option, value, via, tmp_path, capsys):
+        argv = ["free-energy", "--m2", "0", "--lambda", "1", "--beta", "1",
+                "--methods", "OEP,FK"]
+        if via == "flag":
+            argv += [f"--{option}", value]
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{option} = {value}\n")
+            argv += ["--config", str(cfgfile)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("anharm: config error: ")
+        assert captured.out == ""
+
+
+# The flags each subcommand accepts.  A change to this table is a change to
+# the command-line surface.
+COMMON_FLAGS = {"-h", "--help", "--m2", "--lambda", "--config", "--out", "--tol-root",
+                "--tol-quad", "--basis-size", "--basis-omega", "--workers"}
+SUBCOMMAND_FLAGS = {
+    "free-energy": COMMON_FLAGS | {"--beta", "--methods"},
+    "density": COMMON_FLAGS | {"--beta", "--methods", "--x-grid"},
+    "density-matrix": COMMON_FLAGS | {"--beta", "--x-grid"},
+    "propagator": COMMON_FLAGS | {"--xa", "--xb", "--time", "--mode", "--omega"},
+    "exact-spectrum": COMMON_FLAGS,
+}
+# a value for every option of every subcommand, small enough to run fast
+COMMON_VALUES = {"m2": "1", "lambda": "0.5", "tol-root": "1e-9", "tol-quad": "1e-8",
+                 "basis-size": "24", "basis-omega": "1.5", "workers": "2"}
+SUBCOMMAND_VALUES = {
+    "free-energy": {"beta": "0.5,2", "methods": "OEF,FK"},
+    "density": {"beta": "1", "methods": "EXACT", "x-grid": "-0.5,0.5"},
+    "density-matrix": {"beta": "1", "x-grid": "0,0.5"},
+    "propagator": {"xa": "0.3", "xb": "-0.2", "time": "1.5", "mode": "real", "omega": "1.2"},
+    "exact-spectrum": {},
+}
+
+
+class TestSurface:
+    @staticmethod
+    def _accepts(command, flag):
+        try:
+            build_parser().parse_args([command, flag, "imag" if flag == "--mode" else "1"])
+        except SystemExit as exc:
+            return exc.code == 0    # --help exits 0
+        return True
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_flags_each_subcommand_accepts(self, command, capsys):
+        every = set().union(*SUBCOMMAND_FLAGS.values()) | {"--bogus"}
+        accepted = {flag for flag in every if self._accepts(command, flag)}
+        assert accepted == SUBCOMMAND_FLAGS[command]
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, values in sorted(SUBCOMMAND_VALUES.items())
+        for option in ["out", *COMMON_VALUES, *values]])
+    def test_flag_and_config_key_agree(self, command, option, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        values = {"out": str(out), **COMMON_VALUES, **SUBCOMMAND_VALUES[command]}
+        flags = [command]
+        for name, value in values.items():
+            if name != option:
+                flags += [f"--{name}", value]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{option} = {values[option]}\n")
+        by_flag = self._run(flags + [f"--{option}", values[option]], out, capsys)
+        by_file = self._run(flags + ["--config", str(cfgfile)], out, capsys)
+        assert by_flag[0] == 0
+        assert by_file == by_flag

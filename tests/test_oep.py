@@ -221,6 +221,15 @@ class TestOptimizeReal:
         assert g.residual <= 1e-10
         assert not g.fallback_used
 
+    @pytest.mark.parametrize("m2, x_a, x_b, T", [
+        (1.0, 1.0, 0.5, 0.5), (2.0, 0.4, -0.3, 0.9), (1.0, 0.0, 0.0, 3.0),
+        (1.0, 0.4, -0.3, 0.7641208279802151 - 1.0517220926874318j), (2.0, 1.0, 0.5, -1j)])
+    def test_harmonic_root_counted_once(self, m2, x_a, x_b, T):
+        # both residual components bracket the one stationary point
+        g = optimize_omega_real(OscillatorParams(m2, 0.0), RealTimePoint(x_a, x_b, T))
+        assert (g.n_roots, g.fallback_used) == (1, False)
+        assert g.omega_star == pytest.approx(math.sqrt(m2), rel=1e-12)
+
     def test_perturbative_shift_small(self):
         params = OscillatorParams(1.0, 0.01)
         g = optimize_omega_real(params, RealTimePoint(0.3, 0.1, 0.5))
@@ -260,7 +269,7 @@ class TestOptimizeReal:
 # (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used) at real T, in the
 # wedge, in the harmonic limit and on the continuation edge T = -i beta.
 REAL_PINS = [
-    (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0), 1.0, 2, False),
+    (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0), 1.0, 1, False),
     (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0), 1.0013401742060046, 0, True),
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
