@@ -13,9 +13,11 @@ loses roughly half the mantissa as z -> 0.  We therefore split:
 
 Every function here takes a real z (``math``), a complex z (``cmath``: the
 real-time amplitudes are the imaginary-time ones at beta = i*T, so they live
-at z = i*omega*T) or an array of real z (``numpy``: the batched gap solve of
-the trace), and dispatches on that type.  The shape-factor names encode which
-integral and which endpoint monomial they multiply:
+at z = i*omega*T) or an array of real or complex z (``numpy``: the batched
+gap solve of the trace, and the real-time gap solve's scan and bracket
+screen), and dispatches on that type.  Complex z take the series where
+|z| < 0.5.  The shape-factor names encode which integral and which endpoint
+monomial they multiply:
 
     int K dt        =  k1(z) / (2 w^2)
     int L^2 dt      = [(xa^2+xb^2) l2_sum(z)/2 + xa xb l2_cross(z)] / w
@@ -219,27 +221,31 @@ _PRODUCT_COLUMNS = 448
 
 
 def shape_factors_d_grid(z):
-    """Vectorized shape_factors_d over an array of positive z.
+    """Vectorized shape_factors_d over an array of real or complex z.
 
-    The series runs only on the entries below Z_SWITCH, as a product of the
-    coefficient tables with their power matrix; the closed forms run only on
-    the rest.
+    The series runs only on the entries inside the switch (z < Z_SWITCH for
+    real z, |z| < Z_SWITCH for complex z, as in shape_factors_d), as a
+    product of the coefficient tables with their power matrix; the closed
+    forms run only on the rest.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
+    z = z.astype(complex if z.dtype.kind == "c" else float, copy=False)
     flat = z.reshape(-1)
-    series = flat < Z_SWITCH
+    series = (np.abs(flat) if z.dtype.kind == "c" else flat) < Z_SWITCH
     n_series = np.count_nonzero(series)
-    out = np.empty((2 * len(_NAMES), flat.size))
+    out = np.empty((2 * len(_NAMES), flat.size), dtype=flat.dtype)
     if n_series:
         idx = slice(None) if n_series == flat.size else np.flatnonzero(series)
         zs = flat[idx]
-        powers = np.empty((_SERIES_LEN, zs.size))
+        powers = np.empty((_SERIES_LEN, zs.size), dtype=flat.dtype)
         powers[0] = 1.0
         np.cumprod(np.broadcast_to(zs, (_SERIES_LEN - 1, zs.size)), axis=0, out=powers[1:])
-        values = np.empty((2 * len(_NAMES), zs.size))
-        for start in range(0, zs.size, _PRODUCT_COLUMNS):
+        values = np.empty((2 * len(_NAMES), zs.size), dtype=flat.dtype)
+        # the tables are real: a complex column is two real ones, side by side
+        cols_in, cols_out = powers.view(float), values.view(float)
+        for start in range(0, cols_in.shape[1], _PRODUCT_COLUMNS):
             cols = slice(start, start + _PRODUCT_COLUMNS)
-            np.matmul(_SERIES_MATRIX, powers[:, cols], out=values[:, cols])
+            np.matmul(_SERIES_MATRIX, cols_in[:, cols], out=cols_out[:, cols])
         out[:, idx] = values
     if n_series < flat.size:
         idx = slice(None) if not n_series else np.flatnonzero(~series)

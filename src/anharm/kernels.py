@@ -51,7 +51,14 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+def _check_tolerance(**values):
+    """Raise ValueError unless every tolerance is finite and > 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class OscillatorParams:
     """Potential m2*x^2/2 + lam*x^4.  m2 may be negative (double well)."""
 
@@ -66,7 +73,7 @@ class OscillatorParams:
             raise ValueError("lam = 0 requires m2 > 0 (stable harmonic well)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclideanPoint:
     """Endpoints and inverse temperature of an imaginary-time amplitude."""
 
@@ -80,7 +87,7 @@ class EuclideanPoint:
             raise ValueError("beta must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealTimePoint:
     """Endpoints and propagation time of a real-time amplitude.
 

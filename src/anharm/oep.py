@@ -20,10 +20,10 @@ derivatives of the kernel integrals alone:
 The scan covers real omega > 0 only, so a stationary point at trial
 curvature omega^2 <= 0 is out of its reach.  That happens in the double well
 near the barrier: for m2 = -1, lam = 0.1 the 201-point default density grid
-falls back at 41 points for beta = 0.25 and 49 for beta = 1, all with
-|x| <~ 1.5, and at none for beta = 5.  When the bracketing scan finds no sign
-change, the minimal-sensitivity fallback returns the omega of least
-|dW1/domega| in the window and flags it.
+falls back at 41 points for beta = 0.25 (all with |x| <= 1.51) and 49 for
+beta = 1 (|x| <= 1.28), and at none for beta = 5.  When the bracketing scan
+finds no sign change, the minimal-sensitivity fallback returns the omega of
+least |dW1/domega| in the window and flags it.
 
 optimize_omega_imag solves one point: a vectorized scan, then the scalar
 sequence of _solve_scanned (last bracket, bisection, Newton polish,
@@ -33,6 +33,19 @@ optimize_omega_imag_diagonal runs the same rules over arrays for many
 diagonal points of one beta, which is how the thermal trace solves its nodes.
 Every solve, optimize_omega_real's too, reads its brackets off the scan with
 one array rule, _bracket_ends.
+
+optimize_omega_real looks for an exact zero of the complex real-time
+residual, which both its parts must share.  It scans the residual in one
+complex array call, then screens every sign change and exact zero of either
+part over arrays (_screen_brackets): all candidate brackets are bisected
+together, and one is dropped as soon as it provably cannot hold a point that
+passes the acceptance test.  Focal points are known in advance (omega =
+n*pi/T), so a bracket closing in on one takes all its steps in one call.
+Only the survivors run the scalar bisection, Newton polish and acceptance
+test, from their scan cell as before, so the accepted roots do not depend on
+the screen.  A real-time solve thus takes some ten array calls and the
+scalar polish of its few survivors, instead of a scalar polish of every
+candidate (about fifty at real T).
 """
 
 import math
@@ -42,9 +55,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import hyper
-from .kernels import (CausticError, EuclideanPoint, OscillatorParams,
-                      RealTimePoint, _assemble, _assemble_domega,
-                      _check_path_args, _real_time_beta, _w0)
+from .kernels import (CAUSTIC_TOL, CausticError, EuclideanPoint,
+                      OscillatorParams, RealTimePoint, _assemble,
+                      _assemble_domega, _check_path_args, _check_tolerance,
+                      _real_time_beta, _w0)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
@@ -55,13 +69,20 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # residual-scan entries the batched solve holds at once; bounds its scratch
 # memory whatever the number of points
 SCAN_CHUNK_ELEMENTS = 1 << 11
+# the real-time bracket screen: the width it bisects candidates down to, and
+# the factor by which it over-allows what a root could show (_screen_brackets)
+SCREEN_REL_WIDTH = 1e-4
+SCREEN_SLACK = 4.0
+# below this many points one scalar residual each is cheaper than an array
+# call (about 20 us a point against 140 us a call)
+ARRAY_MIN_POINTS = 8
 
 
 class NoStationaryPointError(RuntimeError):
     """The residual could not be evaluated anywhere in the scan window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapSolution:
     """Optimized trial frequency and solver diagnostics."""
 
@@ -90,7 +111,7 @@ class DiagonalGapBatch:
                 "worst_residual": float(np.max(self.residual, initial=0.0))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirstOrderAmplitude:
     w_value: complex
     gap: GapSolution
@@ -220,6 +241,24 @@ def _bracket_ends(vals):
     return ends
 
 
+def _root_in_cell(f, grid, i, j):
+    """Zero of f in the scan cell [grid[i], grid[j]]: (omega, bracket).
+
+    A vectorized scan may differ from f in the last bit, so the bracket is
+    re-anchored on f before bisecting (widened by one cell while an endpoint
+    sits within rounding of the root); it is then bisected to
+    BRACKET_REL_WIDTH and polished with a few Newton steps.
+    """
+    flo, fhi = f(grid[i]), f(grid[j])
+    while (flo < 0.0) == (fhi < 0.0):
+        i, j = max(i - 1, 0), min(j + 1, len(grid) - 1)
+        if (i, j) == (0, len(grid) - 1):
+            break
+        flo, fhi = f(grid[i]), f(grid[j])
+    lo, hi = _bisect(f, grid[i], grid[j], flo, fhi)
+    return _newton_polish(f, 0.5 * (lo + hi), grid[i], grid[j]), (lo, hi)
+
+
 def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     """The gap solve once the residual has been scanned on the grid.
 
@@ -245,17 +284,7 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
             omega = grid[i]
             lo = hi = omega
         else:
-            # a vectorized scan may differ from resid in the last bit:
-            # re-anchor the bracket on resid before bisecting (widen by one
-            # cell if an endpoint sits within rounding of the root)
-            flo, fhi = resid(grid[i]), resid(grid[j])
-            while (flo < 0.0) == (fhi < 0.0):
-                i, j = max(i - 1, 0), min(j + 1, len(grid) - 1)
-                if (i, j) == (0, len(grid) - 1):
-                    break
-                flo, fhi = resid(grid[i]), resid(grid[j])
-            lo, hi = _bisect(resid, grid[i], grid[j], flo, fhi)
-            omega = _newton_polish(resid, 0.5 * (lo + hi), grid[i], grid[j])
+            omega, (lo, hi) = _root_in_cell(resid, grid, i, j)
         res = abs(resid(omega))
         if res <= tol * max(1.0, abs(value(omega)) / omega):
             return GapSolution(omega, res, n_roots, (lo, hi), False)
@@ -277,6 +306,7 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
     Scans a log grid at once and hands it to _solve_scanned: the largest
     root, or the minimal-sensitivity frequency with fallback_used set.
     """
+    _check_tolerance(tol=tol)
     grid = scan_window(params, p.x_a, p.x_b, p.beta)
     return _solve_scanned(lambda w: _gap_residual(params, p.x_a, p.x_b, p.beta, w),
                           lambda w: _w1(params, p.x_a, p.x_b, p.beta, w), grid,
@@ -398,6 +428,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     rounding.  Raises NoStationaryPointError naming the first point whose
     residual is nowhere finite.
     """
+    _check_tolerance(tol=tol)
     x = np.asarray(x, dtype=float)
     n = x.size
     log_lo = np.array([_log_window_start(params, 2.0 * v * v, beta) for v in x.tolist()])
@@ -472,20 +503,159 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
 
 
+def _bisect_rows(comp, lo, hi, rlo, rhi, mid, rmid):
+    """One _bisect step on the real (comp 0) or imaginary (comp 1) part of
+    every row, given the residual rmid at the midpoint mid: keep the half
+    with the sign change, or [mid, mid] at an exact zero.  Returns the new
+    (lo, hi, rlo, rhi)."""
+    part = np.where(comp == 0, rmid.real, rmid.imag)
+    plo = np.where(comp == 0, rlo.real, rlo.imag)
+    to_hi = (part == 0.0) | ((plo < 0.0) != (part < 0.0))
+    to_lo = (part == 0.0) | ~to_hi
+    return (np.where(to_lo, mid, lo), np.where(to_hi, mid, hi),
+            np.where(to_lo, rmid, rlo), np.where(to_hi, rmid, rhi))
+
+
+def _pole_paths(lo, hi, pole, width):
+    """The steps bisection takes while it keeps the pole inside [lo, hi],
+    until the bracket is narrower than width: the bracket ends and midpoint
+    before each step (rows x steps, frozen past a row's last step) and which
+    of those steps each row takes."""
+    steps = np.maximum(np.ceil(np.log2((hi - lo) / width)), 1.0).astype(int)
+    shape = (lo.size, int(steps.max()))
+    los, his, mids = np.empty(shape), np.empty(shape), np.empty(shape)
+    for s in range(shape[1]):
+        los[:, s], his[:, s] = lo, hi
+        mids[:, s] = mid = 0.5 * (lo + hi)
+        go = s < steps - 1
+        lo = np.where(go & (pole >= mid), mid, lo)
+        hi = np.where(go & (pole < mid), mid, hi)
+    return los, his, mids, np.arange(shape[1]) < steps[:, None]
+
+
+def _follow_poles(comp, rlo, rhi, pole, los, his, mids, valid, vals):
+    """Where bisection of rows whose bracket holds a real pole gets to.
+
+    los, his, mids and valid are _pole_paths of the rows, vals the residual
+    at the midpoints.  Each row takes the _bisect_rows steps up to the first
+    one that leaves the pole, or all of them.  Returns the new
+    (lo, hi, rlo, rhi).
+    """
+    # residual at the ends before each step: the last midpoint that became
+    # that end, or the row's own end
+    moved_lo = pole[:, None] >= mids
+    rows = np.arange(pole.size)[:, None]
+    ends = []
+    for moved, r0 in ((moved_lo, rlo), (~moved_lo, rhi)):
+        last = np.maximum.accumulate(np.where(moved, np.arange(mids.shape[1]), -1), axis=1)
+        last = np.concatenate([np.full((pole.size, 1), -1), last[:, :-1]], axis=1)
+        ends.append(np.where(last >= 0, vals[rows, np.maximum(last, 0)], r0[:, None]))
+    nlo, nhi, nrlo, nrhi = _bisect_rows(comp[:, None], los, his, ends[0], ends[1], mids, vals)
+    leaves = valid & ~np.where(moved_lo, (nlo == mids) & (nhi == his),
+                               (nlo == los) & (nhi == mids))
+    last = np.where(leaves.any(axis=1), np.argmax(leaves, axis=1), valid.sum(axis=1) - 1)
+    k = np.arange(pole.size)
+    return nlo[k, last], nhi[k, last], nrlo[k, last], nrhi[k, last]
+
+
+def _screen_brackets(resid, t, comp, lo, hi, rlo, rhi, bound):
+    """Which candidate brackets of the real-time residual can hold a stationary point.
+
+    Row k is a scan cell [lo, hi] in which the real (comp 0) or imaginary
+    (comp 1) part of the complex residual changes sign, with residuals rlo
+    and rhi at its ends, or an exact zero of that part (lo == hi).  The
+    scalar solve bisects that part from the cell with _bisect and accepts
+    the polished zero if |residual| <= bound there.  Here all rows are
+    bisected together with the same midpoints, on resid(omega) over arrays
+    at propagation time t, and a row is dropped as soon as its bracket
+    cannot hold such a point:
+
+    * A stationary point inside [lo, hi] is a near-zero of the other part o
+      too.  Were o linear across the bracket, |o(lo)| + |o(hi)| would be at
+      most |o(hi) - o(lo)| + 2 bound; the row is dropped when it exceeds
+      SCREEN_SLACK * (|o(hi) - o(lo)| + bound).  The slack covers curvature
+      and the rounding by which the array residual differs from the scalar
+      one.
+    * Curvature is bounded only away from the residual's poles, where
+      sinh(i*omega*t) = 0: omega = n*pi/t, on the real axis for real t.  The
+      test above therefore waits until the pole nearest the bracket is
+      2 * SCREEN_SLACK bracket widths away; the slope near a pole of order
+      <= 5 then changes by about a factor 2 at most across the bracket.
+    * A bracket within 2 CAUSTIC_TOL / t of a real focal point is dropped:
+      there |sin(omega*t)| < 2 CAUSTIC_TOL, and the residual is either
+      refused as a focal point or dominated by the pole's terms.  A bracket
+      that holds a focal point takes all its steps towards it in one call
+      (_follow_poles).
+
+    Rows still standing at SCREEN_REL_WIDTH are kept; returns the mask of
+    the rows kept.  A dropped row could only have given a candidate that
+    fails the acceptance test, so no result depends on SCREEN_REL_WIDTH or
+    SCREEN_SLACK, only the time spent on polishing candidates.
+    """
+    lo, hi, rlo, rhi = lo.copy(), hi.copy(), rlo.copy(), rhi.copy()
+    keep = np.ones(lo.size, dtype=bool)
+    real_t = t.imag == 0.0
+    act = np.arange(lo.size)
+    while act.size:
+        a, b = lo[act], hi[act]
+        mid = 0.5 * (a + b)
+        pole = np.round(mid * (t.real / math.pi)) * (math.pi / t)
+        gap = np.hypot(np.maximum(np.maximum(a - pole.real, pole.real - b), 0.0), pole.imag)
+        near = gap < 2.0 * SCREEN_SLACK * (b - a)
+        focal = real_t & (t.real * np.maximum(np.abs(a - pole.real), np.abs(b - pole.real))
+                          < 2.0 * CAUSTIC_TOL)
+        oa, ob = (np.where(comp[act] == 0, r.imag, r.real) for r in (rlo[act], rhi[act]))
+        with np.errstate(invalid="ignore"):
+            out = focal | (~near & (np.abs(oa) + np.abs(ob)
+                                    > SCREEN_SLACK * (np.abs(ob - oa) + bound[act])))
+        keep[act[out]] = False
+        go = ~out & (near | (b - a > SCREEN_REL_WIDTH * b)) & (mid != a) & (mid != b)
+        on_pole = go & real_t & (a < pole.real) & (pole.real < b)
+        act, rows, pole = act[go & ~on_pole], act[on_pole], pole.real[on_pole]
+        if not (act.size or rows.size):
+            break
+        # one call: the midpoint of every row, and the whole path of every
+        # row that holds a focal point
+        mid = 0.5 * (lo[act] + hi[act])
+        points = [mid]
+        if rows.size:
+            los, his, mids, valid = _pole_paths(lo[rows], hi[rows], pole,
+                                                2.0 * CAUSTIC_TOL / t.real)
+            points.append(mids[valid])
+        rm = resid(np.concatenate(points))
+        lo[act], hi[act], rlo[act], rhi[act] = _bisect_rows(
+            comp[act], lo[act], hi[act], rlo[act], rhi[act], mid, rm[:act.size])
+        if rows.size:
+            vals = np.full(mids.shape, complex(math.nan, math.nan))
+            vals[valid] = rm[act.size:]
+            lo[rows], hi[rows], rlo[rows], rhi[rows] = _follow_poles(
+                comp[rows], rlo[rows], rhi[rows], pole, los, his, mids, valid, vals)
+            act = np.concatenate([act, rows])
+    return keep
+
+
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
                         tol: float = 1e-10) -> GapSolution:
     """Real trial frequency for a real-time point.
 
-    The residual of a complex W generally has no real zero.  Candidate zeros
-    of its real and imaginary parts are bisected and accepted only when the
-    full |dW1/domega| vanishes within tolerance (this recovers the exact
-    stationary point in the harmonic limit and on the continuation edge
-    T = -i*beta).  Otherwise the least-sensitive omega is returned: the
+    The residual of a complex W generally has no real zero.  An exact
+    stationary point (the harmonic limit, the continuation edge T = -i*beta)
+    is a zero of both its real and imaginary parts, accepted when the full
+    |dW1/domega| vanishes within tolerance.  The residual is scanned in one
+    array call, with focal points (|sin(omega*T)| < CAUSTIC_TOL at real T)
+    and non-finite entries set to inf.  Every sign change and exact zero of
+    either part is a candidate; _screen_brackets drops, over arrays, those
+    that provably cannot pass the acceptance test, and each survivor is
+    re-anchored on the scalar residual, bisected, Newton-polished and tested.
+    Without an accepted root the least-sensitive omega is returned: the
     largest interior local minimum of |dW1/domega| in the scan window, with
     fallback_used set.  n_roots counts the scan cells holding an accepted
     exact root.
     """
-    grid = scan_window(params, p.x_a, p.x_b, abs(complex(p.T)))
+    _check_tolerance(tol=tol)
+    t = complex(p.T)
+    beta = 1j * t
+    grid = scan_window(params, p.x_a, p.x_b, abs(t))
 
     def resid(w):
         try:
@@ -500,30 +670,52 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
             return False
         return abs(resid(w)) <= tol * scale
 
-    vals = np.array([resid(w) for w in grid])
+    def resid_array(w):
+        # resid over an array of frequencies (inf at focal points and
+        # wherever it is not finite)
+        if w.size < ARRAY_MIN_POINTS:
+            return np.array([resid(v) for v in w.tolist()], dtype=complex)
+        with np.errstate(all="ignore"):
+            r = -1j * _gap_residual(params, p.x_a, p.x_b, beta, w)
+        dead = ~np.isfinite(r)
+        if t.imag == 0.0:
+            dead |= np.abs(np.sin(w * t.real)) < CAUSTIC_TOL
+        r[dead] = complex(math.inf, math.inf)
+        return r
+
+    omegas = np.array(grid)
+    vals = resid_array(omegas)
     mags = np.abs(vals)
     finite = np.isfinite(mags)
     if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {p}")
-    mags[~finite] = math.inf
 
-    # exact stationary points: zeros of one component where the other one
-    # vanishes too, one per scan cell (both components may bracket the same
-    # root); keep the largest
+    # candidates: the sign changes and exact zeros of either part
+    comp, cell_lo, cell_hi = [], [], []
+    for c, pvals in enumerate((vals.real, vals.imag)):
+        ends = np.flatnonzero(_bracket_ends(pvals))
+        comp.append(np.full(ends.size, c))
+        cell_lo.append(np.where(pvals[ends] == 0.0, ends, ends - 1))
+        cell_hi.append(ends)
+    comp, cell_lo, cell_hi = (np.concatenate(v) for v in (comp, cell_lo, cell_hi))
+    with np.errstate(all="ignore"):
+        bound = tol * np.maximum(1.0, np.abs(_w1(params, p.x_a, p.x_b, beta, omegas)) / omegas)
+    keep = _screen_brackets(resid_array, t, comp, omegas[cell_lo], omegas[cell_hi],
+                            vals[cell_lo], vals[cell_hi],
+                            np.maximum(bound[cell_lo], bound[cell_hi]))
+
+    # exact stationary points, one per scan cell (both parts may bracket the
+    # same root); keep the largest
     roots = {}
-    for part, pvals in ((lambda w: resid(w).real, vals.real),
-                        (lambda w: resid(w).imag, vals.imag)):
-        for j in np.flatnonzero(_bracket_ends(pvals)).tolist():
-            i = j if pvals[j] == 0.0 else j - 1
-            if i == j:
-                cand, bracket = grid[i], (grid[i], grid[i])
-            else:
-                lo, hi = _bisect(part, grid[i], grid[j], pvals[i], pvals[j])
-                cand = _newton_polish(part, 0.5 * (lo + hi), grid[i], grid[j])
-                bracket = (lo, hi)
-            if good(cand):
-                roots[i] = max(roots.get(i, (cand, bracket)), (cand, bracket))
+    for c, i, j in zip(comp[keep].tolist(), cell_lo[keep].tolist(), cell_hi[keep].tolist()):
+        if i == j:
+            cand, bracket = grid[i], (grid[i], grid[i])
+        else:
+            cand, bracket = _root_in_cell((lambda w: resid(w).imag) if c else
+                                          (lambda w: resid(w).real), grid, i, j)
+        if good(cand):
+            roots[i] = max(roots.get(i, (cand, bracket)), (cand, bracket))
     if roots:
         omega, bracket = max(roots.values())
         return GapSolution(omega, abs(resid(omega)), len(roots), bracket, False)

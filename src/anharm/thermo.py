@@ -33,7 +33,8 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 from . import hyper
-from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError)
+from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError,
+                      _check_tolerance)
 from .oep import (NoStationaryPointError, _solve_scanned, optimize_omega_imag,
                   optimize_omega_imag_diagonal, scan_window, w1_imag)
 
@@ -187,6 +188,7 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
     points with more than one root and quadrature nodes, and give the worst
     residual and omega*(0), read off the first probe's x = 0 node.
     """
+    _check_tolerance(tol_quad=tol_quad, tol_root=tol_root)
     batches = []
 
     def logw(xs):
@@ -274,6 +276,9 @@ def density_matrix_oep(params: OscillatorParams, beta: float,
 # free-energy series with a single global trial frequency
 
 def _bose_occupation(z):
+    """1/(exp(z) - 1), and 0 past z = 700, for a float or an array z."""
+    if isinstance(z, np.ndarray):
+        return np.where(z > 700.0, 0.0, 1.0 / np.expm1(np.minimum(z, 700.0)))
     if z > 700.0:
         return 0.0
     return 1.0 / math.expm1(z)
@@ -289,7 +294,8 @@ def oef_series(params: OscillatorParams, beta: float, omega: float) -> float:
             + 3.0 * params.lam / (omega * omega) * halfn * halfn)
 
 
-def oef_series_domega(params: OscillatorParams, beta: float, omega: float) -> float:
+def oef_series_domega(params: OscillatorParams, beta: float, omega):
+    """d/domega of oef_series, at a float omega or an array of them."""
     z = beta * omega
     n = _bose_occupation(z)
     halfn = 0.5 + n
@@ -320,10 +326,11 @@ def free_energy_oef(params: OscillatorParams, beta: float,
     (3/4)|ln beta|, the relative error of F decays like 1/|ln beta|.
     """
     _check_beta(beta)
+    _check_tolerance(tol_root=tol_root)
     grid = scan_window(params, 0.0, 0.0, beta)
     resid = partial(oef_series_domega, params, beta)
     gap = _solve_scanned(resid, partial(oef_series, params, beta), grid,
-                         [resid(w) for w in grid], tol_root, f"the OEF series at beta={beta!r}")
+                         resid(np.array(grid)), tol_root, f"the OEF series at beta={beta!r}")
     info = {"omega_star": gap.omega_star, "residual": gap.residual,
             "n_roots": gap.n_roots, "fallback_used": gap.fallback_used}
     return FreeEnergyResult(beta, oef_series(params, beta, gap.omega_star), "OEF", info)
@@ -396,6 +403,7 @@ def fk_effective_potential(params: OscillatorParams, beta: float, x0: float):
 def free_energy_fk(params: OscillatorParams, beta: float,
                    tol_quad: float = TOL_QUAD) -> FreeEnergyResult:
     _check_beta(beta)
+    _check_tolerance(tol_quad=tol_quad)
 
     def neg_beta_v(x0):
         try:

@@ -143,3 +143,69 @@ def test_coth_real_complex_and_array():
         assert hyper.coth(z) == pytest.approx(cmath.cosh(z) / cmath.sinh(z), rel=1e-14)
     zs = np.array([0.01, 1.0, 40.0])
     assert hyper.coth(zs) == pytest.approx(np.cosh(zs) / np.sinh(zs), rel=1e-14)
+
+
+def _grid_real_reference(z):
+    """shape_factors_d_grid as it was for real z alone, an independent copy:
+    series product in blocks of 448 columns, closed forms on the rest."""
+    z = np.asarray(z, dtype=float)
+    series = z < hyper.Z_SWITCH
+    out = np.empty((18, z.size))
+    zs = z[series]
+    powers = np.empty((hyper._SERIES_LEN, zs.size))
+    powers[0] = 1.0
+    np.cumprod(np.broadcast_to(zs, (hyper._SERIES_LEN - 1, zs.size)), axis=0, out=powers[1:])
+    values = np.empty((18, zs.size))
+    for start in range(0, zs.size, 448):
+        cols = slice(start, start + 448)
+        np.matmul(hyper._SERIES_MATRIX, powers[:, cols], out=values[:, cols])
+    out[:, series] = values
+    val, der = hyper._closed_d(z[~series], np)
+    out[:9, ~series] = val
+    out[9:, ~series] = der
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 200, 1001])
+def test_grid_on_real_z_keeps_its_bits(n):
+    # both branches, and more series columns than one product block
+    z = np.geomspace(1e-3, 600.0, n)
+    z[: n // 2] = np.linspace(1e-3, 0.499, n // 2)
+    val, der = hyper.shape_factors_d_grid(z)
+    assert np.array_equal(np.stack(val + der), _grid_real_reference(z))
+
+
+def _complex_samples():
+    rng = np.random.default_rng(314)
+    ring = rng.uniform(0.4, 0.6, 400) * np.exp(1j * rng.uniform(0.0, math.pi / 2, 400))
+    axis = 1j * np.concatenate([rng.uniform(0.05, 0.7, 100), rng.uniform(0.7, 40.0, 300)])
+    wedge = rng.uniform(0.05, 40.0, 400) * np.exp(1j * rng.uniform(0.0, math.pi / 2, 400))
+    return {"switch ring": ring, "imaginary axis": axis, "wedge": wedge}
+
+
+@pytest.mark.parametrize("region", ["switch ring", "imaginary axis", "wedge"])
+def test_grid_on_complex_z_matches_scalar(region):
+    """Series entries agree to 1e-14 of their value.  Closed-form entries carry
+    the rounding of terms up to |z| m^5 (m = max(1, |coth z|, |1/sinh z|)),
+    which cancel, and near a focal point 1 - exp(-2z) loses a further factor
+    m; they agree to 1e-14 of max(1, |z|) m^6."""
+    z = _complex_samples()[region]
+    val, der = hyper.shape_factors_d_grid(z)
+    assert np.iscomplexobj(val.k1)
+    for k, zk in enumerate(z.tolist()):
+        sval, sder = hyper.shape_factors_d(zk)
+        m = max(1.0, abs(1.0 / cmath.tanh(zk)), abs(1.0 / cmath.sinh(zk)))
+        for a, b in zip(val + der, sval + sder):
+            scale = abs(b) if abs(zk) < hyper.Z_SWITCH else max(1.0, abs(zk)) * m ** 6
+            assert abs(a[k] - b) <= 1e-14 * scale, (region, zk)
+
+
+def test_grid_takes_the_series_inside_the_switch_circle():
+    # the same |z| as a real z just past the switch and a complex one inside
+    z = np.array([0.499 + 0.0j, 0.3 + 0.39j, 0.4j, 0.5 + 0.01j])
+    val, _ = hyper.shape_factors_d_grid(z)
+    for k, zk in enumerate(z.tolist()):
+        series = hyper.horner_w(hyper._SERIES["k1"], zk)
+        closed = hyper._closed_d(zk, cmath)[0].k1
+        want = series if abs(zk) < hyper.Z_SWITCH else closed
+        assert val.k1[k] == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -372,3 +372,109 @@ class TestDiagonalBatch:
         for run in runs[1:]:
             for field in ("omega_star", "residual", "n_roots", "fallback_used", "w1"):
                 assert np.array_equal(getattr(run, field), getattr(runs[0], field))
+
+
+# optimize_omega_real before its candidate brackets were screened over arrays,
+# as REAL_PINS: (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used), two
+# points each at real T, in the wedge and at T = -i beta for the weak, strong,
+# double-well and harmonic families.
+SCREEN_PINS = [
+    (1.8119412615293302, 0.01216392045649809, -1.8637786204150837, 0.9363511648986176,
+     complex(2.175758684326429, 0.0), 1.8790334443349952, 0, True),
+    (1.727326754794352, 0.006833438458679529, -1.7239126134859686, -1.5237320312232758,
+     complex(0.5286532727815427, 0.0), 1.3444333496939178, 0, True),
+    (0.7699538472697821, 2.318914135157262, -1.9257742698621918, -1.9906978556302586,
+     complex(2.4292040268025366, 0.0), 5.430415335623977, 0, True),
+    (0.40999255715082916, 3.535502918271593, -0.05230845694650732, 1.3631686158837901,
+     complex(0.7714582549129205, 0.0), 5.903573942583775, 0, True),
+    (-0.6315060766356986, 0.15558028464847906, -1.3770899358600128, -1.0157466278761453,
+     complex(0.47100240136217186, 0.0), 11.496241324331118, 0, True),
+    (-1.4778241576588393, 0.15284777905516675, -1.7877262614633103, -0.04125534305970424,
+     complex(1.4667324888713325, 0.0), 3.1508484929636715, 0, True),
+    (1.6704835808154108, 0.0, 1.0525321808605717, -1.3036053658523175,
+     complex(0.26234948586697643, 0.0), 1.2924718878240296, 1, False),
+    (1.4211228749469735, 0.0, 0.6290036437824598, 0.4179206624750611,
+     complex(2.187114868802637, 0.0), 1.1921085835388374, 1, False),
+    (0.9817948078662004, 0.023498523927500296, 0.3494354702546234, 0.36402304838677413,
+     complex(0.3558051137219493, -1.4809210845745073), 1.0354912663461795, 0, True),
+    (0.5507950410868906, 0.036835117399414585, -1.5604878322028606, 1.6294270173042293,
+     complex(1.1535867671929287, -2.13949496416933), 0.9170183161247332, 0, True),
+    (0.5648919447987901, 3.711671017601152, 0.5430681448566235, 0.5149881845601074,
+     complex(0.8703334464946478, -0.6942184798116879), 4.796070661815079, 0, True),
+    (0.0020260485140375373, 0.8035064970354872, -1.1005071271688358, 1.250331046718164,
+     complex(1.2718660034382474, -0.9991294339208509), 1.9595767929361063, 0, True),
+    (-1.4830556752005655, 0.12657178436390393, -1.424253701746188, 0.49473476199815236,
+     complex(0.7669913141699188, -0.8549775802928442), 8.881461038277074, 0, True),
+    (-1.3862143910233495, 0.08294389161163353, 0.6807711739649416, 1.1680218546559713,
+     complex(1.0489937161093115, -0.8105237345034102), 4.4330945292936885, 0, True),
+    (1.78070680961713, 0.0, -0.344577224167689, -0.42011179952608835,
+     complex(1.400046805651382, -1.3136010156184208), 1.3344312682252053, 1, False),
+    (1.2832789571016845, 0.0, 1.7178863920169576, 0.6456733035580338,
+     complex(0.23548338255864823, -0.3596881211967487), 1.1328190310467443, 1, False),
+    (0.6711971171894358, 0.04256620198613049, -0.2604493718066365, -1.5512937987493625,
+     complex(0.0, -1.9200343214643025), 0.9880061104372537, 1, False),
+    (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
+     complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
+    (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
+     complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
+    (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
+     complex(0.0, -1.5357010559951587), 2.339477331796236, 1, False),
+    (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
+     complex(0.0, -2.079500742736352), 0.7098852367560945, 1, False),
+    (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
+     complex(0.0, -1.8481591051359827), 0.013973796934857792, 0, True),
+    (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,
+     complex(0.0, -1.1144032692613062), 0.9373097391402095, 1, False),
+    (1.6812950597746472, 0.0, -0.014621186586997847, 1.419267494182935,
+     complex(0.0, -1.7293767719388151), 1.2966476235950333, 1, False),
+]
+# harmonic points whose root a screen that asks only for a sign change of the
+# other part in the same or the next scan cell loses: in the wedge the other
+# part has two zeros in the root's cell, and at real T the root's cell holds
+# the focal point omega = pi/T
+SCREEN_HARMONIC_PINS = [
+    (1.3201717117540803, 0.8746068037253627, 1.749809467458923,
+     complex(1.569700503779614, -1.0591958539550625), 1.1489872548266495),
+    (1.7189641779832519, -0.12177510985263984, -0.18739871403316943,
+     complex(2.427684890578678, 0.0), 1.3110927419459129),
+]
+
+
+def _check_real_pin(m2, lam, x_a, x_b, T, omega, n_roots, fallback):
+    g = optimize_omega_real(OscillatorParams(m2, lam), RealTimePoint(x_a, x_b, T))
+    assert (g.n_roots, g.fallback_used) == (n_roots, fallback)
+    if fallback:
+        assert g.omega_star == pytest.approx(omega, rel=1e-12)
+    else:
+        assert g.omega_star == omega
+
+
+class TestRealScreen:
+    """The array screen of optimize_omega_real drops only candidates that fail."""
+
+    @pytest.mark.parametrize("m2, lam, x_a, x_b, T, omega, n_roots, fallback", SCREEN_PINS)
+    def test_pinned(self, m2, lam, x_a, x_b, T, omega, n_roots, fallback):
+        _check_real_pin(m2, lam, x_a, x_b, T, omega, n_roots, fallback)
+
+    @pytest.mark.parametrize("m2, x_a, x_b, T, omega", SCREEN_HARMONIC_PINS)
+    def test_harmonic_root_beside_a_focal_point_or_a_double_zero(self, m2, x_a, x_b, T, omega):
+        assert omega == math.sqrt(m2)
+        _check_real_pin(m2, 0.0, x_a, x_b, T, omega, 1, False)
+
+    def test_keeping_every_bracket_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(oep, "_screen_brackets",
+                            lambda resid, t, comp, *rest: np.ones(comp.size, dtype=bool))
+        for pin in SCREEN_PINS:
+            _check_real_pin(*pin)
+        for m2, x_a, x_b, T, omega in SCREEN_HARMONIC_PINS:
+            _check_real_pin(m2, 0.0, x_a, x_b, T, omega, 1, False)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solver_tolerances_are_checked(tol, quartic):
+    with pytest.raises(ValueError, match="tol"):
+        optimize_omega_imag(quartic, EuclideanPoint(0.3, 0.1, 1.0), tol)
+    with pytest.raises(ValueError, match="tol"):
+        optimize_omega_imag_diagonal(quartic, 1.0, np.array([0.0, 0.5]), tol)
+    with pytest.raises(ValueError, match="tol"):
+        optimize_omega_real(quartic, RealTimePoint(0.3, 0.1, 1.0), tol)

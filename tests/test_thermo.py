@@ -334,3 +334,13 @@ class TestMethodCollapse:
         defect = beta * (free_energy_oef(quartic, beta).f - fs["EXACT"])
         assert abs(defect - oef_classical_defect) <= 0.01 * oef_classical_defect, \
             f"beta*(F_OEF - F_EXACT) = {defect:.6f}, c_GB = {oef_classical_defect:.6f}"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_free_energy_tolerances_are_checked(tol, quartic):
+    for call in (lambda: free_energy_oep(quartic, 1.0, tol_quad=tol),
+                 lambda: free_energy_oep(quartic, 1.0, tol_root=tol),
+                 lambda: free_energy_oef(quartic, 1.0, tol),
+                 lambda: free_energy_fk(quartic, 1.0, tol)):
+        with pytest.raises(ValueError, match="tol"):
+            call()
