@@ -58,7 +58,7 @@ def _check_tolerance(**values):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OscillatorParams:
     """Potential m2*x^2/2 + lam*x^4.  m2 may be negative (double well)."""
 
@@ -73,7 +73,7 @@ class OscillatorParams:
             raise ValueError("lam = 0 requires m2 > 0 (stable harmonic well)")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EuclideanPoint:
     """Endpoints and inverse temperature of an imaginary-time amplitude."""
 
@@ -87,7 +87,7 @@ class EuclideanPoint:
             raise ValueError("beta must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RealTimePoint:
     """Endpoints and propagation time of a real-time amplitude.
 

@@ -38,14 +38,18 @@ optimize_omega_real looks for an exact zero of the complex real-time
 residual, which both its parts must share.  It scans the residual in one
 complex array call, then screens every sign change and exact zero of either
 part over arrays (_screen_brackets): all candidate brackets are bisected
-together, and one is dropped as soon as it provably cannot hold a point that
-passes the acceptance test.  Focal points are known in advance (omega =
-n*pi/T), so a bracket closing in on one takes all its steps in one call.
-Only the survivors run the scalar bisection, Newton polish and acceptance
-test, from their scan cell as before, so the accepted roots do not depend on
-the screen.  A real-time solve thus takes some ten array calls and the
-scalar polish of its few survivors, instead of a scalar polish of every
-candidate (about fifty at real T).
+together, and one is dropped once the other part evidently stays away from
+zero across it, judged from three points and away from the residual's
+poles, or once it lies at a focal point.  Focal points are known in advance
+(omega = n*pi/T), so a bracket closing in on one takes all its steps in one
+call.  Only the survivors run the scalar bisection, Newton polish and
+acceptance test, from their scan cell as before, so an accepted root is the
+same number as without the screen.  The screen is a model, not a proof; it
+is checked by dropping nothing (tests/test_oep.py) and by audits that run
+every dropped candidate through the scalar tail (CHANGES.md).  A real-time
+solve thus takes some ten array calls and the scalar polish of its few
+survivors, instead of a scalar polish of every candidate (about fifty at
+real T).
 """
 
 import math
@@ -69,10 +73,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # residual-scan entries the batched solve holds at once; bounds its scratch
 # memory whatever the number of points
 SCAN_CHUNK_ELEMENTS = 1 << 11
-# the real-time bracket screen: the width it bisects candidates down to, and
-# the factor by which it over-allows what a root could show (_screen_brackets)
+# the real-time bracket screen (_screen_brackets): the width it bisects
+# candidates down to, the factor by which it over-allows what a root could
+# show, and how many bracket widths from a pole its test on the other part
+# waits for
 SCREEN_REL_WIDTH = 1e-4
 SCREEN_SLACK = 4.0
+SCREEN_POLE_WIDTHS = 32.0
 # below this many points one scalar residual each is cheaper than an array
 # call (about 20 us a point against 140 us a call)
 ARRAY_MIN_POINTS = 8
@@ -82,7 +89,7 @@ class NoStationaryPointError(RuntimeError):
     """The residual could not be evaluated anywhere in the scan window."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GapSolution:
     """Optimized trial frequency and solver diagnostics."""
 
@@ -111,7 +118,7 @@ class DiagonalGapBatch:
                 "worst_residual": float(np.max(self.residual, initial=0.0))}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FirstOrderAmplitude:
     w_value: complex
     gap: GapSolution
@@ -558,79 +565,107 @@ def _follow_poles(comp, rlo, rhi, pole, los, his, mids, valid, vals):
     return nlo[k, last], nhi[k, last], nrlo[k, last], nrhi[k, last]
 
 
-def _screen_brackets(resid, t, comp, lo, hi, rlo, rhi, bound):
-    """Which candidate brackets of the real-time residual can hold a stationary point.
+def _screen_brackets(resid, w1_scale, t, comp, lo, hi, rlo, rhi, tol):
+    """Which candidate brackets of the real-time residual may hold a stationary point.
 
     Row k is a scan cell [lo, hi] in which the real (comp 0) or imaginary
-    (comp 1) part of the complex residual changes sign, with residuals rlo
-    and rhi at its ends, or an exact zero of that part (lo == hi).  The
-    scalar solve bisects that part from the cell with _bisect and accepts
-    the polished zero if |residual| <= bound there.  Here all rows are
-    bisected together with the same midpoints, on resid(omega) over arrays
-    at propagation time t, and a row is dropped as soon as its bracket
-    cannot hold such a point:
+    (comp 1) part c of the complex residual changes sign, with residuals rlo
+    and rhi at its ends, or an exact zero of c (lo == hi).  The scalar solve
+    bisects c from the cell with _bisect and accepts the polished zero if
+    |residual| <= tol * w1_scale there, so the other part o must nearly
+    vanish at it too.  Here all rows are bisected together with the same
+    midpoints, on resid(omega) over arrays at propagation time t, and a row
+    is dropped when o evidently stays away from zero across its bracket, or
+    when the scalar residual refuses every point of it:
 
-    * A stationary point inside [lo, hi] is a near-zero of the other part o
-      too.  Were o linear across the bracket, |o(lo)| + |o(hi)| would be at
-      most |o(hi) - o(lo)| + 2 bound; the row is dropped when it exceeds
-      SCREEN_SLACK * (|o(hi) - o(lo)| + bound).  The slack covers curvature
-      and the rounding by which the array residual differs from the scalar
-      one.
-    * Curvature is bounded only away from the residual's poles, where
-      sinh(i*omega*t) = 0: omega = n*pi/t, on the real axis for real t.  The
-      test above therefore waits until the pole nearest the bracket is
-      2 * SCREEN_SLACK bracket widths away; the slope near a pole of order
-      <= 5 then changes by about a factor 2 at most across the bracket.
-    * A bracket within 2 CAUSTIC_TOL / t of a real focal point is dropped:
-      there |sin(omega*t)| < 2 CAUSTIC_TOL, and the residual is either
-      refused as a focal point or dominated by the pole's terms.  A bracket
-      that holds a focal point takes all its steps towards it in one call
-      (_follow_poles).
+    * o(lo), o(mid) and o(hi) have one sign, and their least magnitude
+      exceeds SCREEN_SLACK * (|o(hi) - o(lo)| + |o(lo) - 2 o(mid) + o(hi)|)
+      by more than SCREEN_SLACK * tol * w1_scale(mid).  A quadratic o with a
+      zero in the bracket never passes this, wherever the zero lies (two
+      zeros either side of mid give o(mid) the other sign).  Higher orders
+      are taken as small, so the test waits until the nearest pole of the
+      residual (sinh(i*omega*t) = 0: omega = n*pi/t) is SCREEN_POLE_WIDTHS
+      bracket widths away; the cubic term of a pole of order k <= 5 is then
+      below (k + 2)/192 of the quadratic one, and o(lo), o(hi) differ by
+      about k/32 of o, well inside the test's slack.  w1_scale is evaluated
+      once, at the end, for all the rows the test drops.
+    * The bracket lies within 2 CAUSTIC_TOL / |t| of a real focal point, so
+      |sin(omega*t)| < 2 CAUSTIC_TOL all across it.  The scalar residual
+      refuses the inner half of that; on the rest its pole terms are of
+      order 1/CAUSTIC_TOL^2, against an acceptance bound of order
+      tol/CAUSTIC_TOL.  A bracket that holds a focal point takes all its
+      steps towards it in one call (_follow_poles).
+    * An exact zero of c is dropped when |o| there exceeds SCREEN_SLACK
+      times the acceptance bound.
 
     Rows still standing at SCREEN_REL_WIDTH are kept; returns the mask of
-    the rows kept.  A dropped row could only have given a candidate that
-    fails the acceptance test, so no result depends on SCREEN_REL_WIDTH or
-    SCREEN_SLACK, only the time spent on polishing candidates.
+    the rows kept.  This is a screen, not a proof: it takes o to be smooth
+    on the scale of a bracket away from the poles, and the scalar bisection
+    to take the same steps (the two may part where c is within rounding of
+    zero at a midpoint).  A wrongly dropped row would turn an accepted root
+    into a fallback; the regression pins, and the sweeps and audits
+    recorded in CHANGES.md, check for that.
     """
     lo, hi, rlo, rhi = lo.copy(), hi.copy(), rlo.copy(), rhi.copy()
     keep = np.ones(lo.size, dtype=bool)
     real_t = t.imag == 0.0
-    act = np.arange(lo.size)
+    focal_reach = 2.0 * CAUSTIC_TOL / abs(t)
+
+    def other(c, r):
+        return np.where(c == 0, r.imag, r.real)
+
+    # rows the test on o drops, with the point and margin by which the
+    # acceptance bound decides them at the end
+    held = [np.flatnonzero(lo == hi)]
+    at = [lo[held[0]]]
+    room = [np.abs(other(comp[held[0]], rlo[held[0]]))]
+    act = np.flatnonzero(lo != hi)
     while act.size:
         a, b = lo[act], hi[act]
         mid = 0.5 * (a + b)
         pole = np.round(mid * (t.real / math.pi)) * (math.pi / t)
+        focal = real_t & (np.maximum(np.abs(a - pole.real), np.abs(b - pole.real)) < focal_reach)
+        keep[act[focal]] = False
+        on_pole = ~focal & real_t & (a < pole.real) & (pole.real < b)
         gap = np.hypot(np.maximum(np.maximum(a - pole.real, pole.real - b), 0.0), pole.imag)
-        near = gap < 2.0 * SCREEN_SLACK * (b - a)
-        focal = real_t & (t.real * np.maximum(np.abs(a - pole.real), np.abs(b - pole.real))
-                          < 2.0 * CAUSTIC_TOL)
-        oa, ob = (np.where(comp[act] == 0, r.imag, r.real) for r in (rlo[act], rhi[act]))
-        with np.errstate(invalid="ignore"):
-            out = focal | (~near & (np.abs(oa) + np.abs(ob)
-                                    > SCREEN_SLACK * (np.abs(ob - oa) + bound[act])))
-        keep[act[out]] = False
-        go = ~out & (near | (b - a > SCREEN_REL_WIDTH * b)) & (mid != a) & (mid != b)
-        on_pole = go & real_t & (a < pole.real) & (pole.real < b)
-        act, rows, pole = act[go & ~on_pole], act[on_pole], pole.real[on_pole]
-        if not (act.size or rows.size):
-            break
-        # one call: the midpoint of every row, and the whole path of every
-        # row that holds a focal point
-        mid = 0.5 * (lo[act] + hi[act])
+        near = gap < SCREEN_POLE_WIDTHS * (b - a)
+        plain = ~(focal | on_pole)
+        rows, pole = act[on_pole], pole.real[on_pole]
+        act, a, b, mid, near = act[plain], a[plain], b[plain], mid[plain], near[plain]
+        # one call: the midpoint of every plain row, and the whole path of
+        # every row that holds a focal point
         points = [mid]
         if rows.size:
-            los, his, mids, valid = _pole_paths(lo[rows], hi[rows], pole,
-                                                2.0 * CAUSTIC_TOL / t.real)
+            los, his, mids, valid = _pole_paths(lo[rows], hi[rows], pole, 0.5 * focal_reach)
             points.append(mids[valid])
         rm = resid(np.concatenate(points))
+        n_mid = act.size
+        rmid, c = rm[:n_mid], comp[act]
+        oa, om, ob = other(c, rlo[act]), other(c, rmid), other(c, rhi[act])
+        with np.errstate(invalid="ignore"):
+            margin = (np.minimum(np.minimum(np.abs(oa), np.abs(om)), np.abs(ob))
+                      - SCREEN_SLACK * (np.abs(ob - oa) + np.abs(oa - 2.0 * om + ob)))
+            out = (~near & (np.sign(oa) == np.sign(om)) & (np.sign(om) == np.sign(ob))
+                   & (margin > 0.0))
+        keep[act[out]] = False
+        held.append(act[out])
+        at.append(mid[out])
+        room.append(margin[out])
+        go = ~out & (near | (b - a > SCREEN_REL_WIDTH * b)) & (mid != a) & (mid != b)
+        act, c, mid, rmid = act[go], c[go], mid[go], rmid[go]
         lo[act], hi[act], rlo[act], rhi[act] = _bisect_rows(
-            comp[act], lo[act], hi[act], rlo[act], rhi[act], mid, rm[:act.size])
+            c, lo[act], hi[act], rlo[act], rhi[act], mid, rmid)
         if rows.size:
             vals = np.full(mids.shape, complex(math.nan, math.nan))
-            vals[valid] = rm[act.size:]
+            vals[valid] = rm[n_mid:]
             lo[rows], hi[rows], rlo[rows], rhi[rows] = _follow_poles(
                 comp[rows], rlo[rows], rhi[rows], pole, los, his, mids, valid, vals)
             act = np.concatenate([act, rows])
+    held = np.concatenate(held)
+    if held.size:
+        with np.errstate(invalid="ignore"):
+            keep[held] = ~(np.concatenate(room)
+                           > SCREEN_SLACK * tol * w1_scale(np.concatenate(at)))
     return keep
 
 
@@ -645,8 +680,9 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     array call, with focal points (|sin(omega*T)| < CAUSTIC_TOL at real T)
     and non-finite entries set to inf.  Every sign change and exact zero of
     either part is a candidate; _screen_brackets drops, over arrays, those
-    that provably cannot pass the acceptance test, and each survivor is
-    re-anchored on the scalar residual, bisected, Newton-polished and tested.
+    whose other part evidently stays away from zero or that lie at a focal
+    point, and each survivor is re-anchored on the scalar residual,
+    bisected, Newton-polished and tested.
     Without an accepted root the least-sensitive omega is returned: the
     largest interior local minimum of |dW1/domega| in the scan window, with
     fallback_used set.  n_roots counts the scan cells holding an accepted
@@ -699,11 +735,13 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
         cell_lo.append(np.where(pvals[ends] == 0.0, ends, ends - 1))
         cell_hi.append(ends)
     comp, cell_lo, cell_hi = (np.concatenate(v) for v in (comp, cell_lo, cell_hi))
-    with np.errstate(all="ignore"):
-        bound = tol * np.maximum(1.0, np.abs(_w1(params, p.x_a, p.x_b, beta, omegas)) / omegas)
-    keep = _screen_brackets(resid_array, t, comp, omegas[cell_lo], omegas[cell_hi],
-                            vals[cell_lo], vals[cell_hi],
-                            np.maximum(bound[cell_lo], bound[cell_hi]))
+
+    def w1_scale(w):
+        with np.errstate(all="ignore"):
+            return np.maximum(1.0, np.abs(_w1(params, p.x_a, p.x_b, beta, w)) / w)
+
+    keep = _screen_brackets(resid_array, w1_scale, t, comp, omegas[cell_lo], omegas[cell_hi],
+                            vals[cell_lo], vals[cell_hi], tol)
 
     # exact stationary points, one per scan cell (both parts may bracket the
     # same root); keep the largest

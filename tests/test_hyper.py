@@ -1,6 +1,7 @@
 """Series tables and branch consistency of the hyperbolic shape factors."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -198,6 +199,32 @@ def test_grid_on_complex_z_matches_scalar(region):
         for a, b in zip(val + der, sval + sder):
             scale = abs(b) if abs(zk) < hyper.Z_SWITCH else max(1.0, abs(zk)) * m ** 6
             assert abs(a[k] - b) <= 1e-14 * scale, (region, zk)
+
+
+@functools.cache
+def _mpmath_shape_factors():
+    """The sympy shape factors and their z-derivatives, as mpmath functions."""
+    import sympy as sp
+    z, funcs = _sympy_funcs()
+    exprs = [funcs[name] for name in NAMES]
+    return [sp.lambdify(z, e, "mpmath") for e in exprs + [sp.diff(e, z) for e in exprs]]
+
+
+@pytest.mark.parametrize("region", ["switch ring", "imaginary axis", "wedge"])
+def test_grid_on_complex_z_matches_40_digits(region):
+    """Every entry, series or closed form, to 1e-12 of its own magnitude
+    against the sympy forms and their derivatives in 40-digit arithmetic,
+    up to |1/sinh z| past 1e3 on the imaginary axis (next to the focal
+    points z = i n pi)."""
+    mpmath = pytest.importorskip("mpmath")
+    exact = _mpmath_shape_factors()
+    zs = _complex_samples()[region]
+    val, der = hyper.shape_factors_d_grid(zs)
+    grid = np.stack(val + der)
+    with mpmath.workdps(40):
+        for k, zk in enumerate(zs.tolist()):
+            want = np.array([complex(f(mpmath.mpc(zk.real, zk.imag))) for f in exact])
+            assert np.all(np.abs(grid[:, k] - want) <= 1e-12 * np.abs(want)), (region, zk)
 
 
 def test_grid_takes_the_series_inside_the_switch_circle():

@@ -439,6 +439,25 @@ SCREEN_HARMONIC_PINS = [
      complex(2.427684890578678, 0.0), 1.3110927419459129),
 ]
 
+# harmonic wedge points whose other residual part has a second zero in the
+# root's scan cell, so that its values at the cell ends say little about the
+# root: a screen that takes that part as linear across the bracket loses
+# them.  The first is SCREEN_HARMONIC_PINS[0] with x_b moved until the second
+# zero sits at the mirror image of the root in the cell (fractions 0.494 and
+# 0.506), so the part is nearly equal at both cell ends.
+SCREEN_DOUBLE_ZERO_PINS = [
+    (1.3201717117540803, 0.8746068037253627, 1.09516184903914,
+     complex(1.569700503779614, -1.0591958539550625)),
+    (1.0869887253193882, -0.5992016148978654, 1.9311728901651661,
+     complex(2.2186483001214805, -0.42157935693232)),
+    (1.4978473193087194, -1.0635670981501208, -1.5765267969860406,
+     complex(1.8169226131278728, -0.33617177870658604)),
+    (0.9399750297549823, -1.1036567876449248, -0.10411783611686509,
+     complex(1.628196280099156, -1.4635398943917923)),
+    (0.7395243048973825, -0.20065212639061292, -0.450029018275667,
+     complex(1.3721584072529178, -1.8674553214535297)),
+]
+
 
 def _check_real_pin(m2, lam, x_a, x_b, T, omega, n_roots, fallback):
     g = optimize_omega_real(OscillatorParams(m2, lam), RealTimePoint(x_a, x_b, T))
@@ -461,13 +480,20 @@ class TestRealScreen:
         assert omega == math.sqrt(m2)
         _check_real_pin(m2, 0.0, x_a, x_b, T, omega, 1, False)
 
+    @pytest.mark.parametrize("m2, x_a, x_b, T", SCREEN_DOUBLE_ZERO_PINS)
+    def test_harmonic_root_where_the_other_part_has_two_zeros(self, m2, x_a, x_b, T):
+        _check_real_pin(m2, 0.0, x_a, x_b, T, math.sqrt(m2), 1, False)
+
     def test_keeping_every_bracket_changes_nothing(self, monkeypatch):
-        monkeypatch.setattr(oep, "_screen_brackets",
-                            lambda resid, t, comp, *rest: np.ones(comp.size, dtype=bool))
+        monkeypatch.setattr(
+            oep, "_screen_brackets",
+            lambda resid, w1_scale, t, comp, *rest: np.ones(comp.size, dtype=bool))
         for pin in SCREEN_PINS:
             _check_real_pin(*pin)
         for m2, x_a, x_b, T, omega in SCREEN_HARMONIC_PINS:
             _check_real_pin(m2, 0.0, x_a, x_b, T, omega, 1, False)
+        for m2, x_a, x_b, T in SCREEN_DOUBLE_ZERO_PINS:
+            _check_real_pin(m2, 0.0, x_a, x_b, T, math.sqrt(m2), 1, False)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
