@@ -9,9 +9,8 @@ Two tables drive the parser.  ``OPTIONS`` declares each option once; its
 name is the flag, the argparse dest and the config-file key.  ``COMMANDS``
 gives each subcommand its function, help, own options and allowed methods.
 A config file may carry any option; a subcommand ignores the ones it does
-not take, except ``x-grid``, which every subcommand parses and echoes.
-``propagator`` runs one path in both modes: real time uses the real-time
-point, residual, solver and W1 in place of the imaginary-time ones.
+not take.  ``propagator`` runs one path in both modes: real time uses the
+real-time point, residual, solver and W1 in place of the imaginary-time ones.
 """
 
 import argparse
@@ -181,8 +180,7 @@ def _build_config(args) -> RunConfig:
             raise ConfigError(f"unknown methods {bad}; choose from {','.join(methods)}")
         cfg.methods = chosen
         cfg.echo["methods"] = ",".join(chosen)
-    # a config-file x-grid is parsed and echoed by every subcommand
-    if opt["x-grid"] is not None:
+    if "x-grid" in own and opt["x-grid"] is not None:
         cfg.x_grid = parse_grid(opt["x-grid"])
         cfg.echo["x-grid"] = opt["x-grid"]
     tols = (opt["tol-root"], opt["tol-quad"])

@@ -23,8 +23,6 @@ call the bodies directly.
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from . import hyper
 
 TWO_PI = 2.0 * math.pi
@@ -258,9 +256,12 @@ def kernel_integrals_imag_quad(p: EuclideanPoint, omega: float,
     """Adaptive-quadrature twin of kernel_integrals_imag.
 
     Returns (KernelIntegrals, worst_error_estimate).  Exists as an
-    independent cross-check of the closed forms; raises QuadratureError if
-    any of the five integrals fails to converge.
+    independent cross-check of the closed forms on scipy's QUADPACK, the
+    package's only use of scipy, imported here so that `import anharm` does
+    not load it; raises QuadratureError if any of the five integrals fails
+    to converge.
     """
+    from scipy import integrate
     _check_path_args(omega, p.beta)
     x_a, x_b, beta = p.x_a, p.x_b, p.beta
     funcs = [

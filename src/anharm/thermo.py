@@ -17,10 +17,11 @@ density_matrix_oep expose.
 
 The OEP trace probes its half-width and integrates on an adaptive
 Gauss-Legendre rule whose refinement levels are each one batched gap solve
-(oep.optimize_omega_imag_diagonal); see _log_partition_oep.  It raises
-QuadratureError when the tail or the panel count does not converge, and
-IntegrandError naming the point where a gap solve failed.  The FK route
-integrates its mean coordinate with scipy's quad.
+(oep.optimize_omega_imag_diagonal); see _log_partition_oep.  The FK route
+runs on the same probe and rule, each level one array evaluation of its
+effective potential (_fk_potential).  Both raise QuadratureError when the
+tail or the panel count does not converge, and IntegrandError naming the
+point where the integrand failed.
 """
 
 import math
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 
 from . import hyper
 from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError,
@@ -337,89 +336,115 @@ def free_energy_oef(params: OscillatorParams, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# smeared-potential variational route
+# smeared-potential variational route: the bodies take arrays (1-d for the
+# potential), and the public functions check their arguments and return
+# floats for a float
 
-def fk_smearing_width_sq(omega_sq: float, beta: float) -> float:
+def _fk_width(s, beta):
+    """(a2, da2/ds) of fk_smearing_width_sq at each entry of s, unchecked."""
+    w = 0.25 * beta * beta * s
+    y = 0.5 * beta * np.sqrt(np.abs(s))
+    with np.errstate(all="ignore"):
+        # a2 = beta h/4 with h = (y coth y - 1)/w, continued to y cot y below
+        # w = 0; with u = (1 - 3h)/w, dh/dw = (u - h^2)/2
+        h = (np.where(s > 0.0, y / np.tanh(y), y / np.tan(y)) - 1.0) / w
+        u = (1.0 - 3.0 * h) / w
+        series = np.abs(w) < 0.25
+        if series.any():
+            h = np.where(series, hyper.horner_w(hyper.K1_OVER_Z2_W, w), h)
+            u = np.where(series, -3.0 * hyper.horner_w(hyper.K1_OVER_Z2_W[1:], w), u)
+    return 0.25 * beta * h, beta ** 3 / 32.0 * (u - h * h)
+
+
+def _fk_potential(params, beta, x0):
+    """(V, s) of fk_effective_potential at each entry of x0, unchecked.
+
+    a2(s) = (2/beta) sum_{n>=1} 1/((2 pi n/beta)^2 + s) is positive,
+    decreasing and convex, so g(s) = s - c - 12 lam a2(s), c = m2 + 12 lam x0^2,
+    is increasing and concave: Newton steps rise monotonically onto its root
+    from below, and a row stops once a step no longer raises s.  They start
+    from the root with a2 cut to its n = 1 term (a quadratic's), which lies
+    below g's root and above the pole.
+    """
+    c = params.m2 + 12.0 * params.lam * x0 * x0
+    d, q = c + (2.0 * math.pi / beta) ** 2, 96.0 * params.lam / beta
+    root = np.sqrt(d * d + q)
+    # s - c = (root - d)/2, written without cancellation where d > 0
+    s = c + np.where(d > 0.0, 0.5 * q / (root + d), 0.5 * (root - d))
+    a2 = np.empty_like(s)     # ends at each row's last s, the one kept
+    act = np.arange(s.size)
+    while act.size:
+        a2[act], da2 = _fk_width(s[act], beta)
+        gap = s[act] - c[act] - 12.0 * params.lam * a2[act]
+        cand = s[act] - gap / (1.0 - 12.0 * params.lam * da2)
+        up = cand > s[act]
+        act = act[up]
+        s[act] = cand[up]
+    w = 0.25 * beta * beta * s
+    y = 0.5 * beta * np.sqrt(np.abs(s))
+    with np.errstate(all="ignore"):
+        entropic = np.where(s > 0.0, hyper.log_sinh(y) - np.log(y), np.log(np.sin(y) / y))
+        # LOG_SINH_RATIO_W holds the coefficients of w^1, w^2, ...
+        entropic = np.where(np.abs(w) < 0.25, w * hyper.horner_w(hyper.LOG_SINH_RATIO_W, w),
+                            entropic) / beta
+    smeared = (0.5 * params.m2 * (x0 * x0 + a2)
+               + params.lam * (x0 ** 4 + 6.0 * x0 * x0 * a2 + 3.0 * a2 * a2))
+    return entropic - 0.5 * s * a2 + smeared, s
+
+
+def fk_smearing_width_sq(omega_sq, beta):
     """Thermal fluctuation width of the path around its mean coordinate.
 
     Equals (1/(beta*s)) * (y coth y - 1) with y = beta*sqrt(s)/2, continued to
     negative trial curvature s through y -> i|y| (valid while |y| < pi).
     """
     _check_beta(beta)
-    w = 0.25 * beta * beta * omega_sq
-    if abs(w) < 0.25:
-        return 0.25 * beta * hyper.horner_w(hyper.K1_OVER_Z2_W, w)
-    if omega_sq > 0.0:
-        y = 0.5 * beta * math.sqrt(omega_sq)
-        return (y / math.tanh(y) - 1.0) / (beta * omega_sq)
-    y = 0.5 * beta * math.sqrt(-omega_sq)
-    if y >= math.pi:
-        raise ValueError(f"trial curvature {omega_sq:g} too negative at beta={beta:g}: "
-                         "fluctuation width diverges")
-    return (1.0 - y / math.tan(y)) / (beta * (-omega_sq))
+    if np.any(0.5 * beta * np.sqrt(np.maximum(-np.asarray(omega_sq), 0.0)) >= math.pi):
+        raise ValueError(f"trial curvature {np.min(omega_sq):g} too negative at "
+                         f"beta={beta:g}: fluctuation width diverges")
+    a2, _ = _fk_width(np.asarray(omega_sq, dtype=float), beta)
+    return float(a2) if np.ndim(omega_sq) == 0 else a2
 
 
-def fk_trial_frequency_sq(params: OscillatorParams, beta: float, x0: float) -> float:
+def fk_trial_frequency_sq(params: OscillatorParams, beta: float, x0):
     """Self-consistent trial curvature: s = m2 + 12 lam (x0^2 + a2(s)).
 
     This is where the smeared potential is stationary in the trial frequency.
     The right-hand side decreases in s, so the root is unique; it can be
     negative inside a shallow barrier.
     """
-    _check_beta(beta)
-    if params.lam == 0.0:
-        return params.m2
-
-    def gap(s):
-        return s - params.m2 - 12.0 * params.lam * (x0 * x0 + fk_smearing_width_sq(s, beta))
-
-    if params.m2 >= 0.0:
-        lo = 0.0
-    else:
-        lo = -(2.0 * math.pi / beta) ** 2 * (1.0 - 1e-9)
-    hi = max(params.m2, 0.0) + 12.0 * params.lam * x0 * x0 + params.lam * beta + 1.0
-    return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-14)
+    return fk_effective_potential(params, beta, x0)[1]
 
 
-def fk_effective_potential(params: OscillatorParams, beta: float, x0: float):
+def fk_effective_potential(params: OscillatorParams, beta: float, x0):
     """First-order effective potential of the path mean; returns (V, s)."""
-    s = fk_trial_frequency_sq(params, beta, x0)
-    a2 = fk_smearing_width_sq(s, beta)
-    w = 0.25 * beta * beta * s
-    if abs(w) < 0.25:
-        # LOG_SINH_RATIO_W holds the coefficients of w^1, w^2, ...
-        entropic = w * hyper.horner_w(hyper.LOG_SINH_RATIO_W, w) / beta
-    elif s > 0.0:
-        y = 0.5 * beta * math.sqrt(s)
-        entropic = (hyper.log_sinh(y) - math.log(y)) / beta
-    else:
-        y = 0.5 * beta * math.sqrt(-s)
-        entropic = math.log(math.sin(y) / y) / beta
-    smeared = (0.5 * params.m2 * (x0 * x0 + a2)
-               + params.lam * (x0 ** 4 + 6.0 * x0 * x0 * a2 + 3.0 * a2 * a2))
-    return entropic - 0.5 * s * a2 + smeared, s
+    _check_beta(beta)
+    v, s = _fk_potential(params, beta, np.ravel(np.asarray(x0, dtype=float)))
+    if np.ndim(x0) == 0:
+        return float(v[0]), float(s[0])
+    return v.reshape(np.shape(x0)), s.reshape(np.shape(x0))
 
 
 def free_energy_fk(params: OscillatorParams, beta: float,
                    tol_quad: float = TOL_QUAD) -> FreeEnergyResult:
+    """Integrated like the OEP trace, V at all nodes of a level at once;
+    IntegrandError names an x0 where V is not finite."""
     _check_beta(beta)
     _check_tolerance(tol_quad=tol_quad)
+    curvatures = []
 
-    def neg_beta_v(x0):
-        try:
-            return -beta * fk_effective_potential(params, beta, x0)[0]
-        except ValueError as exc:
-            raise IntegrandError(f"effective potential failed at x0={x0!r}") from exc
+    def neg_beta_v(xs):
+        v, s = _fk_potential(params, beta, xs)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise IntegrandError(f"effective potential not finite at x0={float(xs[bad[0]])!r}")
+        curvatures.append(s)
+        return -beta * v
 
-    x_max, peak = _grow_halfwidth(lambda xs: np.array([neg_beta_v(x) for x in xs]),
-                                  _initial_halfwidth(params, beta))
-    out = integrate.quad(lambda x: math.exp(neg_beta_v(x) - peak), 0.0, x_max,
-                         epsabs=1e-14, epsrel=tol_quad, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"mean-coordinate quadrature: {out[3]} "
-                              f"(error estimate {out[1]:g})")
-    val, err = out[0], out[1]
+    x_max, peak = _grow_halfwidth(neg_beta_v, _initial_halfwidth(params, beta))
+    val, err, nodes = _adaptive_gauss(lambda xs: np.exp(neg_beta_v(xs) - peak), x_max, tol_quad)
     ln_z = peak + math.log(2.0 * val) - 0.5 * math.log(2.0 * math.pi * beta)
-    _, s0 = fk_effective_potential(params, beta, 0.0)
-    info = {"quad_rel_error": err / val, "halfwidth": x_max, "omega_sq_origin": s0}
+    # the first probe's first node is x0 = 0
+    info = {"quad_rel_error": err / val, "halfwidth": x_max,
+            "omega_sq_origin": float(curvatures[0][0]), "quad_nodes": nodes}
     return FreeEnergyResult(beta, -ln_z / beta, "FK", info)

@@ -226,6 +226,22 @@ class TestConfigHandling:
         rows2 = [l for l in out2.read_text().splitlines() if l and not l.startswith("#")][1:]
         assert rows2[0].startswith("3,OEF,")
 
+    def test_config_x_grid_only_where_owned(self, tmp_path, capsys):
+        # density and density-matrix take x-grid; the other subcommands
+        # ignore a config-file x-grid like any other key they do not take
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("m2 = 1\nlambda = 1\nx-grid = 3:1:2\n")   # not a grid
+        assert run_cli(["propagator", "--config", str(cfgfile), "--time", "1"]) == 0
+        assert "x-grid" not in capsys.readouterr().out
+        assert run_cli(["density-matrix", "--config", str(cfgfile), "--beta", "1"]) == 2
+        cfgfile.write_text("m2 = 1\nlambda = 0\nx-grid = -1:1:3\n")
+        assert run_cli(["exact-spectrum", "--config", str(cfgfile), "--basis-size", "16"]) == 0
+        assert "x-grid" not in capsys.readouterr().out
+        assert run_cli(["density-matrix", "--config", str(cfgfile), "--beta", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "# x-grid=-1:1:3" in out
+        assert len([l for l in out if l and not l.startswith("#")]) == 1 + 9
+
     def test_exit_2_on_missing_params(self):
         assert run_cli(["free-energy", "--beta", "1"]) == 2
 

@@ -1,6 +1,10 @@
 """Partition function, free energies (three routes), density, density matrix."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,7 +247,72 @@ class TestFreeEnergyOEF:
             assert oef_series_domega(params, beta, omega) == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
+# (m2, lam, beta, F, omega_sq_origin) of free_energy_fk when it integrated
+# with scipy's quad and solved each node's curvature with brentq: the weak,
+# strong, double and harmonic wells
+FK_PINS = [
+    (1.0, 0.01, 0.05, -55.3100815716653, 1.0004999791574918),
+    (1.0, 0.01, 5.0, 0.5060939635083207, 1.0365091827786808),
+    (0.0, 1.0, 0.5, -0.2738323318473532, 0.49896357032324395),
+    (0.0, 1.0, 50.0, 0.6813494483518571, 3.2529248286618033),
+    (-1.0, 0.1, 0.5, -2.471009133315147, -0.9498009994080218),
+    (-1.0, 0.1, 5.0, -0.1908390438508624, -0.3927895545725182),
+    (-1.0, 0.1, 50.0, -0.08197154013514435, 0.20584993324959405),
+    (1.0, 0.0, 0.05, -59.91256218114754, 1.0),
+    (1.0, 0.0, 5.0, 0.4986478501101022, 1.0),
+]
+
+
 class TestFreeEnergyFK:
+    @pytest.mark.parametrize("m2, lam, beta, f, s0", FK_PINS)
+    def test_pinned_free_energy_and_origin_curvature(self, m2, lam, beta, f, s0):
+        r = free_energy_fk(OscillatorParams(m2, lam), beta)
+        assert abs(r.f - f) <= 1e-12 * abs(f)
+        assert abs(r.omega_info["omega_sq_origin"] - s0) <= 1e-12 * max(1.0, abs(s0))
+
+    def test_array_calls_match_float_calls(self, double_well):
+        beta = 5.0
+        x0 = np.array([0.0, 0.3, 1.0, 1.6, 2.5, 7.0])
+        v, s = fk_effective_potential(double_well, beta, x0)
+        s_only = fk_trial_frequency_sq(double_well, beta, x0)
+        for i, x in enumerate(x0.tolist()):
+            assert (v[i], s[i]) == fk_effective_potential(double_well, beta, x)
+            assert s_only[i] == fk_trial_frequency_sq(double_well, beta, x)
+        # curvatures on both sides of 0 and inside the series branch
+        curv = np.array([-1.5, -0.5, -1e-3, 0.0, 1e-9, 0.05, 1.7, 40.0])
+        a2 = fk_smearing_width_sq(curv, beta)
+        assert isinstance(fk_smearing_width_sq(1.7, beta), float)
+        assert [fk_smearing_width_sq(c, beta) for c in curv.tolist()] == a2.tolist()
+        assert fk_smearing_width_sq(curv.reshape(2, 4), beta).tolist() == a2.reshape(2, 4).tolist()
+        with pytest.raises(ValueError, match="too negative"):
+            fk_smearing_width_sq(np.array([1.0, -10.0, 0.5]), beta)
+
+    def test_panel_limit(self, monkeypatch, single_well):
+        # this trace splits two of its four starting panels
+        monkeypatch.setattr(thermo, "QUAD_PANEL_LIMIT", 5)
+        with pytest.raises(QuadratureError, match="more than 5 panels"):
+            free_energy_fk(single_well, 1.0)
+
+    def test_integrand_error_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_fk_width",
+                            lambda s, beta: (np.full(np.shape(s), np.nan),) * 2)
+        with pytest.raises(IntegrandError, match="x0=0.0"):
+            free_energy_fk(OscillatorParams(0.7, 0.3), 1.7)
+
+    def test_quad_nodes_count_the_quadrature_evaluations(self, monkeypatch, quartic):
+        sizes = []
+        body = thermo._fk_potential
+
+        def counted(params, beta, x0):
+            sizes.append(x0.size)
+            return body(params, beta, x0)
+
+        monkeypatch.setattr(thermo, "_fk_potential", counted)
+        info = free_energy_fk(quartic, 0.3).omega_info
+        probes = sizes.index(next(n for n in sizes if n != thermo.PROBE_POINTS))
+        assert sizes[:probes] == [thermo.PROBE_POINTS] * probes
+        assert sum(sizes[probes:]) == info["quad_nodes"] >= 120
+
     def test_harmonic_exact(self, harmonic):
         for beta in (0.3, 1.0, 4.0):
             assert free_energy_fk(harmonic, beta).f == pytest.approx(harmonic_f(beta), abs=1e-9)
@@ -334,6 +403,16 @@ class TestMethodCollapse:
         defect = beta * (free_energy_oef(quartic, beta).f - fs["EXACT"])
         assert abs(defect - oef_classical_defect) <= 0.01 * oef_classical_defect, \
             f"beta*(F_OEF - F_EXACT) = {defect:.6f}, c_GB = {oef_classical_defect:.6f}"
+
+
+def test_import_does_not_load_scipy():
+    # only the test-only quadrature twin in kernels imports scipy, on first call
+    src = Path(thermo.__file__).resolve().parents[1]
+    code = ("import sys; import anharm, anharm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
