@@ -14,10 +14,9 @@ loses roughly half the mantissa as z -> 0.  We therefore split:
 Every function here takes a real z (``math``), a complex z (``cmath``: the
 real-time amplitudes are the imaginary-time ones at beta = i*T, so they live
 at z = i*omega*T) or an array of real or complex z (``numpy``: the batched
-gap solve of the trace, and the real-time gap solve's scan and bracket
-screen), and dispatches on that type.  Complex z take the series where
-|z| < 0.5.  The shape-factor names encode which integral and which endpoint
-monomial they multiply:
+gap solve of the trace, and the real-time gap solve's scan), and dispatches
+on that type.  Complex z take the series where |z| < 0.5.  The shape-factor
+names encode which integral and which endpoint monomial they multiply:
 
     int K dt        =  k1(z) / (2 w^2)
     int L^2 dt      = [(xa^2+xb^2) l2_sum(z)/2 + xa xb l2_cross(z)] / w

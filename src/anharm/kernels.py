@@ -258,8 +258,9 @@ def kernel_integrals_imag_quad(p: EuclideanPoint, omega: float,
     Returns (KernelIntegrals, worst_error_estimate).  Exists as an
     independent cross-check of the closed forms on scipy's QUADPACK, the
     package's only use of scipy, imported here so that `import anharm` does
-    not load it; raises QuadratureError if any of the five integrals fails
-    to converge.
+    not load it.  scipy is not a dependency of the package: only this
+    function needs it, and the test extra installs it.  Raises
+    QuadratureError if any of the five integrals fails to converge.
     """
     from scipy import integrate
     _check_path_args(omega, p.beta)

@@ -31,25 +31,19 @@ acceptance test, golden-section fallback), which thermo.free_energy_oef
 shares for the stationary point of its free-energy series.
 optimize_omega_imag_diagonal runs the same rules over arrays for many
 diagonal points of one beta, which is how the thermal trace solves its nodes.
-Every solve, optimize_omega_real's too, reads its brackets off the scan with
-one array rule, _bracket_ends.
+Every solve, optimize_omega_real's on the continuation edge too, reads its
+brackets off the scan with one array rule, _bracket_ends.
 
 optimize_omega_real looks for an exact zero of the complex real-time
-residual, which both its parts must share.  It scans the residual in one
-complex array call, then screens every sign change and exact zero of either
-part over arrays (_screen_brackets): all candidate brackets are bisected
-together, and one is dropped once the other part evidently stays away from
-zero across it, judged from three points and away from the residual's
-poles, or once it lies at a focal point.  Focal points are known in advance
-(omega = n*pi/T), so a bracket closing in on one takes all its steps in one
-call.  Only the survivors run the scalar bisection, Newton polish and
-acceptance test, from their scan cell as before, so an accepted root is the
-same number as without the screen.  The screen is a model, not a proof; it
-is checked by dropping nothing (tests/test_oep.py) and by audits that run
-every dropped candidate through the scalar tail (CHANGES.md).  A real-time
-solve thus takes some ten array calls and the scalar polish of its few
-survivors, instead of a scalar polish of every candidate (about fifty at
-real T).
+residual, which both its parts must share.  Off the imaginary axis that
+happens only in the harmonic limit, where the residual factors through
+(m2 - omega^2) and the root is omega = sqrt(m2) exactly; on the continuation
+edge T = -i*beta the residual is -i times the real imaginary-time one, and
+the sign changes of its imaginary part are bisected and polished as in
+imaginary time.  Every other point, and every point where no root passes the
+acceptance test, ends in the minimal-sensitivity search: golden section on
+the deepest dip of |dW1/domega| in the scan (Stevenson 1981).  The residual
+is scanned in one complex array call either way.
 """
 
 import math
@@ -73,16 +67,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # residual-scan entries the batched solve holds at once; bounds its scratch
 # memory whatever the number of points
 SCAN_CHUNK_ELEMENTS = 1 << 11
-# the real-time bracket screen (_screen_brackets): the width it bisects
-# candidates down to, the factor by which it over-allows what a root could
-# show, and how many bracket widths from a pole its test on the other part
-# waits for
-SCREEN_REL_WIDTH = 1e-4
-SCREEN_SLACK = 4.0
-SCREEN_POLE_WIDTHS = 32.0
-# below this many points one scalar residual each is cheaper than an array
-# call (about 20 us a point against 140 us a call)
-ARRAY_MIN_POINTS = 8
 
 
 class NoStationaryPointError(RuntimeError):
@@ -510,187 +494,32 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
 
 
-def _bisect_rows(comp, lo, hi, rlo, rhi, mid, rmid):
-    """One _bisect step on the real (comp 0) or imaginary (comp 1) part of
-    every row, given the residual rmid at the midpoint mid: keep the half
-    with the sign change, or [mid, mid] at an exact zero.  Returns the new
-    (lo, hi, rlo, rhi)."""
-    part = np.where(comp == 0, rmid.real, rmid.imag)
-    plo = np.where(comp == 0, rlo.real, rlo.imag)
-    to_hi = (part == 0.0) | ((plo < 0.0) != (part < 0.0))
-    to_lo = (part == 0.0) | ~to_hi
-    return (np.where(to_lo, mid, lo), np.where(to_hi, mid, hi),
-            np.where(to_lo, rmid, rlo), np.where(to_hi, rmid, rhi))
-
-
-def _pole_paths(lo, hi, pole, width):
-    """The steps bisection takes while it keeps the pole inside [lo, hi],
-    until the bracket is narrower than width: the bracket ends and midpoint
-    before each step (rows x steps, frozen past a row's last step) and which
-    of those steps each row takes."""
-    steps = np.maximum(np.ceil(np.log2((hi - lo) / width)), 1.0).astype(int)
-    shape = (lo.size, int(steps.max()))
-    los, his, mids = np.empty(shape), np.empty(shape), np.empty(shape)
-    for s in range(shape[1]):
-        los[:, s], his[:, s] = lo, hi
-        mids[:, s] = mid = 0.5 * (lo + hi)
-        go = s < steps - 1
-        lo = np.where(go & (pole >= mid), mid, lo)
-        hi = np.where(go & (pole < mid), mid, hi)
-    return los, his, mids, np.arange(shape[1]) < steps[:, None]
-
-
-def _follow_poles(comp, rlo, rhi, pole, los, his, mids, valid, vals):
-    """Where bisection of rows whose bracket holds a real pole gets to.
-
-    los, his, mids and valid are _pole_paths of the rows, vals the residual
-    at the midpoints.  Each row takes the _bisect_rows steps up to the first
-    one that leaves the pole, or all of them.  Returns the new
-    (lo, hi, rlo, rhi).
-    """
-    # residual at the ends before each step: the last midpoint that became
-    # that end, or the row's own end
-    moved_lo = pole[:, None] >= mids
-    rows = np.arange(pole.size)[:, None]
-    ends = []
-    for moved, r0 in ((moved_lo, rlo), (~moved_lo, rhi)):
-        last = np.maximum.accumulate(np.where(moved, np.arange(mids.shape[1]), -1), axis=1)
-        last = np.concatenate([np.full((pole.size, 1), -1), last[:, :-1]], axis=1)
-        ends.append(np.where(last >= 0, vals[rows, np.maximum(last, 0)], r0[:, None]))
-    nlo, nhi, nrlo, nrhi = _bisect_rows(comp[:, None], los, his, ends[0], ends[1], mids, vals)
-    leaves = valid & ~np.where(moved_lo, (nlo == mids) & (nhi == his),
-                               (nlo == los) & (nhi == mids))
-    last = np.where(leaves.any(axis=1), np.argmax(leaves, axis=1), valid.sum(axis=1) - 1)
-    k = np.arange(pole.size)
-    return nlo[k, last], nhi[k, last], nrlo[k, last], nrhi[k, last]
-
-
-def _screen_brackets(resid, w1_scale, t, comp, lo, hi, rlo, rhi, tol):
-    """Which candidate brackets of the real-time residual may hold a stationary point.
-
-    Row k is a scan cell [lo, hi] in which the real (comp 0) or imaginary
-    (comp 1) part c of the complex residual changes sign, with residuals rlo
-    and rhi at its ends, or an exact zero of c (lo == hi).  The scalar solve
-    bisects c from the cell with _bisect and accepts the polished zero if
-    |residual| <= tol * w1_scale there, so the other part o must nearly
-    vanish at it too.  Here all rows are bisected together with the same
-    midpoints, on resid(omega) over arrays at propagation time t, and a row
-    is dropped when o evidently stays away from zero across its bracket, or
-    when the scalar residual refuses every point of it:
-
-    * o(lo), o(mid) and o(hi) have one sign, and their least magnitude
-      exceeds SCREEN_SLACK * (|o(hi) - o(lo)| + |o(lo) - 2 o(mid) + o(hi)|)
-      by more than SCREEN_SLACK * tol * w1_scale(mid).  A quadratic o with a
-      zero in the bracket never passes this, wherever the zero lies (two
-      zeros either side of mid give o(mid) the other sign).  Higher orders
-      are taken as small, so the test waits until the nearest pole of the
-      residual (sinh(i*omega*t) = 0: omega = n*pi/t) is SCREEN_POLE_WIDTHS
-      bracket widths away; the cubic term of a pole of order k <= 5 is then
-      below (k + 2)/192 of the quadratic one, and o(lo), o(hi) differ by
-      about k/32 of o, well inside the test's slack.  w1_scale is evaluated
-      once, at the end, for all the rows the test drops.
-    * The bracket lies within 2 CAUSTIC_TOL / |t| of a real focal point, so
-      |sin(omega*t)| < 2 CAUSTIC_TOL all across it.  The scalar residual
-      refuses the inner half of that; on the rest its pole terms are of
-      order 1/CAUSTIC_TOL^2, against an acceptance bound of order
-      tol/CAUSTIC_TOL.  A bracket that holds a focal point takes all its
-      steps towards it in one call (_follow_poles).
-    * An exact zero of c is dropped when |o| there exceeds SCREEN_SLACK
-      times the acceptance bound.
-
-    Rows still standing at SCREEN_REL_WIDTH are kept; returns the mask of
-    the rows kept.  This is a screen, not a proof: it takes o to be smooth
-    on the scale of a bracket away from the poles, and the scalar bisection
-    to take the same steps (the two may part where c is within rounding of
-    zero at a midpoint).  A wrongly dropped row would turn an accepted root
-    into a fallback; the regression pins, and the sweeps and audits
-    recorded in CHANGES.md, check for that.
-    """
-    lo, hi, rlo, rhi = lo.copy(), hi.copy(), rlo.copy(), rhi.copy()
-    keep = np.ones(lo.size, dtype=bool)
-    real_t = t.imag == 0.0
-    focal_reach = 2.0 * CAUSTIC_TOL / abs(t)
-
-    def other(c, r):
-        return np.where(c == 0, r.imag, r.real)
-
-    # rows the test on o drops, with the point and margin by which the
-    # acceptance bound decides them at the end
-    held = [np.flatnonzero(lo == hi)]
-    at = [lo[held[0]]]
-    room = [np.abs(other(comp[held[0]], rlo[held[0]]))]
-    act = np.flatnonzero(lo != hi)
-    while act.size:
-        a, b = lo[act], hi[act]
-        mid = 0.5 * (a + b)
-        pole = np.round(mid * (t.real / math.pi)) * (math.pi / t)
-        focal = real_t & (np.maximum(np.abs(a - pole.real), np.abs(b - pole.real)) < focal_reach)
-        keep[act[focal]] = False
-        on_pole = ~focal & real_t & (a < pole.real) & (pole.real < b)
-        gap = np.hypot(np.maximum(np.maximum(a - pole.real, pole.real - b), 0.0), pole.imag)
-        near = gap < SCREEN_POLE_WIDTHS * (b - a)
-        plain = ~(focal | on_pole)
-        rows, pole = act[on_pole], pole.real[on_pole]
-        act, a, b, mid, near = act[plain], a[plain], b[plain], mid[plain], near[plain]
-        # one call: the midpoint of every plain row, and the whole path of
-        # every row that holds a focal point
-        points = [mid]
-        if rows.size:
-            los, his, mids, valid = _pole_paths(lo[rows], hi[rows], pole, 0.5 * focal_reach)
-            points.append(mids[valid])
-        rm = resid(np.concatenate(points))
-        n_mid = act.size
-        rmid, c = rm[:n_mid], comp[act]
-        oa, om, ob = other(c, rlo[act]), other(c, rmid), other(c, rhi[act])
-        with np.errstate(invalid="ignore"):
-            margin = (np.minimum(np.minimum(np.abs(oa), np.abs(om)), np.abs(ob))
-                      - SCREEN_SLACK * (np.abs(ob - oa) + np.abs(oa - 2.0 * om + ob)))
-            out = (~near & (np.sign(oa) == np.sign(om)) & (np.sign(om) == np.sign(ob))
-                   & (margin > 0.0))
-        keep[act[out]] = False
-        held.append(act[out])
-        at.append(mid[out])
-        room.append(margin[out])
-        go = ~out & (near | (b - a > SCREEN_REL_WIDTH * b)) & (mid != a) & (mid != b)
-        act, c, mid, rmid = act[go], c[go], mid[go], rmid[go]
-        lo[act], hi[act], rlo[act], rhi[act] = _bisect_rows(
-            c, lo[act], hi[act], rlo[act], rhi[act], mid, rmid)
-        if rows.size:
-            vals = np.full(mids.shape, complex(math.nan, math.nan))
-            vals[valid] = rm[n_mid:]
-            lo[rows], hi[rows], rlo[rows], rhi[rows] = _follow_poles(
-                comp[rows], rlo[rows], rhi[rows], pole, los, his, mids, valid, vals)
-            act = np.concatenate([act, rows])
-    held = np.concatenate(held)
-    if held.size:
-        with np.errstate(invalid="ignore"):
-            keep[held] = ~(np.concatenate(room)
-                           > SCREEN_SLACK * tol * w1_scale(np.concatenate(at)))
-    return keep
-
-
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
                         tol: float = 1e-10) -> GapSolution:
     """Real trial frequency for a real-time point.
 
-    The residual of a complex W generally has no real zero.  An exact
-    stationary point (the harmonic limit, the continuation edge T = -i*beta)
-    is a zero of both its real and imaginary parts, accepted when the full
-    |dW1/domega| vanishes within tolerance.  The residual is scanned in one
-    array call, with focal points (|sin(omega*T)| < CAUSTIC_TOL at real T)
-    and non-finite entries set to inf.  Every sign change and exact zero of
-    either part is a candidate; _screen_brackets drops, over arrays, those
-    whose other part evidently stays away from zero or that lie at a focal
-    point, and each survivor is re-anchored on the scalar residual,
-    bisected, Newton-polished and tested.
-    Without an accepted root the least-sensitive omega is returned: the
-    largest interior local minimum of |dW1/domega| in the scan window, with
-    fallback_used set.  n_roots counts the scan cells holding an accepted
-    exact root.
+    The residual of a complex W generally has no real zero: an exact
+    stationary point is a zero of both its real and imaginary parts.  That
+    happens in two cases, read off the input:
+
+    * on the continuation edge T = -i*beta (Re T = 0) the residual is -i
+      times the real imaginary-time one, so its real part vanishes
+      identically.  Every sign change and exact zero of the imaginary part
+      is re-anchored on the scalar residual, bisected, Newton-polished and
+      tested; the largest accepted root wins and n_roots counts them.
+    * in the harmonic limit (lam = 0, m2 > 0) off the edge the residual
+      factors through (m2 - omega^2), so omega = sqrt(m2) exactly.
+
+    A root is accepted when |dW1/domega| <= tol * max(1, |W1|/omega).
+    Anywhere else, or when no root passes, the least-sensitive omega is
+    returned: the deepest interior dip of |dW1/domega| on the scan window,
+    polished by golden section (minimal sensitivity).  It is flagged
+    fallback_used unless it passes the same test, in which case it counts as
+    one root.  The scan is one array call, with focal points
+    (|sin(omega*T)| < CAUSTIC_TOL at real T) and non-finite entries set to inf.
     """
     _check_tolerance(tol=tol)
     t = complex(p.T)
-    beta = 1j * t
     grid = scan_window(params, p.x_a, p.x_b, abs(t))
 
     def resid(w):
@@ -706,56 +535,35 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
             return False
         return abs(resid(w)) <= tol * scale
 
-    def resid_array(w):
-        # resid over an array of frequencies (inf at focal points and
-        # wherever it is not finite)
-        if w.size < ARRAY_MIN_POINTS:
-            return np.array([resid(v) for v in w.tolist()], dtype=complex)
-        with np.errstate(all="ignore"):
-            r = -1j * _gap_residual(params, p.x_a, p.x_b, beta, w)
-        dead = ~np.isfinite(r)
-        if t.imag == 0.0:
-            dead |= np.abs(np.sin(w * t.real)) < CAUSTIC_TOL
-        r[dead] = complex(math.inf, math.inf)
-        return r
-
     omegas = np.array(grid)
-    vals = resid_array(omegas)
+    with np.errstate(all="ignore"):
+        vals = -1j * _gap_residual(params, p.x_a, p.x_b, 1j * t, omegas)
+    dead = ~np.isfinite(vals)
+    if t.imag == 0.0:
+        dead |= np.abs(np.sin(omegas * t.real)) < CAUSTIC_TOL
+    vals[dead] = complex(math.inf, math.inf)
     mags = np.abs(vals)
     finite = np.isfinite(mags)
     if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {p}")
 
-    # candidates: the sign changes and exact zeros of either part
-    comp, cell_lo, cell_hi = [], [], []
-    for c, pvals in enumerate((vals.real, vals.imag)):
-        ends = np.flatnonzero(_bracket_ends(pvals))
-        comp.append(np.full(ends.size, c))
-        cell_lo.append(np.where(pvals[ends] == 0.0, ends, ends - 1))
-        cell_hi.append(ends)
-    comp, cell_lo, cell_hi = (np.concatenate(v) for v in (comp, cell_lo, cell_hi))
-
-    def w1_scale(w):
-        with np.errstate(all="ignore"):
-            return np.maximum(1.0, np.abs(_w1(params, p.x_a, p.x_b, beta, w)) / w)
-
-    keep = _screen_brackets(resid_array, w1_scale, t, comp, omegas[cell_lo], omegas[cell_hi],
-                            vals[cell_lo], vals[cell_hi], tol)
-
-    # exact stationary points, one per scan cell (both parts may bracket the
-    # same root); keep the largest
-    roots = {}
-    for c, i, j in zip(comp[keep].tolist(), cell_lo[keep].tolist(), cell_hi[keep].tolist()):
-        if i == j:
-            cand, bracket = grid[i], (grid[i], grid[i])
-        else:
-            cand, bracket = _root_in_cell((lambda w: resid(w).imag) if c else
-                                          (lambda w: resid(w).real), grid, i, j)
+    roots = []
+    if t.real == 0.0:
+        part = vals.imag
+        for j in np.flatnonzero(_bracket_ends(part)).tolist():
+            if part[j] == 0.0:
+                cand, bracket = grid[j], (grid[j], grid[j])
+            else:
+                cand, bracket = _root_in_cell(lambda w: resid(w).imag, grid, j - 1, j)
+            if good(cand):
+                roots.append((cand, bracket))
+    elif params.lam == 0.0 and params.m2 > 0.0:
+        cand = math.sqrt(params.m2)
         if good(cand):
-            roots[i] = max(roots.get(i, (cand, bracket)), (cand, bracket))
+            roots.append((cand, (cand, cand)))
     if roots:
-        omega, bracket = max(roots.values())
+        omega, bracket = max(roots)
         return GapSolution(omega, abs(resid(omega)), len(roots), bracket, False)
 
     # minimal sensitivity: the deepest interior dip of |residual|.  Window
@@ -768,7 +576,8 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     lo = grid[max(pick - 1, 0)]
     hi = grid[min(pick + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)) ** 2, lo, hi)
-    return GapSolution(omega, abs(resid(omega)), 0, bracket, True)
+    accepted = good(omega)
+    return GapSolution(omega, abs(resid(omega)), int(accepted), bracket, not accepted)
 
 
 def optimized_w1_imag(params: OscillatorParams, p: EuclideanPoint,

@@ -129,9 +129,12 @@ def _adaptive_gauss(f, x_max, tol):
     difference is within the panel's share of the tolerance,
     tol * |integral| * width / x_max, the halves' sum is kept; elsewhere the
     halves become open panels of the next level.  Only panels that miss their
-    share split, so a kink is refined locally.  Returns (integral, error
-    estimate, nodes evaluated); raises QuadratureError when the open and
-    accepted panels exceed QUAD_PANEL_LIMIT.
+    share split, so a kink is refined locally.  When the open and accepted
+    panels would exceed QUAD_PANEL_LIMIT, every open panel is accepted if the
+    accepted error plus the open panels' differences is within
+    tol * |integral| (a narrow integrand can keep its panels' shares out of
+    reach while the whole meets tol), and QuadratureError is raised
+    otherwise.  Returns (integral, error estimate, nodes evaluated).
     """
     h = np.full(QUAD_START_PANELS, x_max / QUAD_START_PANELS)
     a = h * np.arange(QUAD_START_PANELS)
@@ -154,9 +157,12 @@ def _adaptive_gauss(f, x_max, tol):
         a, h, whole = a[~ok], 0.5 * h[~ok], np.concatenate([left[~ok], right[~ok]])
         a, h = np.concatenate([a, a + h]), np.concatenate([h, h])
         if accepted + a.size > QUAD_PANEL_LIMIT:
+            estimate = error + float(np.sum(diff[~ok]))
+            if estimate <= tol * abs(total):
+                return total, estimate, nodes
             raise QuadratureError(
                 f"trace quadrature: more than {QUAD_PANEL_LIMIT} panels "
-                f"(error estimate {error + float(np.sum(diff[~ok])):g})")
+                f"(error estimate {estimate:g})")
         left, right = np.split(_gauss_sums(f, np.concatenate([a, a + 0.5 * h]),
                                            np.concatenate([0.5 * h, 0.5 * h])), 2)
         nodes += 2 * a.size * GAUSS_POINTS

@@ -270,6 +270,15 @@ class TestFreeEnergyFK:
         assert abs(r.f - f) <= 1e-12 * abs(f)
         assert abs(r.omega_info["omega_sq_origin"] - s0) <= 1e-12 * max(1.0, abs(s0))
 
+    def test_narrow_integrand_at_low_temperature(self):
+        # the integrand narrows like (beta V'')^(-1/2) while the half-width
+        # stays >= 3, so the rounding of beta V outgrows each panel's share of
+        # tol_quad; scipy's quad gives F = 6.814202205 here
+        r = free_energy_fk(OscillatorParams(0.0, 1000.0), 1000.0)
+        assert abs(r.f - 6.814202204779624) <= 1e-9 * 6.814202204779624
+        r = free_energy_fk(OscillatorParams(0.0, 300.0), 3000.0)
+        assert r.omega_info["quad_rel_error"] <= thermo.TOL_QUAD
+
     def test_array_calls_match_float_calls(self, double_well):
         beta = 5.0
         x0 = np.array([0.0, 0.3, 1.0, 1.6, 2.5, 7.0])
