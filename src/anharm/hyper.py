@@ -260,13 +260,16 @@ def coth(z):
 
 
 def inv_sinh(z):
-    """1/sinh(z) without overflow for large real z (or large Re z)."""
-    if isinstance(z, complex) and abs(z.real) < 20.0:
-        # 1 - exp(-2z) would cancel near z = 0, and cmath.sinh cannot
-        # overflow here
-        return 1.0 / cmath.sinh(z)
-    q = _lib(z).exp(-z)
-    return 2.0 * q / (1.0 - q * q)
+    """1/sinh(z) without overflow for large real z (or large Re z), and
+    without the cancellation of 1 - exp(-2z) near z = 0."""
+    m = _lib(z)
+    if m is cmath:
+        if abs(z.real) < 20.0:
+            # cmath has no expm1, and cmath.sinh cannot overflow here
+            return 1.0 / cmath.sinh(z)
+        q = cmath.exp(-z)
+        return 2.0 * q / (1.0 - q * q)
+    return 2.0 * m.exp(-z) / -m.expm1(-2.0 * z)
 
 
 def log_sinh(z):

@@ -31,19 +31,14 @@ acceptance test, golden-section fallback), which thermo.free_energy_oef
 shares for the stationary point of its free-energy series.
 optimize_omega_imag_diagonal runs the same rules over arrays for many
 diagonal points of one beta, which is how the thermal trace solves its nodes.
-Every solve, optimize_omega_real's on the continuation edge too, reads its
-brackets off the scan with one array rule, _bracket_ends.
+Both read their brackets off the scan with one array rule, _bracket_ends.
 
-optimize_omega_real looks for an exact zero of the complex real-time
-residual, which both its parts must share.  Off the imaginary axis that
-happens only in the harmonic limit, where the residual factors through
-(m2 - omega^2) and the root is omega = sqrt(m2) exactly; on the continuation
-edge T = -i*beta the residual is -i times the real imaginary-time one, and
-the sign changes of its imaginary part are bisected and polished as in
-imaginary time.  Every other point, and every point where no root passes the
-acceptance test, ends in the minimal-sensitivity search: golden section on
-the deepest dip of |dW1/domega| in the scan (Stevenson 1981).  The residual
-is scanned in one complex array call either way.
+optimize_omega_real reads three cases off the input.  On the continuation
+edge T = -i*beta the residual is -i times the real imaginary-time one, so it
+is optimize_omega_imag there: every real residual has the one root rule of
+_solve_scanned.  In the harmonic limit omega = sqrt(m2) is the exact root.
+Elsewhere a complex residual has no real zero, and the solve is golden section
+on the deepest dip of |dW1/domega| in a complex array scan (Stevenson 1981).
 """
 
 import math
@@ -278,7 +273,8 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
             omega, (lo, hi) = _root_in_cell(resid, grid, i, j)
         res = abs(resid(omega))
         if res <= tol * max(1.0, abs(value(omega)) / omega):
-            return GapSolution(omega, res, n_roots, (lo, hi), False)
+            # the polish stays in the scan cell, not in the bisected bracket
+            return GapSolution(omega, res, n_roots, (min(lo, omega), max(hi, omega)), False)
         # bisection met its width target but the residual did not drop below
         # tolerance: report the least-sensitive point instead of a fake root
     else:
@@ -496,31 +492,24 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
                         tol: float = 1e-10) -> GapSolution:
-    """Real trial frequency for a real-time point.
+    """Real trial frequency for a real-time point, by three cases read off
+    the input before any scan.
 
-    The residual of a complex W generally has no real zero: an exact
-    stationary point is a zero of both its real and imaginary parts.  That
-    happens in two cases, read off the input:
-
-    * on the continuation edge T = -i*beta (Re T = 0) the residual is -i
-      times the real imaginary-time one, so its real part vanishes
-      identically.  Every sign change and exact zero of the imaginary part
-      is re-anchored on the scalar residual, bisected, Newton-polished and
-      tested; the largest accepted root wins and n_roots counts them.
-    * in the harmonic limit (lam = 0, m2 > 0) off the edge the residual
-      factors through (m2 - omega^2), so omega = sqrt(m2) exactly.
-
-    A root is accepted when |dW1/domega| <= tol * max(1, |W1|/omega).
-    Anywhere else, or when no root passes, the least-sensitive omega is
-    returned: the deepest interior dip of |dW1/domega| on the scan window,
-    polished by golden section (minimal sensitivity).  It is flagged
-    fallback_used unless it passes the same test, in which case it counts as
-    one root.  The scan is one array call, with focal points
-    (|sin(omega*T)| < CAUSTIC_TOL at real T) and non-finite entries set to inf.
+    * On the continuation edge (Re T = 0) this is optimize_omega_imag at
+      beta = -Im T (n_roots counts brackets there); W1 is -i times its W1 to
+      rounding.
+    * In the harmonic limit (lam = 0, m2 > 0): omega = sqrt(m2), if it
+      passes the test |dW1/domega| <= tol * max(1, |W1|/omega).
+    * Anywhere else a complex residual has no real zero: golden section on
+      the deepest interior dip of |dW1/domega| in one array scan of the
+      window, with focal points (|sin(omega*T)| < CAUSTIC_TOL at real T) and
+      non-finite entries set to inf.  The result is flagged fallback_used
+      unless it passes the test, when it counts as one root.
     """
     _check_tolerance(tol=tol)
     t = complex(p.T)
-    grid = scan_window(params, p.x_a, p.x_b, abs(t))
+    if t.real == 0.0:
+        return optimize_omega_imag(params, EuclideanPoint(p.x_a, p.x_b, -t.imag), tol)
 
     def resid(w):
         try:
@@ -535,6 +524,12 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
             return False
         return abs(resid(w)) <= tol * scale
 
+    if params.lam == 0.0 and params.m2 > 0.0:
+        omega = math.sqrt(params.m2)
+        if good(omega):
+            return GapSolution(omega, abs(resid(omega)), 1, (omega, omega), False)
+
+    grid = scan_window(params, p.x_a, p.x_b, abs(t))
     omegas = np.array(grid)
     with np.errstate(all="ignore"):
         vals = -1j * _gap_residual(params, p.x_a, p.x_b, 1j * t, omegas)
@@ -547,24 +542,6 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {p}")
-
-    roots = []
-    if t.real == 0.0:
-        part = vals.imag
-        for j in np.flatnonzero(_bracket_ends(part)).tolist():
-            if part[j] == 0.0:
-                cand, bracket = grid[j], (grid[j], grid[j])
-            else:
-                cand, bracket = _root_in_cell(lambda w: resid(w).imag, grid, j - 1, j)
-            if good(cand):
-                roots.append((cand, bracket))
-    elif params.lam == 0.0 and params.m2 > 0.0:
-        cand = math.sqrt(params.m2)
-        if good(cand):
-            roots.append((cand, (cand, cand)))
-    if roots:
-        omega, bracket = max(roots)
-        return GapSolution(omega, abs(resid(omega)), len(roots), bracket, False)
 
     # minimal sensitivity: the deepest interior dip of |residual|.  Window
     # edges are excluded (the residual always decays towards omega -> 0), and

@@ -20,8 +20,8 @@ Gauss-Legendre rule whose refinement levels are each one batched gap solve
 (oep.optimize_omega_imag_diagonal); see _log_partition_oep.  The FK route
 runs on the same probe and rule, each level one array evaluation of its
 effective potential (_fk_potential).  Both raise QuadratureError when the
-tail or the panel count does not converge, and IntegrandError naming the
-point where the integrand failed.
+tail or the panel count does not converge or a node's integrand is not
+finite, and IntegrandError naming the point where the integrand failed.
 """
 
 import math
@@ -109,6 +109,22 @@ def _grow_halfwidth(logf, x0, max_doublings=24):
                           f"threshold at half-width {x:g}")
 
 
+def _weight(logf, peak):
+    """exp(logf(x) - peak) at an array of x; QuadratureError at the first node
+    where it is not finite, far above the peak that the probe found."""
+    def f(xs):
+        rel = logf(xs) - peak
+        with np.errstate(over="ignore"):
+            out = np.exp(rel)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise QuadratureError(
+                f"trace integrand not finite at x={float(xs[bad[0]])!r} (log-integrand "
+                f"{rel[bad[0]]:g} above the probe's peak): the half-width probe missed a peak")
+        return out
+    return f
+
+
 @lru_cache(maxsize=1)
 def _gauss_rule():
     # on first use, not at import: the eigensolver's first call costs memory
@@ -188,10 +204,11 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
     the adaptive Gauss-Legendre rule of _adaptive_gauss.  Each probe and each
     quadrature level solves all its nodes in one batched gap solve
     (optimize_omega_imag_diagonal).  Raises QuadratureError when the tail or
-    the panel count does not converge, and IntegrandError naming the x where
-    the gap solve failed.  The diagnostics count the gap solves, fallbacks,
-    points with more than one root and quadrature nodes, and give the worst
-    residual and omega*(0), read off the first probe's x = 0 node.
+    the panel count does not converge or a node's integrand is not finite
+    (_weight), and IntegrandError naming the x where the gap solve failed.
+    The diagnostics count the gap solves, fallbacks, points with more than
+    one root and quadrature nodes, and give the worst residual and omega*(0),
+    read off the first probe's x = 0 node.
     """
     _check_tolerance(tol_quad=tol_quad, tol_root=tol_root)
     batches = []
@@ -205,7 +222,7 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
         return batch.w1
 
     x_max, peak = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
-    val, err, nodes = _adaptive_gauss(lambda xs: np.exp(logw(xs) - peak), x_max, tol_quad)
+    val, err, nodes = _adaptive_gauss(_weight(logw, peak), x_max, tol_quad)
     counts = [b.counts() for b in batches]
     diag = {key: sum(c[key] for c in counts)
             for key in ("gap_solves", "fallbacks", "multi_root")}
@@ -448,7 +465,7 @@ def free_energy_fk(params: OscillatorParams, beta: float,
         return -beta * v
 
     x_max, peak = _grow_halfwidth(neg_beta_v, _initial_halfwidth(params, beta))
-    val, err, nodes = _adaptive_gauss(lambda xs: np.exp(neg_beta_v(xs) - peak), x_max, tol_quad)
+    val, err, nodes = _adaptive_gauss(_weight(neg_beta_v, peak), x_max, tol_quad)
     ln_z = peak + math.log(2.0 * val) - 0.5 * math.log(2.0 * math.pi * beta)
     # the first probe's first node is x0 = 0
     info = {"quad_rel_error": err / val, "halfwidth": x_max,

@@ -17,6 +17,24 @@ from anharm.oep import _gap_residual, optimize_omega_imag_diagonal, scan_window
 
 CUBIC_ROOT_6 = 1.8171205928321397   # real root of w^3 = 6
 
+# (m2 range, lam range) of the harmonic, weak, strong and double-well families
+FAMILIES = {"harmonic": ((0.5, 2.0), (0.0, 0.0)), "weak": ((0.5, 2.0), (0.005, 0.05)),
+            "strong": ((0.0, 1.0), (0.5, 5.0)), "double": ((-1.5, -0.5), (0.08, 0.2))}
+
+
+def _family_points(seed, n, horizon):
+    """n seeded (family, params, x_a, x_b, t) over FAMILIES in turn, with
+    |x| <= 2 and t log-uniform in horizon."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        family = list(FAMILIES)[k % 4]
+        (m2_lo, m2_hi), (lam_lo, lam_hi) = FAMILIES[family]
+        lam = float(math.exp(rng.uniform(math.log(lam_lo), math.log(lam_hi)))) if lam_hi else 0.0
+        params = OscillatorParams(float(rng.uniform(m2_lo, m2_hi)), lam)
+        x_a, x_b = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        t = float(math.exp(rng.uniform(*np.log(horizon))))
+        yield family, params, x_a, x_b, t
+
 
 def _w1_imag_by_quadrature(params, p, omega):
     """Independent assembly of W1 from quadrature of the kernel integrands."""
@@ -193,6 +211,20 @@ class TestOptimizeImag:
                 assert g.residual <= 1e-10 * scale
                 assert g.bracket[0] <= g.omega_star <= g.bracket[1]
 
+    def test_accepted_root_lies_in_its_bracket(self):
+        # the Newton polish may leave the bisected bracket inside its scan
+        # cell; the reported bracket must still hold omega*
+        edge = (OscillatorParams(-0.5761276819689276, 0.11956438027492235),
+                0.38005541743812987, 1.2588475123979697, 0.5525972391582087)
+        gaps = [optimize_omega_imag(edge[0], EuclideanPoint(*edge[1:])),
+                optimize_omega_real(edge[0], RealTimePoint(edge[1], edge[2], -1j * edge[3]))]
+        gaps += [optimize_omega_imag(params, EuclideanPoint(x_a, x_b, beta))
+                 for _, params, x_a, x_b, beta in _family_points(23, 300, (0.1, 10.0))]
+        accepted = [g for g in gaps if not g.fallback_used]
+        assert len(accepted) >= 200
+        for g in accepted:
+            assert g.bracket[0] <= g.omega_star <= g.bracket[1], g
+
     def test_local_flatness_quadratic(self, quartic):
         for (xa, xb, beta) in [(0.4, 0.4, 3.0), (0.0, 0.0, 1.0), (1.0, -0.5, 0.7)]:
             p = EuclideanPoint(xa, xb, beta)
@@ -255,6 +287,18 @@ class TestOptimizeReal:
         ai = optimized_w1_imag(quartic, EuclideanPoint(0.4, -0.3, beta))
         assert ar.gap.omega_star == pytest.approx(gi.omega_star, rel=1e-9)
         assert 1j * ar.w_value == pytest.approx(ai.w_value, rel=1e-9)
+
+    def test_continuation_edge_is_the_imaginary_solve(self):
+        # on T = -i beta the residual is -i times the imaginary-time one, so
+        # the edge has the imaginary-time root rule, fallbacks included
+        fallbacks = 0
+        for _, params, x_a, x_b, beta in _family_points(17, 400, (0.2, 5.0)):
+            ar = optimized_w1_real(params, RealTimePoint(x_a, x_b, -1j * beta))
+            ai = optimized_w1_imag(params, EuclideanPoint(x_a, x_b, beta))
+            assert ar.gap == ai.gap
+            assert abs(1j * ar.w_value - ai.w_value) <= 2e-15 * max(1.0, abs(ai.w_value))
+            fallbacks += ai.gap.fallback_used
+        assert fallbacks >= 20
 
     def test_continuation_edge_with_scan_beyond_overflow(self):
         # the scan reaches omega*beta ~ 1600, where cos(omega*T) overflows
@@ -584,6 +628,63 @@ class TestRealScreen:
                 found += 1
                 assert not g.fallback_used, (params, p)
         assert found > 0      # the near-harmonic points do have a stationary point
+
+
+def _spectral_kernel(params, x_a, x_b, T, n):
+    """<x_b|exp(-iHT)|x_a> = sum_k psi_k(x_a) psi_k(x_b) exp(-i E_k T) from the
+    lowest n levels of H in an oscillator basis, each parity block
+    diagonalized by numpy.linalg.eigh; it converges in the wedge Im T < 0."""
+    om = max(1.0, math.sqrt(abs(params.m2)), (6.0 * params.lam) ** (1.0 / 3.0))
+    k = np.arange(1, n + 4)
+    x = np.diag(np.sqrt(k / (2.0 * om)), 1)
+    x2 = (x + x.T) @ (x + x.T)
+    # x^4 from a basis four levels larger, so that its top rows are whole
+    h = (0.5 * (params.m2 - om * om) * x2 + params.lam * x2 @ x2)[:n, :n]
+    h += np.diag(om * (np.arange(n) + 0.5))
+    psi = np.empty((2, n))
+    xi = math.sqrt(om) * np.array([x_a, x_b])
+    psi[:, 0] = (om / math.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+    psi[:, 1] = math.sqrt(2.0) * xi * psi[:, 0]
+    for j in range(2, n):
+        psi[:, j] = math.sqrt(2.0 / j) * xi * psi[:, j - 1] - math.sqrt((j - 1.0) / j) * psi[:, j - 2]
+    total = 0j
+    for parity in (0, 1):
+        idx = np.arange(parity, n, 2)
+        e, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        a, b = psi[:, idx] @ v
+        total += np.sum(a * b * np.exp(-1j * e * T))
+    return total
+
+
+# relative miss |exp(iW) - K|/|K| of optimized_w1_real against the spectral
+# sum K at the samples of TestWedgeAccuracy, as measured, four per family in
+# the order harmonic, weak, strong, double well; omega* in the comments.  The
+# harmonic amplitude is exact (None: rounding, measured <= 1.7e-15).
+WEDGE_MISS = [
+    None, 4.8317e-08, 7.9356e-01, 1.0001e+00,       # 0.758, 0.738, 3.545, 21.42
+    None, 4.0473e-05, 7.2613e-03, 1.0000e+00,       # 1.389, 1.310, 1.764, 10.83
+    None, 1.4056e-05, 1.0287e+00, 1.4753e-01,       # 0.752, 1.403, 6.433, 0.668
+    None, 6.5048e-08, 1.6369e-02, 1.0537e-02,       # 1.345, 0.791, 3.499, 0.011
+]
+
+
+class TestWedgeAccuracy:
+    """The off-edge real-time amplitude against the exact spectral sum, in the
+    wedge where that sum converges (on the real axis a truncated one does not)."""
+
+    def test_misses_of_the_minimal_sensitivity_amplitude(self):
+        angles = np.random.default_rng(30).uniform(0.3, 0.9, len(WEDGE_MISS))
+        samples = zip(_family_points(29, len(WEDGE_MISS), (0.5, 2.0)), angles, WEDGE_MISS)
+        for (family, params, x_a, x_b, r), angle, pin in samples:
+            T = r * cmath.exp(-0.5j * math.pi * angle)
+            k = _spectral_kernel(params, x_a, x_b, T, 256)
+            assert abs(_spectral_kernel(params, x_a, x_b, T, 128) - k) <= 1e-8 * abs(k)
+            amp = optimized_w1_real(params, RealTimePoint(x_a, x_b, T))
+            miss = abs(cmath.exp(1j * amp.w_value) - k) / abs(k)
+            if pin is None:
+                assert family == "harmonic" and miss <= 1e-14
+            else:
+                assert miss == pytest.approx(pin, rel=1e-2), (family, params, x_a, x_b, T)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

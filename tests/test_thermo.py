@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,38 @@ class TestMethodCollapse:
             f"beta*(F_OEF - F_EXACT) = {defect:.6f}, c_GB = {oef_classical_defect:.6f}"
 
 
+@pytest.mark.parametrize("route, m2, lam, beta", [
+    (free_energy_fk, -0.726, 1.2e-6, 66.6), (free_energy_oep, -5.52, 1.1e-7, 2.63)])
+def test_missed_peak_raises_named_quadrature_error(route, m2, lam, beta):
+    # the wells sit at x = sqrt(-m2/(4 lam)), about 390 and 3500: the probe
+    # misses their narrow peak, and exp(log-integrand - peak) overflows there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite at x=.*probe missed a peak"):
+            route(OscillatorParams(m2, lam), beta)
+
+
+# one run of every CLI subcommand and method, then the edge real-time solve,
+# which the CLI cannot ask for (its --time is real)
+_NO_SCIPY_RUNS = """
+import os, sys
+sys.modules["scipy"] = None
+import anharm, anharm.cli
+from anharm import OscillatorParams, RealTimePoint, optimized_w1_real
+common = ["--m2", "0.5", "--lambda", "0.3"]
+runs = [["free-energy", "--beta", "0.5,2", "--methods", "OEP,OEF,FK,EXACT", "--basis-size", "64"],
+        ["density", "--beta", "1", "--methods", "OEP,EXACT", "--x-grid=-2:2:9",
+         "--basis-size", "64"],
+        ["density-matrix", "--beta", "1", "--x-grid=-1:1:3"],
+        ["propagator", "--mode", "imag", "--xa", "0.3", "--xb", "-0.2", "--time", "1.5"],
+        ["propagator", "--mode", "real", "--xa", "0.3", "--xb", "-0.2", "--time", "1.5"],
+        ["exact-spectrum", "--basis-size", "32"]]
+codes = [anharm.cli.main(run[:1] + common + run[1:] + ["--out", os.devnull]) for run in runs]
+edge = optimized_w1_real(OscillatorParams(0.5, 0.3), RealTimePoint(0.3, -0.2, -1.5j))
+print(codes, edge.gap.fallback_used)
+"""
+
+
 def test_import_does_not_load_scipy():
     # only the test-only quadrature twin in kernels imports scipy, on first call
     src = Path(thermo.__file__).resolve().parents[1]
@@ -422,6 +455,11 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+    # no call path imports it either: with scipy unimportable, every
+    # subcommand and method still runs
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUNS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
