@@ -26,12 +26,12 @@ finds no sign change, the minimal-sensitivity fallback returns the omega of
 least |dW1/domega| in the window and flags it.
 
 optimize_omega_imag solves one point: a vectorized scan, then the scalar
-sequence of _solve_scanned (last bracket, bisection, Newton polish,
-acceptance test, golden-section fallback), which thermo.free_energy_oef
-shares for the stationary point of its free-energy series.
-optimize_omega_imag_diagonal runs the same rules over arrays for many
-diagonal points of one beta, which is how the thermal trace solves its nodes.
-Both read their brackets off the scan with one array rule, _bracket_ends.
+sequence of _solve_scanned (last bracket, Illinois regula falsi, Newton
+polish, acceptance test, golden-section fallback), which free_energy_oef
+shares.  optimize_omega_imag_diagonal runs the same rules over arrays for
+many diagonal points of one beta, which is how the thermal trace solves its
+nodes.  Both read their brackets off the scan with _bracket_ends and shrink
+them by one rule (_illinois, over arrays _illinois_rows).
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -164,18 +164,19 @@ def scan_window(params: OscillatorParams, x_a: float, x_b: float, horizon: float
     return [math.exp(lo + i * SCAN_LOG_STEP) for i in range(SCAN_POINTS)]
 
 
-def _bisect(f, lo, hi, flo, fhi):
-    while hi - lo > BRACKET_REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid, mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi, fhi = mid, fmid
+def _illinois(f, lo, hi, flo, fhi):
+    """_illinois_rows on one bracket: the same steps, the same stop."""
+    kept = 0                # -1: lo survived the last step, +1: hi
+    while hi - lo > BRACKET_REL_WIDTH * hi and lo != 0.5 * (lo + hi) != hi:
+        t = (lo * fhi - hi * flo) / (fhi - flo) if fhi != flo else lo
+        t = t if lo < t < hi else 0.5 * (lo + hi)
+        ft = f(t)
+        if ft == 0.0:
+            return t, t
+        if (flo < 0.0) != (ft < 0.0):     # sign change in [lo, t]
+            hi, fhi, flo, kept = t, ft, flo * (0.5 if kept == -1 else 1.0), -1
         else:
-            lo, flo = mid, fmid
+            lo, flo, fhi, kept = t, ft, fhi * (0.5 if kept == 1 else 1.0), 1
     return lo, hi
 
 
@@ -194,7 +195,7 @@ def _newton_polish(f, x, lo, hi):
 
 
 def _golden_min(f, lo, hi):
-    """Golden-section minimum of f, narrowed to BRACKET_REL_WIDTH like _bisect."""
+    """Golden-section minimum of f, narrowed to BRACKET_REL_WIDTH like _illinois."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -231,9 +232,9 @@ def _root_in_cell(f, grid, i, j):
     """Zero of f in the scan cell [grid[i], grid[j]]: (omega, bracket).
 
     A vectorized scan may differ from f in the last bit, so the bracket is
-    re-anchored on f before bisecting (widened by one cell while an endpoint
-    sits within rounding of the root); it is then bisected to
-    BRACKET_REL_WIDTH and polished with a few Newton steps.
+    re-anchored on f (widened by one cell while an endpoint sits within
+    rounding of the root); it is then shrunk to BRACKET_REL_WIDTH by
+    _illinois and polished with a few Newton steps.
     """
     flo, fhi = f(grid[i]), f(grid[j])
     while (flo < 0.0) == (fhi < 0.0):
@@ -241,7 +242,7 @@ def _root_in_cell(f, grid, i, j):
         if (i, j) == (0, len(grid) - 1):
             break
         flo, fhi = f(grid[i]), f(grid[j])
-    lo, hi = _bisect(f, grid[i], grid[j], flo, fhi)
+    lo, hi = _illinois(f, grid[i], grid[j], flo, fhi)
     return _newton_polish(f, 0.5 * (lo + hi), grid[i], grid[j]), (lo, hi)
 
 
@@ -249,7 +250,7 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     """The gap solve once the residual has been scanned on the grid.
 
     resid(omega) is the scalar residual and vals its scan on grid (possibly
-    vectorized); value(omega) sets the acceptance scale.  Bisects the last
+    vectorized); value(omega) sets the acceptance scale.  Shrinks the last
     sign change (the one connected to the large-omega branch) after
     re-anchoring it on resid, polishes with a few Newton steps and accepts
     |resid| <= tol * max(1, |value|/omega).  Otherwise, or with no sign change
@@ -273,9 +274,9 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
             omega, (lo, hi) = _root_in_cell(resid, grid, i, j)
         res = abs(resid(omega))
         if res <= tol * max(1.0, abs(value(omega)) / omega):
-            # the polish stays in the scan cell, not in the bisected bracket
+            # the polish stays in the scan cell, not in the shrunk bracket
             return GapSolution(omega, res, n_roots, (min(lo, omega), max(hi, omega)), False)
-        # bisection met its width target but the residual did not drop below
+        # the bracket met its width target but the residual did not drop below
         # tolerance: report the least-sensitive point instead of a fake root
     else:
         # no sign change: the cells either side of the least |residual|
@@ -340,7 +341,12 @@ def _illinois_rows(f, lo, hi, flo, fhi):
     lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
     kept = np.zeros(lo.size, dtype=np.int8)     # -1: lo survived last step, +1: hi
     act = np.arange(lo.size)
-    while act.size:
+    while True:
+        a, b = lo[act], hi[act]
+        mid = 0.5 * (a + b)
+        act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
+        if not act.size:
+            return lo, hi
         a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (a * fb - b * fa) / (fb - fa)
@@ -355,10 +361,6 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         lo[act[right]], flo[act[right]] = t[right], ft[right]
         fhi[act[right & (kept[act] == 1)]] *= 0.5
         kept[act] = np.where(left, -1, 1)
-        a, b = lo[act], hi[act]
-        mid = 0.5 * (a + b)
-        act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
-    return lo, hi
 
 
 def _newton_polish_rows(f, x, lo, hi):
@@ -408,8 +410,8 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 
     The same rules run over arrays: each point's own scan window, the last
     bracket of the scan, its re-anchoring on the pointwise residual, the
-    bracket shrunk to BRACKET_REL_WIDTH (by Illinois regula falsi rather than
-    bisection) and the Newton polish, the acceptance test
+    bracket shrunk to BRACKET_REL_WIDTH by Illinois regula falsi and the
+    Newton polish, the acceptance test
     tol * max(1, |W1|/omega), and the golden-section fallback on the
     least-|residual| cell.  omega_star agrees with the scalar solver to
     rounding.  Raises NoStationaryPointError naming the first point whose

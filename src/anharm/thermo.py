@@ -26,7 +26,7 @@ finite, and IntegrandError naming the point where the integrand failed.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -67,6 +67,7 @@ class DensityProfile:
     rho: np.ndarray
     beta: float
     normalization_error: float
+    info: dict = field(default_factory=dict)    # gap-solve counts, as in a trace
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,14 @@ def _adaptive_gauss(f, x_max, tol):
         nodes += 2 * a.size * GAUSS_POINTS
 
 
-def _diag_logweight(params, beta, x, tol_root):
+def _diag_solve(params, beta, x, tol_root):
+    """(gap solution, W1) at the diagonal point (x, x, beta)."""
     p = EuclideanPoint(x, x, beta)
     try:
         gap = optimize_omega_imag(params, p, tol_root)
     except NoStationaryPointError as exc:
         raise IntegrandError(f"trial-frequency optimization failed at x={x!r}") from exc
-    return w1_imag(params, p, gap.omega_star)
+    return gap, w1_imag(params, p, gap.omega_star)
 
 
 @lru_cache(maxsize=4096)
@@ -267,7 +269,8 @@ def default_grid(params: OscillatorParams, beta: float,
 def density_oep(params: OscillatorParams, beta: float, grid=None,
                 tol_quad: float = TOL_QUAD,
                 tol_root: float = TOL_ROOT) -> DensityProfile:
-    """Particle density exp(W1(x,x))/Z on a grid; reports its trapezoid defect."""
+    """Particle density exp(W1(x,x))/Z on a grid; reports its trapezoid defect
+    and, in info, the gap-solve counts of a trace (see _log_partition_oep)."""
     _check_beta(beta)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     if grid is None:
@@ -275,20 +278,24 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
-    rho = np.array([math.exp(_diag_logweight(params, beta, x, tol_root) - ln_z)
-                    for x in grid])
+    gaps, w1 = zip(*(_diag_solve(params, beta, x, tol_root) for x in grid))
+    rho = np.array([math.exp(w - ln_z) for w in w1])
     norm_err = abs(float(np.trapezoid(rho, grid)) - 1.0)
-    return DensityProfile(grid, rho, beta, norm_err)
+    info = {"gap_solves": len(gaps), "fallbacks": sum(g.fallback_used for g in gaps),
+            "multi_root": sum(g.n_roots > 1 for g in gaps),
+            "worst_residual": float(max(g.residual for g in gaps))}
+    return DensityProfile(grid, rho, beta, norm_err, info)
 
 
 def density_matrix_oep(params: OscillatorParams, beta: float,
                        x_a: float, x_b: float,
                        tol_quad: float = TOL_QUAD,
                        tol_root: float = TOL_ROOT) -> DensityMatrixEntry:
-    """Off-diagonal density matrix with a per-pair optimized frequency."""
+    """Off-diagonal density matrix with a per-pair optimized frequency, solved
+    at the sorted pair: W1 is swap-symmetric, so both orders share one solve."""
     _check_beta(beta)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
-    p = EuclideanPoint(x_a, x_b, beta)
+    p = EuclideanPoint(*sorted((x_a, x_b)), beta)
     gap = optimize_omega_imag(params, p, tol_root)
     value = math.exp(w1_imag(params, p, gap.omega_star) - ln_z)
     return DensityMatrixEntry(x_a, x_b, value, beta)

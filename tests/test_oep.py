@@ -225,6 +225,41 @@ class TestOptimizeImag:
         for g in accepted:
             assert g.bracket[0] <= g.omega_star <= g.bracket[1], g
 
+    def test_scalar_residual_budget(self, monkeypatch):
+        # the scan is one array call; count the scalar residuals of each
+        # accepted solve (48 each when the bracket was bisected)
+        calls = []
+        body = oep._gap_residual
+
+        def counted(params, x_a, x_b, beta, omega):
+            if np.ndim(omega) == 0:
+                calls.append(omega)
+            return body(params, x_a, x_b, beta, omega)
+
+        monkeypatch.setattr(oep, "_gap_residual", counted)
+        per_solve = []
+        for family, params, x_a, x_b, beta in _family_points(29, 240, (0.1, 10.0)):
+            if family == "harmonic":
+                continue
+            calls.clear()
+            g = optimize_omega_imag.__wrapped__(params, EuclideanPoint(x_a, x_b, beta))
+            if not g.fallback_used:
+                per_solve.append(len(calls))
+        assert len(per_solve) >= 120
+        assert np.mean(per_solve) <= 24
+
+    def test_endpoint_swap_is_exact(self):
+        # density_matrix_oep solves one order of each pair for both; the
+        # uncached solver must give both orders the same solution and W1
+        fallbacks = 0
+        for family, params, x_a, x_b, beta in _family_points(31, 240, (0.1, 10.0)):
+            ab, ba = EuclideanPoint(x_a, x_b, beta), EuclideanPoint(x_b, x_a, beta)
+            g = optimize_omega_imag.__wrapped__(params, ab)
+            assert optimize_omega_imag.__wrapped__(params, ba) == g
+            assert w1_imag(params, ba, g.omega_star) == w1_imag(params, ab, g.omega_star)
+            fallbacks += family == "double" and g.fallback_used
+        assert fallbacks >= 20
+
     def test_local_flatness_quadratic(self, quartic):
         for (xa, xb, beta) in [(0.4, 0.4, 3.0), (0.0, 0.0, 1.0), (1.0, -0.5, 0.7)]:
             p = EuclideanPoint(xa, xb, beta)
@@ -376,6 +411,42 @@ class TestGoldenFallback:
         assert len(calls) == 2 + steps
 
 
+class TestIllinois:
+    """The scalar bracket rule of _root_in_cell is the batched one on one row."""
+
+    # simple roots: a cubic about 1.03, an exponential and a steep tanh
+    CASES = [(lambda w: (w - 1.03) * (1.0 + (w - 1.03) ** 2), 1.03),
+             (lambda w: math.exp(w) - 2.8, math.log(2.8)),
+             (lambda w: math.tanh(40.0 * (w - 0.95)), 0.95)]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_stops_at_bracket_width(self, case):
+        f, root = self.CASES[case]
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return f(w)
+
+        lo, hi = oep._illinois(counted, 0.9, 1.1, f(0.9), f(1.1))
+        assert lo <= root * (1.0 + 1e-15) and root * (1.0 - 1e-15) <= hi
+        assert hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        # bisection from a width of 0.2 needs 38 calls
+        assert len(calls) <= 12
+
+        # _illinois_rows on the same bracket makes the same calls and stops alike
+        row_calls = []
+
+        def rows(k, w):
+            row_calls.extend(float(v) for v in w)
+            return np.array([f(float(v)) for v in w])
+
+        blo, bhi = oep._illinois_rows(rows, np.array([0.9]), np.array([1.1]),
+                                      np.array([f(0.9)]), np.array([f(1.1)]))
+        assert (float(blo[0]), float(bhi[0])) == (lo, hi)
+        assert row_calls == calls
+
+
 class TestDiagonalBatch:
     """optimize_omega_imag_diagonal against the scalar solver it batches."""
 
@@ -421,7 +492,8 @@ class TestDiagonalBatch:
 # optimize_omega_real before its candidate brackets were screened over arrays,
 # as REAL_PINS: (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used), two
 # points each at real T, in the wedge and at T = -i beta for the weak, strong,
-# double-well and harmonic families.
+# double-well and harmonic families.  The roots at T = -i beta are those of
+# the Illinois bracket rule.
 SCREEN_PINS = [
     (1.8119412615293302, 0.01216392045649809, -1.8637786204150837, 0.9363511648986176,
      complex(2.175758684326429, 0.0), 1.8790334443349952, 0, True),
@@ -458,11 +530,11 @@ SCREEN_PINS = [
     (0.6711971171894358, 0.04256620198613049, -0.2604493718066365, -1.5512937987493625,
      complex(0.0, -1.9200343214643025), 0.9880061104372537, 1, False),
     (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
-     complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
+     complex(0.0, -1.8731876545171535), 1.4604463781818642, 1, False),
     (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
      complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
     (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
-     complex(0.0, -1.5357010559951587), 2.339477331796236, 1, False),
+     complex(0.0, -1.5357010559951587), 2.3394773317962363, 1, False),
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
      complex(0.0, -2.079500742736352), 0.7098852367560945, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
@@ -576,7 +648,7 @@ class TestRealScreen:
         g = optimize_omega_real(params, RealTimePoint(0.38005541743812987, 1.2588475123979697,
                                                       -0.5525972391582087j))
         assert (g.n_roots, g.fallback_used) == (1, False)
-        assert g.omega_star == pytest.approx(0.04357734241592142, rel=1e-12)
+        assert g.omega_star == pytest.approx(0.04357734240559403, rel=1e-12)
         assert g.residual < 1e-14
         assert g.omega_star not in scan_window(params, 0.38005541743812987,
                                                1.2588475123979697, 0.5525972391582087)

@@ -144,6 +144,18 @@ class TestDensity:
         with pytest.raises(ValueError):
             density_oep(harmonic, 1.0, [0.0, 0.0, 1.0])
 
+    def test_info_counts_the_fallbacks_the_oep_docstring_names(self, double_well):
+        from anharm import exact_density
+        for beta, fallbacks in ((0.25, 41), (1.0, 49), (5.0, 0)):
+            prof = density_oep(double_well, beta)
+            gaps = [optimize_omega_imag(double_well, EuclideanPoint(x, x, beta))
+                    for x in prof.grid]
+            assert prof.info == {
+                "gap_solves": thermo.DENSITY_GRID_POINTS, "fallbacks": fallbacks,
+                "multi_root": sum(g.n_roots > 1 for g in gaps),
+                "worst_residual": max(g.residual for g in gaps)}
+        assert exact_density(solve_spectrum(double_well, 32, 1.0), 1.0, prof.grid).info == {}
+
     def test_double_well_bimodal_matches_oracle_peaks(self, double_well):
         from anharm import exact_density
         prof = density_oep(double_well, 5.0)
@@ -169,6 +181,23 @@ class TestDensityMatrix:
             a = density_matrix_oep(quartic, 1.5, xa, xb)
             b = density_matrix_oep(quartic, 1.5, xb, xa)
             assert a.value == b.value
+
+    def test_sweep_solves_each_unordered_pair_once(self, double_well):
+        grid = np.linspace(-1.9, 2.1, 21)
+        density_matrix_oep(double_well, 0.7, 0.0, 0.0)     # the trace solves no point
+        optimize_omega_imag.cache_clear()
+        entries = [[density_matrix_oep(double_well, 0.7, xa, xb) for xb in grid] for xa in grid]
+        assert optimize_omega_imag.cache_info().misses == 21 * 22 // 2
+        values = np.array([[e.value for e in row] for row in entries])
+        assert np.array_equal(values, values.T)
+        assert [(e.x_a, e.x_b) for row in entries for e in row] == [
+            (xa, xb) for xa in grid for xb in grid]
+
+    @pytest.mark.parametrize("xa, xb", [(1.0, math.nan), (math.nan, 1.0), (0.5, math.inf)])
+    def test_non_finite_endpoint_raises(self, quartic, xa, xb):
+        # sorting the pair must not drop a NaN, as min and max would
+        with pytest.raises(ValueError, match="must be finite"):
+            density_matrix_oep(quartic, 1.0, xa, xb)
 
     def test_harmonic_exact(self, harmonic, rng):
         # closed form of the thermal oscillator kernel
