@@ -26,12 +26,13 @@ finds no sign change, the minimal-sensitivity fallback returns the omega of
 least |dW1/domega| in the window and flags it.
 
 optimize_omega_imag solves one point: a vectorized scan, then the scalar
-sequence of _solve_scanned (last bracket, Illinois regula falsi, Newton
-polish, acceptance test, golden-section fallback), which free_energy_oef
-shares.  optimize_omega_imag_diagonal runs the same rules over arrays for
-many diagonal points of one beta, which is how the thermal trace solves its
-nodes.  Both read their brackets off the scan with _bracket_ends and shrink
-them by one rule (_illinois, over arrays _illinois_rows).
+sequence of _solve_scanned (last bracket, Illinois regula falsi, acceptance
+test, golden-section fallback), which free_energy_oef shares.
+optimize_omega_imag_diagonal runs the same rules over arrays for many
+diagonal points of one beta, which is how the thermal trace solves its
+nodes.  Both read their brackets and the residual at the bracket ends off the
+scan with _bracket_ends and refine them by one rule (_illinois, over arrays
+_illinois_rows), whose root is the secant point of the final bracket.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -57,7 +58,6 @@ SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
 SCAN_LOG_STEP = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
 BRACKET_REL_WIDTH = 1e-12
-NEWTON_POLISH_STEPS = 3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # residual-scan entries the batched solve holds at once; bounds its scratch
 # memory whatever the number of points
@@ -165,33 +165,20 @@ def scan_window(params: OscillatorParams, x_a: float, x_b: float, horizon: float
 
 
 def _illinois(f, lo, hi, flo, fhi):
-    """_illinois_rows on one bracket: the same steps, the same stop."""
+    """_illinois_rows on one bracket: the same steps, the same stop and root."""
+    glo, ghi = flo, fhi     # f at lo and hi; flo and fhi may have been halved
     kept = 0                # -1: lo survived the last step, +1: hi
     while hi - lo > BRACKET_REL_WIDTH * hi and lo != 0.5 * (lo + hi) != hi:
         t = (lo * fhi - hi * flo) / (fhi - flo) if fhi != flo else lo
         t = t if lo < t < hi else 0.5 * (lo + hi)
         ft = f(t)
         if ft == 0.0:
-            return t, t
+            return t, t, t
         if (flo < 0.0) != (ft < 0.0):     # sign change in [lo, t]
-            hi, fhi, flo, kept = t, ft, flo * (0.5 if kept == -1 else 1.0), -1
+            hi, fhi, ghi, flo, kept = t, ft, ft, flo * (0.5 if kept == -1 else 1.0), -1
         else:
-            lo, flo, fhi, kept = t, ft, fhi * (0.5 if kept == 1 else 1.0), 1
-    return lo, hi
-
-
-def _newton_polish(f, x, lo, hi):
-    for _ in range(NEWTON_POLISH_STEPS):
-        h = 1e-6 * x
-        slope = (f(x + h) - f(x - h)) / (2.0 * h)
-        if slope == 0.0:
-            break
-        step = f(x) / slope
-        cand = x - step
-        if not (lo <= cand <= hi) or not math.isfinite(cand):
-            break
-        x = cand
-    return x
+            lo, flo, glo, fhi, kept = t, ft, ft, fhi * (0.5 if kept == 1 else 1.0), 1
+    return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
 
 
 def _golden_min(f, lo, hi):
@@ -228,34 +215,16 @@ def _bracket_ends(vals):
     return ends
 
 
-def _root_in_cell(f, grid, i, j):
-    """Zero of f in the scan cell [grid[i], grid[j]]: (omega, bracket).
-
-    A vectorized scan may differ from f in the last bit, so the bracket is
-    re-anchored on f (widened by one cell while an endpoint sits within
-    rounding of the root); it is then shrunk to BRACKET_REL_WIDTH by
-    _illinois and polished with a few Newton steps.
-    """
-    flo, fhi = f(grid[i]), f(grid[j])
-    while (flo < 0.0) == (fhi < 0.0):
-        i, j = max(i - 1, 0), min(j + 1, len(grid) - 1)
-        if (i, j) == (0, len(grid) - 1):
-            break
-        flo, fhi = f(grid[i]), f(grid[j])
-    lo, hi = _illinois(f, grid[i], grid[j], flo, fhi)
-    return _newton_polish(f, 0.5 * (lo + hi), grid[i], grid[j]), (lo, hi)
-
-
 def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     """The gap solve once the residual has been scanned on the grid.
 
     resid(omega) is the scalar residual and vals its scan on grid (possibly
     vectorized); value(omega) sets the acceptance scale.  Shrinks the last
-    sign change (the one connected to the large-omega branch) after
-    re-anchoring it on resid, polishes with a few Newton steps and accepts
-    |resid| <= tol * max(1, |value|/omega).  Otherwise, or with no sign change
-    anywhere, returns the minimal-sensitivity frequency (least |resid|) with
-    fallback_used set.  where names the solve in NoStationaryPointError.
+    sign change (the one connected to the large-omega branch) by _illinois,
+    starting from the scanned values at its ends, and accepts the secant root
+    if |resid| <= tol * max(1, |value|/omega).  Otherwise, or with no sign
+    change anywhere, returns the minimal-sensitivity frequency (least |resid|)
+    with fallback_used set.  where names the solve in NoStationaryPointError.
     """
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
@@ -266,16 +235,14 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     n_roots = ends.size
     if n_roots:
         j = int(ends[-1])
-        i = j if vals[j] == 0.0 else j - 1
-        if i == j:
-            omega = grid[i]
-            lo = hi = omega
+        if vals[j] == 0.0:
+            omega = lo = hi = grid[j]
         else:
-            omega, (lo, hi) = _root_in_cell(resid, grid, i, j)
+            omega, lo, hi = _illinois(resid, grid[j - 1], grid[j], float(vals[j - 1]),
+                                      float(vals[j]))
         res = abs(resid(omega))
         if res <= tol * max(1.0, abs(value(omega)) / omega):
-            # the polish stays in the scan cell, not in the shrunk bracket
-            return GapSolution(omega, res, n_roots, (min(lo, omega), max(hi, omega)), False)
+            return GapSolution(omega, res, n_roots, (lo, hi), False)
         # the bracket met its width target but the residual did not drop below
         # tolerance: report the least-sensitive point instead of a fake root
     else:
@@ -306,12 +273,13 @@ def _scan_brackets(resid_scan, n, point):
 
     resid_scan(rows, cols) gives the scan residuals of those rows and
     point(row) names a row in the error raised when none is finite.  Returns
-    the bracket count, the column where the last bracket ends, whether that
-    column is an exact zero, and the column of least |residual|: the data
-    _solve_scanned reads off one row.
+    the bracket count, the column where the last bracket ends, the column of
+    least |residual| and the scanned residual one column before and at the
+    end of the last bracket (an exact zero there is its own bracket): the
+    data _solve_scanned reads off one row.
     """
-    n_roots, last, exact, least = (np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                                   np.zeros(n, dtype=bool), np.zeros(n, dtype=int))
+    n_roots, last, least = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    flo, fhi = np.zeros(n), np.zeros(n)
     cols = np.arange(SCAN_POINTS)
     step = max(1, SCAN_CHUNK_ELEMENTS // SCAN_POINTS)
     for start in range(0, n, step):
@@ -321,13 +289,14 @@ def _scan_brackets(resid_scan, n, point):
         ends = _bracket_ends(vals)
         n_roots[rows] = np.count_nonzero(ends, axis=1)
         last[rows] = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
-        exact[rows] = vals[rows - start, last[rows]] == 0.0
+        fhi[rows] = vals[rows - start, last[rows]]
+        flo[rows] = vals[rows - start, np.maximum(last[rows] - 1, 0)]
         least[rows] = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=1)
         dead = rows[~finite.any(axis=1)]
         if dead.size:
             raise NoStationaryPointError(
                 f"residual not finite anywhere in the scan window for {point(dead[0])}")
-    return n_roots, last, exact, least
+    return n_roots, last, least, flo, fhi
 
 
 def _illinois_rows(f, lo, hi, flo, fhi):
@@ -336,9 +305,12 @@ def _illinois_rows(f, lo, hi, flo, fhi):
     Illinois regula falsi: the secant point of the bracket, with the function
     value kept at an end that survives twice in a row halved so that both
     ends close in; the midpoint wherever the secant point is not strictly
-    inside.  f(rows, omega) evaluates the residual.  Returns the brackets.
+    inside.  f(rows, omega) evaluates the residual.  Returns the roots, the
+    secant points of the final brackets through the unhalved values of f at
+    their ends, and the brackets.
     """
     lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    glo, ghi = flo.copy(), fhi.copy()
     kept = np.zeros(lo.size, dtype=np.int8)     # -1: lo survived last step, +1: hi
     act = np.arange(lo.size)
     while True:
@@ -346,7 +318,8 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         mid = 0.5 * (a + b)
         act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
         if not act.size:
-            return lo, hi
+            # a row that met an exact zero has lo = hi there, which it returns
+            return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
         a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (a * fb - b * fa) / (fb - fa)
@@ -356,30 +329,11 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         left = ~root & ((fa < 0.0) != (ft < 0.0))     # sign change in [lo, t]
         right = ~root & ~left
         lo[act[root]] = hi[act[root]] = t[root]
-        hi[act[left]], fhi[act[left]] = t[left], ft[left]
+        hi[act[left]], fhi[act[left]], ghi[act[left]] = t[left], ft[left], ft[left]
         flo[act[left & (kept[act] == -1)]] *= 0.5
-        lo[act[right]], flo[act[right]] = t[right], ft[right]
+        lo[act[right]], flo[act[right]], glo[act[right]] = t[right], ft[right], ft[right]
         fhi[act[right & (kept[act] == 1)]] *= 0.5
         kept[act] = np.where(left, -1, 1)
-
-
-def _newton_polish_rows(f, x, lo, hi):
-    """_newton_polish on every row at once, each row inside its own [lo, hi]."""
-    x = x.copy()
-    act = np.arange(x.size)
-    for _ in range(NEWTON_POLISH_STEPS):
-        if not act.size:
-            break
-        xa = x[act]
-        h = 1e-6 * xa
-        up, down, here = np.split(f(np.tile(act, 3), np.concatenate([xa + h, xa - h, xa])), 3)
-        slope = (up - down) / (2.0 * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = xa - here / slope
-        ok = (slope != 0.0) & (lo[act] <= cand) & (cand <= hi[act]) & np.isfinite(cand)
-        act = act[ok]
-        x[act] = cand[ok]
-    return x
 
 
 def _golden_rows(f, lo, hi):
@@ -409,11 +363,10 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     """optimize_omega_imag at every diagonal point (x, x, beta) of x, at once.
 
     The same rules run over arrays: each point's own scan window, the last
-    bracket of the scan, its re-anchoring on the pointwise residual, the
-    bracket shrunk to BRACKET_REL_WIDTH by Illinois regula falsi and the
-    Newton polish, the acceptance test
-    tol * max(1, |W1|/omega), and the golden-section fallback on the
-    least-|residual| cell.  omega_star agrees with the scalar solver to
+    bracket of the scan shrunk to BRACKET_REL_WIDTH by Illinois regula falsi
+    from its scanned end values, the secant root of the final bracket, the
+    acceptance test tol * max(1, |W1|/omega), and the golden-section fallback
+    on the least-|residual| cell.  omega_star agrees with the scalar solver to
     rounding.  Raises NoStationaryPointError naming the first point whose
     residual is nowhere finite.
     """
@@ -431,7 +384,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     def resid_scan(rows, cols):
         return resid(rows[:, None], grid(rows[:, None], cols))
 
-    n_roots, last, exact, least = _scan_brackets(
+    n_roots, last, least, flo, fhi = _scan_brackets(
         resid_scan, n, lambda row: EuclideanPoint(float(x[row]), float(x[row]), beta))
 
     omega = np.empty(n)
@@ -444,33 +397,14 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 
     rows = np.flatnonzero(~fallback)
     j = last[rows]
-    i = np.where(exact[rows], j, j - 1)
-    lo = grid(rows, i)
+    lo = grid(rows, j)          # an exact zero is its own bracket
     hi = lo.copy()
-    cell = np.flatnonzero(i != j)
+    omega[rows] = lo
+    cell = np.flatnonzero(fhi[rows] != 0.0)
     if cell.size:
-        # the scan is vectorized; re-anchor each bracket on the pointwise
-        # residual, widening by one cell while an endpoint sits within
-        # rounding of the root
         r = rows[cell]
-        i0, j0 = i[cell], j[cell]
-        flo, fhi = np.split(resid(np.tile(r, 2), np.concatenate([grid(r, i0), grid(r, j0)])), 2)
-        widen = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
-        while widen.size:
-            i0[widen] = np.maximum(i0[widen] - 1, 0)
-            j0[widen] = np.minimum(j0[widen] + 1, SCAN_POINTS - 1)
-            widen = widen[(i0[widen] > 0) | (j0[widen] < SCAN_POINTS - 1)]
-            rw = r[widen]
-            flo[widen], fhi[widen] = np.split(
-                resid(np.tile(rw, 2), np.concatenate([grid(rw, i0[widen]),
-                                                      grid(rw, j0[widen])])), 2)
-            widen = widen[(flo[widen] < 0.0) == (fhi[widen] < 0.0)]
-        a0, b0 = grid(r, i0), grid(r, j0)
-        blo, bhi = _illinois_rows(lambda k, w: resid(r[k], w), a0, b0, flo, fhi)
-        lo[cell], hi[cell] = blo, bhi
-        omega[r] = _newton_polish_rows(lambda k, w: resid(r[k], w), 0.5 * (blo + bhi), a0, b0)
-    point = np.flatnonzero(i == j)
-    omega[rows[point]] = lo[point]
+        omega[r], lo[cell], hi[cell] = _illinois_rows(
+            lambda k, w: resid(r[k], w), grid(r, j[cell] - 1), hi[cell], flo[r], fhi[r])
 
     res = np.abs(resid(rows, omega[rows]))
     w1 = np.empty(n)

@@ -151,7 +151,9 @@ def _adaptive_gauss(f, x_max, tol):
     accepted error plus the open panels' differences is within
     tol * |integral| (a narrow integrand can keep its panels' shares out of
     reach while the whole meets tol), and QuadratureError is raised
-    otherwise.  Returns (integral, error estimate, nodes evaluated).
+    otherwise.  f is a trace weight, so an integral that is not positive
+    means every node missed its peak, and raises QuadratureError too.
+    Returns (integral, error estimate, nodes evaluated).
     """
     h = np.full(QUAD_START_PANELS, x_max / QUAD_START_PANELS)
     a = h * np.arange(QUAD_START_PANELS)
@@ -170,19 +172,24 @@ def _adaptive_gauss(f, x_max, tol):
         error += float(np.sum(diff[ok]))
         accepted += int(np.count_nonzero(ok))
         if ok.all():
-            return value, error, nodes
+            break
         a, h, whole = a[~ok], 0.5 * h[~ok], np.concatenate([left[~ok], right[~ok]])
         a, h = np.concatenate([a, a + h]), np.concatenate([h, h])
         if accepted + a.size > QUAD_PANEL_LIMIT:
-            estimate = error + float(np.sum(diff[~ok]))
-            if estimate <= tol * abs(total):
-                return total, estimate, nodes
+            value, error = total, error + float(np.sum(diff[~ok]))
+            if error <= tol * abs(total):
+                break
             raise QuadratureError(
                 f"trace quadrature: more than {QUAD_PANEL_LIMIT} panels "
-                f"(error estimate {estimate:g})")
+                f"(error estimate {error:g})")
         left, right = np.split(_gauss_sums(f, np.concatenate([a, a + 0.5 * h]),
                                            np.concatenate([0.5 * h, 0.5 * h])), 2)
         nodes += 2 * a.size * GAUSS_POINTS
+    if not value > 0.0:
+        raise QuadratureError(
+            f"trace integral {value!r} over [0, {x_max:g}]: every node missed the "
+            "peak that the half-width probe found")
+    return value, error, nodes
 
 
 def _diag_solve(params, beta, x, tol_root):

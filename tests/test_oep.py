@@ -212,8 +212,8 @@ class TestOptimizeImag:
                 assert g.bracket[0] <= g.omega_star <= g.bracket[1]
 
     def test_accepted_root_lies_in_its_bracket(self):
-        # the Newton polish may leave the bisected bracket inside its scan
-        # cell; the reported bracket must still hold omega*
+        # omega* is the secant point of the final Illinois bracket; the
+        # reported bracket must hold it
         edge = (OscillatorParams(-0.5761276819689276, 0.11956438027492235),
                 0.38005541743812987, 1.2588475123979697, 0.5525972391582087)
         gaps = [optimize_omega_imag(edge[0], EuclideanPoint(*edge[1:])),
@@ -227,7 +227,8 @@ class TestOptimizeImag:
 
     def test_scalar_residual_budget(self, monkeypatch):
         # the scan is one array call; count the scalar residuals of each
-        # accepted solve (48 each when the bracket was bisected)
+        # accepted solve (48 each when the bracket was bisected, 18 with the
+        # re-anchoring and Newton polish around the Illinois steps)
         calls = []
         body = oep._gap_residual
 
@@ -246,7 +247,38 @@ class TestOptimizeImag:
             if not g.fallback_used:
                 per_solve.append(len(calls))
         assert len(per_solve) >= 120
-        assert np.mean(per_solve) <= 24
+        assert np.mean(per_solve) <= 10
+
+    def test_accepted_residual_margin(self):
+        # omega* is the secant point of the final bracket, so an accepted
+        # residual sits far under the acceptance threshold
+        # tol * max(1, |W1|/omega); the bracket's midpoint reaches 10% of it
+        families = [FAMILIES["weak"], FAMILIES["strong"], FAMILIES["double"],
+                    ((-1.5, -0.5), (1e-4, 1e-2))]     # and a deep double well
+        rng = np.random.default_rng(37)
+
+        def draw(k):
+            (m2_lo, m2_hi), (lam_lo, lam_hi) = families[k % 4]
+            params = OscillatorParams(float(rng.uniform(m2_lo, m2_hi)),
+                                      float(math.exp(rng.uniform(math.log(lam_lo), math.log(lam_hi)))))
+            return params, float(math.exp(rng.uniform(math.log(0.05), math.log(30.0))))
+
+        scalar = []
+        for k in range(1600):
+            params, beta = draw(k)
+            p = EuclideanPoint(*(float(v) for v in rng.uniform(-3.0, 3.0, 2)), beta)
+            g = optimize_omega_imag.__wrapped__(params, p)
+            if not g.fallback_used:
+                scale = max(1.0, abs(w1_imag(params, p, g.omega_star)) / g.omega_star)
+                scalar.append(g.residual / (1e-10 * scale))
+        batched = []
+        for k in range(48):
+            params, beta = draw(k)
+            b = optimize_omega_imag_diagonal(params, beta, np.linspace(-3.0, 3.0, 41))
+            scale = np.maximum(1.0, np.abs(b.w1) / b.omega_star)
+            batched.extend((b.residual / (1e-10 * scale))[~b.fallback_used])
+        assert len(scalar) >= 1000 and len(batched) >= 1000
+        assert max(scalar) <= 0.01 and max(batched) <= 0.01
 
     def test_endpoint_swap_is_exact(self):
         # density_matrix_oep solves one order of each pair for both; the
@@ -353,7 +385,7 @@ REAL_PINS = [
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552528281, 0, True),
-    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
+    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219817, 1, False),
 ]
 # W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
 # compared exactly
@@ -365,7 +397,7 @@ REAL_PIN_W1 = {
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363213848974, -0.04302889341581394),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
         complex(-1.1906424908901787, 1.8328590702506182),
-    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
+    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500852),
 }
 
 
@@ -412,7 +444,7 @@ class TestGoldenFallback:
 
 
 class TestIllinois:
-    """The scalar bracket rule of _root_in_cell is the batched one on one row."""
+    """The scalar bracket rule of _solve_scanned is the batched one on one row."""
 
     # simple roots: a cubic about 1.03, an exponential and a steep tanh
     CASES = [(lambda w: (w - 1.03) * (1.0 + (w - 1.03) ** 2), 1.03),
@@ -428,8 +460,9 @@ class TestIllinois:
             calls.append(w)
             return f(w)
 
-        lo, hi = oep._illinois(counted, 0.9, 1.1, f(0.9), f(1.1))
+        omega, lo, hi = oep._illinois(counted, 0.9, 1.1, f(0.9), f(1.1))
         assert lo <= root * (1.0 + 1e-15) and root * (1.0 - 1e-15) <= hi
+        assert lo <= omega <= hi
         assert hi - lo <= oep.BRACKET_REL_WIDTH * hi
         # bisection from a width of 0.2 needs 38 calls
         assert len(calls) <= 12
@@ -441,9 +474,9 @@ class TestIllinois:
             row_calls.extend(float(v) for v in w)
             return np.array([f(float(v)) for v in w])
 
-        blo, bhi = oep._illinois_rows(rows, np.array([0.9]), np.array([1.1]),
-                                      np.array([f(0.9)]), np.array([f(1.1)]))
-        assert (float(blo[0]), float(bhi[0])) == (lo, hi)
+        bomega, blo, bhi = oep._illinois_rows(rows, np.array([0.9]), np.array([1.1]),
+                                              np.array([f(0.9)]), np.array([f(1.1)]))
+        assert (float(bomega[0]), float(blo[0]), float(bhi[0])) == (omega, lo, hi)
         assert row_calls == calls
 
 
@@ -530,13 +563,13 @@ SCREEN_PINS = [
     (0.6711971171894358, 0.04256620198613049, -0.2604493718066365, -1.5512937987493625,
      complex(0.0, -1.9200343214643025), 0.9880061104372537, 1, False),
     (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
-     complex(0.0, -1.8731876545171535), 1.4604463781818642, 1, False),
+     complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
     (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
      complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
     (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
      complex(0.0, -1.5357010559951587), 2.3394773317962363, 1, False),
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
-     complex(0.0, -2.079500742736352), 0.7098852367560945, 1, False),
+     complex(0.0, -2.079500742736352), 0.7098852367560942, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
      complex(0.0, -1.8481591051359827), 0.013973796934857792, 0, True),
     (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,
@@ -643,12 +676,12 @@ class TestRealScreen:
 
     def test_edge_root_is_polished_not_a_grid_point(self):
         # on the edge the real part vanishes identically; a grid point within
-        # tolerance used to count as a root and beat the polished one
+        # tolerance used to count as a root and beat the refined one
         params = OscillatorParams(-0.5761276819689276, 0.11956438027492235)
         g = optimize_omega_real(params, RealTimePoint(0.38005541743812987, 1.2588475123979697,
                                                       -0.5525972391582087j))
         assert (g.n_roots, g.fallback_used) == (1, False)
-        assert g.omega_star == pytest.approx(0.04357734240559403, rel=1e-12)
+        assert g.omega_star == pytest.approx(0.04357734241355915, rel=1e-12)
         assert g.residual < 1e-14
         assert g.omega_star not in scan_window(params, 0.38005541743812987,
                                                1.2588475123979697, 0.5525972391582087)

@@ -455,6 +455,17 @@ def test_missed_peak_raises_named_quadrature_error(route, m2, lam, beta):
             route(OscillatorParams(m2, lam), beta)
 
 
+def test_peak_between_every_node_raises_quadrature_error():
+    # wells at x = sqrt(-m2/(4 lam)) ~ 16300, so narrow that the weight
+    # underflows at every quadrature node; the log of the zero integral was a
+    # bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="every node missed the peak"):
+            free_energy_fk(OscillatorParams(-33.7423226765038, 3.1768419755115905e-08),
+                           218.84703517516962)
+
+
 # one run of every CLI subcommand and method, then the edge real-time solve,
 # which the CLI cannot ask for (its --time is real)
 _NO_SCIPY_RUNS = """
