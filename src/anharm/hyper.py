@@ -24,6 +24,13 @@ names encode which integral and which endpoint monomial they multiply:
                                           + 6 (xa xb)^2 l4_sq] / w
     int L^2 K dt    = [(xa^2+xb^2) l2k_sum + 2 xa xb l2k_cross] / w^2
     int K^2 dt      =  k2(z) / w^3
+
+ShapeFactorTable holds the shape factors and their derivatives on a lattice
+z_k = exp(k*step).  The imaginary-time gap solves of oep read the interior
+of every scan off one such table per process, at omega = z_k/beta, and
+evaluate only the two ends of each scan window and the off-lattice points
+of their root and minimum searches here directly.  The table grows on
+demand in fixed blocks, so its bits do not depend on the calls that grew it.
 """
 
 import cmath
@@ -220,7 +227,19 @@ _PRODUCT_COLUMNS = 448
 
 
 def shape_factors_d_grid(z):
-    """Vectorized shape_factors_d over an array of real or complex z.
+    """Vectorized shape_factors_d over an array of real or complex z."""
+    return split_rows(_factor_rows(z))
+
+
+def split_rows(rows):
+    """(shape factors, z-derivatives) of an array whose first axis holds the
+    nine values, then the nine derivatives (as ShapeFactorTable.span gives)."""
+    return ShapeFactors(*rows[:len(_NAMES)]), ShapeFactors(*rows[len(_NAMES):])
+
+
+def _factor_rows(z):
+    """shape_factors_d_grid as one array: the nine values, then the nine
+    z-derivatives, along its first axis.
 
     The series runs only on the entries inside the switch (z < Z_SWITCH for
     real z, |z| < Z_SWITCH for complex z, as in shape_factors_d), as a
@@ -251,8 +270,55 @@ def shape_factors_d_grid(z):
         val, der = _closed_d(flat[idx], np)
         out[:len(_NAMES), idx] = val
         out[len(_NAMES):, idx] = der
-    out = out.reshape((2 * len(_NAMES),) + z.shape)
-    return ShapeFactors(*out[:len(_NAMES)]), ShapeFactors(*out[len(_NAMES):])
+    return out.reshape((2 * len(_NAMES),) + z.shape)
+
+
+# lattice points per block of a ShapeFactorTable
+_TABLE_BLOCK = 64
+
+
+class ShapeFactorTable:
+    """The shape factors and their z-derivatives on the lattice
+    z_k = exp(k*step), k an integer, for one step.
+
+    The table grows on demand to cover the k asked for, in blocks of
+    _TABLE_BLOCK lattice points that start at multiples of _TABLE_BLOCK,
+    each evaluated by one _factor_rows call on exactly its own points.  An entry's bits therefore depend on its k alone, never on which
+    calls grew the table, or in which order.
+    """
+
+    def __init__(self, step: float):
+        self.step = step
+        # (first k, z_k, _factor_rows at z_k), replaced whole when the table grows
+        self._state = (0, np.empty(0), np.empty((2 * len(_NAMES), 0)))
+
+    def span(self, k_lo: int, k_hi: int):
+        """z_k for k_lo <= k < k_hi and the shape factors there, as rows (the
+        nine values, then the nine z-derivatives; see split_rows)."""
+        first, z, rows = self._state
+        if k_lo < first or k_hi > first + z.size:
+            first, z, rows = self._grow(k_lo, k_hi)
+        cols = slice(k_lo - first, k_hi - first)
+        return z[cols], rows[:, cols]
+
+    def _grow(self, k_lo, k_hi):
+        first, z, rows = self._state
+        if z.size:
+            k_lo, k_hi = min(k_lo, first), max(k_hi, first + z.size)
+        b = _TABLE_BLOCK
+        zs, parts = [], []
+        for start in range(b * (k_lo // b), k_hi, b):
+            if z.size and first <= start < first + z.size:
+                if start == first:      # the blocks already held, in one piece
+                    zs.append(z)
+                    parts.append(rows)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                zb = np.exp(np.arange(start, start + b) * self.step)
+                parts.append(_factor_rows(zb))
+            zs.append(zb)
+        self._state = (b * (k_lo // b), np.concatenate(zs), np.concatenate(parts, axis=1))
+        return self._state
 
 
 def coth(z):

@@ -199,12 +199,19 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
     return -1j * _w0(p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
-def _assemble(s, x_a, x_b, omega):
+def _monomials(x_a, x_b):
+    """The endpoint monomials the kernel integrals are linear in (see hyper):
+    1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2) and
+    6 (x_a x_b)^2.  _assemble_domega takes them, not the endpoints, so that
+    a basis in place of their values gives each derivative's coefficient of
+    each monomial."""
     sq = x_a * x_a + x_b * x_b
     cross = x_a * x_b
-    q_sum = x_a ** 4 + x_b ** 4
-    q_cross = 4.0 * cross * sq
-    q_sq = 6.0 * cross * cross
+    return 1.0, sq, cross, x_a ** 4 + x_b ** 4, 4.0 * cross * sq, 6.0 * cross * cross
+
+
+def _assemble(s, x_a, x_b, omega):
+    _, sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
     il2 = (0.5 * sq * s.l2_sum + cross * s.l2_cross) / omega
     ik = 0.5 * s.k1 / (omega * omega)
     il4 = (q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq) / omega
@@ -213,13 +220,9 @@ def _assemble(s, x_a, x_b, omega):
     return KernelIntegrals(il2, ik, il4, il2k, ikk)
 
 
-def _assemble_domega(s, sd, x_a, x_b, omega, z):
+def _assemble_domega(s, sd, m, omega, z):
     # d/dw [G(z)/w^k] = (z G'(z) - k G(z)) / w^(k+1) at fixed beta (z = w*beta)
-    sq = x_a * x_a + x_b * x_b
-    cross = x_a * x_b
-    q_sum = x_a ** 4 + x_b ** 4
-    q_cross = 4.0 * cross * sq
-    q_sq = 6.0 * cross * cross
+    one, sq, cross, q_sum, q_cross, q_sq = m
     g_l2 = 0.5 * sq * s.l2_sum + cross * s.l2_cross
     gd_l2 = 0.5 * sq * sd.l2_sum + cross * sd.l2_cross
     g_l4 = q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq
@@ -229,10 +232,10 @@ def _assemble_domega(s, sd, x_a, x_b, omega, z):
     w2 = omega * omega
     return KernelIntegrals(
         (z * gd_l2 - g_l2) / w2,
-        0.5 * (z * sd.k1 - 2.0 * s.k1) / (omega * w2),
+        0.5 * one * (z * sd.k1 - 2.0 * s.k1) / (omega * w2),
         (z * gd_l4 - g_l4) / w2,
         (z * gd_l2k - 2.0 * g_l2k) / (omega * w2),
-        (z * sd.k2 - 3.0 * s.k2) / (w2 * w2),
+        one * (z * sd.k2 - 3.0 * s.k2) / (w2 * w2),
     )
 
 
@@ -248,7 +251,7 @@ def kernel_integrals_imag_domega(p: EuclideanPoint, omega: float) -> KernelInteg
     _check_path_args(omega, p.beta)
     z = omega * p.beta
     s, sd = hyper.shape_factors_d(z)
-    return _assemble_domega(s, sd, p.x_a, p.x_b, omega, z)
+    return _assemble_domega(s, sd, _monomials(p.x_a, p.x_b), omega, z)
 
 
 def kernel_integrals_imag_quad(p: EuclideanPoint, omega: float,
@@ -310,4 +313,4 @@ def kernel_integrals_real_domega(p: RealTimePoint, omega: float) -> KernelIntegr
     """omega-derivatives of the real-time kernel integrals (T fixed)."""
     zc = omega * _real_time_beta(p, omega)
     s, sd = hyper.shape_factors_d(zc)
-    return _map_continued(_assemble_domega(s, sd, p.x_a, p.x_b, omega, zc))
+    return _map_continued(_assemble_domega(s, sd, _monomials(p.x_a, p.x_b), omega, zc))

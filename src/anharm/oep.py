@@ -25,14 +25,31 @@ beta = 1 (|x| <= 1.28), and at none for beta = 5.  When the bracketing scan
 finds no sign change, the minimal-sensitivity fallback returns the omega of
 least |dW1/domega| in the window and flags it.
 
-optimize_omega_imag solves one point: a vectorized scan, then the scalar
-sequence of _solve_scanned (last bracket, Illinois regula falsi, acceptance
-test, golden-section fallback), which free_energy_oef shares.
+Every imaginary-time scan covers its point's own window of SCAN_POINTS
+log-spaced frequencies from exp(lo), lo = _log_window_start.  Its two ends,
+exp(lo) and exp(lo + (SCAN_POINTS - 1) * SCAN_LOG_STEP), are evaluated
+directly; the points between them are lattice points, omega = z_k/beta with
+z_k = exp(k * SCAN_LOG_STEP) for k0 < k < k0 + SCAN_POINTS - 1 and
+k0 = floor((lo + log beta)/SCAN_LOG_STEP).  The shape factors depend on
+z = omega*beta alone, so every scan of the process reads them off one table
+(_TABLE, a hyper.ShapeFactorTable) and only assembles them; on the diagonal
+the residual at a lattice point is A + (B + C x^2) x^2, with A, B and C
+assembled once per lattice point and call.  Keeping each window's own ends
+keeps the fallback cells, and with them the kinks of a trace that falls
+back, where they were; a window snapped onto the lattice moved them with x.
+Illinois, golden-section, acceptance and W1 evaluations run off the lattice
+through _gap_residual and _w1.  OEF and the real-time solve off the edge
+scan scan_window directly.
+
+optimize_omega_imag solves one point: its scan, then the scalar sequence of
+_solve_scanned (last bracket, Illinois regula falsi, acceptance test,
+golden-section fallback), which free_energy_oef shares.
 optimize_omega_imag_diagonal runs the same rules over arrays for many
 diagonal points of one beta, which is how the thermal trace solves its
 nodes.  Both read their brackets and the residual at the bracket ends off the
 scan with _bracket_ends and refine them by one rule (_illinois, over arrays
-_illinois_rows), whose root is the secant point of the final bracket.
+_illinois_rows), whose root is the secant point of the final bracket.  A
+solution whose residual is not finite raises NoStationaryPointError.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -52,7 +69,7 @@ from . import hyper
 from .kernels import (CAUSTIC_TOL, CausticError, EuclideanPoint,
                       OscillatorParams, RealTimePoint, _assemble,
                       _assemble_domega, _check_path_args, _check_tolerance,
-                      _real_time_beta, _w0)
+                      _monomials, _real_time_beta, _w0)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
@@ -65,7 +82,8 @@ SCAN_CHUNK_ELEMENTS = 1 << 11
 
 
 class NoStationaryPointError(RuntimeError):
-    """The residual could not be evaluated anywhere in the scan window."""
+    """The residual could not be evaluated anywhere in the scan window, or
+    not at the frequency the solve ends on."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +141,7 @@ def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):
     analytic omega-derivatives of the closed forms; unchecked."""
     z = omega * beta
     s, sd = hyper.shape_factors_d(z)
-    return _w1_terms(params, omega, _assemble_domega(s, sd, x_a, x_b, omega, z))
+    return _w1_terms(params, omega, _assemble_domega(s, sd, _monomials(x_a, x_b), omega, z))
 
 
 def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
@@ -250,7 +268,51 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
         i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)), lo, hi)
-    return GapSolution(omega, abs(resid(omega)), n_roots, bracket, True)
+    res = abs(resid(omega))
+    if not math.isfinite(res):
+        raise NoStationaryPointError(f"residual not finite at the solution for {where}")
+    return GapSolution(omega, res, n_roots, bracket, True)
+
+
+# the shape factors at the scan lattice z_k = exp(k*SCAN_LOG_STEP): every
+# imaginary-time scan of the process reads its interior off this one table
+_TABLE = hyper.ShapeFactorTable(SCAN_LOG_STEP)
+# the endpoint monomials (kernels._monomials) of a diagonal point (x, x) in
+# the basis 1, x^2, x^4
+_DIAGONAL = tuple(np.array(c, dtype=float)[:, None] for c in
+                  ((1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 2), (0, 0, 8), (0, 0, 6)))
+
+
+def _lattice_start(log_lo, beta):
+    """k0 = floor((lo + log beta)/SCAN_LOG_STEP) of imaginary-time windows
+    that start at omega = exp(lo): the interior of the scan is z_k/beta for
+    k0 < k < k0 + SCAN_POINTS - 1 (log_lo a float or an array)."""
+    return np.floor((log_lo + math.log(beta)) / SCAN_LOG_STEP).astype(np.int64)
+
+
+def _scan_imag(params: OscillatorParams, x_a: float, x_b: float, beta: float):
+    """The imaginary-time scan of one point: its omegas and the residual there.
+
+    The window's own ends, exp(lo) and exp(lo + (SCAN_POINTS - 1) *
+    SCAN_LOG_STEP) as in scan_window, take their shape factors directly; the
+    points between them are the lattice points z_k/beta of _lattice_start,
+    whose shape factors are read off the table.  One assembly of all the
+    columns gives the residual.
+    """
+    lo = _log_window_start(params, x_a * x_a + x_b * x_b, beta)
+    k0 = int(_lattice_start(lo, beta))
+    z = np.empty(SCAN_POINTS)
+    rows = np.empty((2 * len(hyper.ShapeFactors._fields), SCAN_POINTS))
+    z[1:-1], rows[:, 1:-1] = _TABLE.span(k0 + 1, k0 + SCAN_POINTS - 1)
+    omega = z / beta
+    for col, w in ((0, math.exp(lo)), (-1, math.exp(lo + (SCAN_POINTS - 1) * SCAN_LOG_STEP))):
+        omega[col] = w
+        z[col] = w * beta
+        s_end, sd_end = hyper.shape_factors_d(w * beta)
+        rows[:, col] = s_end + sd_end
+    s, sd = hyper.split_rows(rows)
+    return omega.tolist(), _w1_terms(params, omega,
+                                     _assemble_domega(s, sd, _monomials(x_a, x_b), omega, z))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -258,33 +320,32 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
                         tol: float = 1e-10) -> GapSolution:
     """Solve dW1/domega = 0 for this endpoint pair and temperature.
 
-    Scans a log grid at once and hands it to _solve_scanned: the largest
-    root, or the minimal-sensitivity frequency with fallback_used set.
+    Scans the window (_scan_imag: its own two ends, the lattice between
+    them) and hands the scan to _solve_scanned: the largest root, or the
+    minimal-sensitivity frequency with fallback_used set.
     """
     _check_tolerance(tol=tol)
-    grid = scan_window(params, p.x_a, p.x_b, p.beta)
+    grid, vals = _scan_imag(params, p.x_a, p.x_b, p.beta)
     return _solve_scanned(lambda w: _gap_residual(params, p.x_a, p.x_b, p.beta, w),
-                          lambda w: _w1(params, p.x_a, p.x_b, p.beta, w), grid,
-                          _gap_residual(params, p.x_a, p.x_b, p.beta, np.asarray(grid)), tol, p)
+                          lambda w: _w1(params, p.x_a, p.x_b, p.beta, w), grid, vals, tol, p)
 
 
 def _scan_brackets(resid_scan, n, point):
     """Per-row bracket data of the residual scan, in chunks of SCAN_CHUNK_ELEMENTS.
 
-    resid_scan(rows, cols) gives the scan residuals of those rows and
-    point(row) names a row in the error raised when none is finite.  Returns
-    the bracket count, the column where the last bracket ends, the column of
-    least |residual| and the scanned residual one column before and at the
-    end of the last bracket (an exact zero there is its own bracket): the
-    data _solve_scanned reads off one row.
+    resid_scan(rows) gives the scans of those rows and point(row) names a
+    row in the error raised when none is finite.  Returns the bracket count,
+    the column where the last bracket ends, the column of least |residual|
+    and the scanned residual one column before and at the end of the last
+    bracket (an exact zero there is its own bracket): the data
+    _solve_scanned reads off one row.
     """
     n_roots, last, least = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     flo, fhi = np.zeros(n), np.zeros(n)
-    cols = np.arange(SCAN_POINTS)
     step = max(1, SCAN_CHUNK_ELEMENTS // SCAN_POINTS)
     for start in range(0, n, step):
         rows = np.arange(start, min(n, start + step))
-        vals = resid_scan(rows, cols)
+        vals = resid_scan(rows)
         finite = np.isfinite(vals)
         ends = _bracket_ends(vals)
         n_roots[rows] = np.count_nonzero(ends, axis=1)
@@ -362,30 +423,52 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
                                  tol: float = 1e-10) -> DiagonalGapBatch:
     """optimize_omega_imag at every diagonal point (x, x, beta) of x, at once.
 
-    The same rules run over arrays: each point's own scan window, the last
-    bracket of the scan shrunk to BRACKET_REL_WIDTH by Illinois regula falsi
-    from its scanned end values, the secant root of the final bracket, the
-    acceptance test tol * max(1, |W1|/omega), and the golden-section fallback
-    on the least-|residual| cell.  omega_star agrees with the scalar solver to
+    The same rules run over arrays: each point's own scan window, its two
+    ends evaluated directly and its interior on the lattice of
+    _lattice_start, where the residual is A + (B + C x^2) x^2 with A, B, C
+    assembled once per lattice point from the table; the last bracket of
+    the scan shrunk to BRACKET_REL_WIDTH by Illinois regula falsi from its
+    scanned end values, the secant root of the final bracket, the acceptance
+    test tol * max(1, |W1|/omega), and the golden-section fallback on the
+    least-|residual| cell.  omega_star agrees with the scalar solver to
     rounding.  Raises NoStationaryPointError naming the first point whose
-    residual is nowhere finite.
+    residual is nowhere finite, or not finite at its solution.
     """
     _check_tolerance(tol=tol)
     x = np.asarray(x, dtype=float)
     n = x.size
     log_lo = np.array([_log_window_start(params, 2.0 * v * v, beta) for v in x.tolist()])
+    k0 = _lattice_start(log_lo, beta)
+    base = int(k0.min(initial=0))
+    z, factors = _TABLE.span(base, int(k0.max(initial=0)) + SCAN_POINTS)
+    omega_k = z / beta
+    coef = _w1_terms(params, omega_k, _assemble_domega(*hyper.split_rows(factors), _DIAGONAL,
+                                                       omega_k, z))
+    offset = k0 - base          # column of each row's window start in omega_k
+    ends = np.exp(log_lo[:, None] + np.array([0, SCAN_POINTS - 1]) * SCAN_LOG_STEP)
+    end_vals = _gap_residual(params, x[:, None], x[:, None], beta, ends)
+    windows = [np.lib.stride_tricks.sliding_window_view(c, SCAN_POINTS) for c in coef]
+    t = x * x
 
     def grid(rows, cols):
-        return np.exp(log_lo[rows] + cols * SCAN_LOG_STEP)
+        return np.where(cols == 0, ends[rows, 0],
+                        np.where(cols == SCAN_POINTS - 1, ends[rows, 1],
+                                 omega_k[offset[rows] + cols]))
 
     def resid(rows, omega):
         return _gap_residual(params, x[rows], x[rows], beta, omega)
 
-    def resid_scan(rows, cols):
-        return resid(rows[:, None], grid(rows[:, None], cols))
+    def point(row):
+        return EuclideanPoint(float(x[row]), float(x[row]), beta)
 
-    n_roots, last, least, flo, fhi = _scan_brackets(
-        resid_scan, n, lambda row: EuclideanPoint(float(x[row]), float(x[row]), beta))
+    def resid_scan(rows):
+        a, b, c = (w[offset[rows]] for w in windows)
+        tr = t[rows, None]
+        vals = a + (b + c * tr) * tr
+        vals[:, [0, -1]] = end_vals[rows]
+        return vals
+
+    n_roots, last, least, flo, fhi = _scan_brackets(resid_scan, n, point)
 
     omega = np.empty(n)
     gold_lo, gold_hi = np.empty(n), np.empty(n)
@@ -423,6 +506,9 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
                                    gold_lo[gold], gold_hi[gold])
         residual[gold] = np.abs(resid(gold, omega[gold]))
         w1[gold] = _w1(params, x[gold], x[gold], beta, omega[gold])
+    dead = np.flatnonzero(~np.isfinite(residual))
+    if dead.size:
+        raise NoStationaryPointError(f"residual not finite at the solution for {point(dead[0])}")
     return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
 
 

@@ -247,3 +247,16 @@ def test_grid_takes_the_series_inside_the_switch_circle():
         closed = hyper._closed_d(zk, cmath)[0].k1
         want = series if abs(zk) < hyper.Z_SWITCH else closed
         assert val.k1[k] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_table_entries_do_not_depend_on_how_it_grew():
+    step = 0.05
+    grown = hyper.ShapeFactorTable(step)
+    for k_lo, k_hi in ((300, 420), (-130, -60), (7, 8), (-200, 500)):
+        grown.span(k_lo, k_hi)
+    z, rows = hyper.ShapeFactorTable(step).span(-200, 500)
+    assert np.array_equal(grown.span(-200, 500)[0], z)
+    assert np.array_equal(grown.span(-200, 500)[1], rows)
+    assert np.allclose(z, np.exp(np.arange(-200, 500) * step), rtol=2e-16, atol=0.0)
+    val, der = hyper.shape_factors_d_grid(z)
+    assert np.allclose(rows, np.stack(val + der), rtol=1e-14, atol=0.0)

@@ -11,7 +11,7 @@ from anharm import (EuclideanPoint, OscillatorParams, RealTimePoint,
                     gap_residual_imag, gap_residual_real, optimize_omega_imag,
                     optimize_omega_real, optimized_w1_imag, optimized_w1_real,
                     w0_imag, w0_real, w1_imag, w1_real)
-from anharm import oep
+from anharm import hyper, oep
 from anharm.kernels import kernel_integrals_imag
 from anharm.oep import _gap_residual, optimize_omega_imag_diagonal, scan_window
 
@@ -385,7 +385,7 @@ REAL_PINS = [
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552528281, 0, True),
-    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219817, 1, False),
+    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
 ]
 # W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
 # compared exactly
@@ -397,7 +397,7 @@ REAL_PIN_W1 = {
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363213848974, -0.04302889341581394),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
         complex(-1.1906424908901787, 1.8328590702506182),
-    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500852),
+    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
 }
 
 
@@ -522,6 +522,77 @@ class TestDiagonalBatch:
                 assert np.array_equal(getattr(run, field), getattr(runs[0], field))
 
 
+def _scan_matches(vals, want):
+    """Scan values equal to rounding: the lattice z_k against omega*beta moves
+    the residual by a few ulp of its largest terms, never its sign where it
+    is not that small."""
+    return np.all(np.abs(vals - want) <= 1e-10 * np.abs(want) + 1e-13 * np.max(np.abs(want)))
+
+
+class TestLatticeScan:
+    """Every imaginary-time scan: the window's own two ends, and between them
+    the lattice points z_k/beta read off one table per process."""
+
+    def test_scan_ends_on_its_window_and_reads_the_lattice_between(self):
+        for _, params, x_a, x_b, beta in _family_points(41, 60, (0.02, 50.0)):
+            grid, vals = oep._scan_imag(params, x_a, x_b, beta)
+            window = scan_window(params, x_a, x_b, beta)
+            assert len(grid) == len(window) == oep.SCAN_POINTS
+            assert (grid[0], grid[-1]) == (window[0], window[-1])
+            assert np.all(np.diff(grid) > 0.0)
+            lo = oep._log_window_start(params, x_a * x_a + x_b * x_b, beta)
+            k0 = math.floor((lo + math.log(beta)) / oep.SCAN_LOG_STEP)
+            z = oep._TABLE.span(k0 + 1, k0 + oep.SCAN_POINTS - 1)[0]
+            assert np.array_equal(np.array(grid[1:-1]), z / beta)
+            assert np.allclose(z, np.exp((k0 + np.arange(1, oep.SCAN_POINTS - 1)) * oep.SCAN_LOG_STEP),
+                               rtol=2e-16, atol=0.0)
+            assert _scan_matches(vals, _gap_residual(params, x_a, x_b, beta, np.array(grid)))
+
+    def test_batch_scans_the_scalar_grid(self, quartic, single_well, double_well, monkeypatch):
+        scans = []
+        body = oep._scan_brackets
+
+        def recorded(resid_scan, n, point):
+            scans.append(resid_scan(np.arange(n)))
+            return body(resid_scan, n, point)
+
+        monkeypatch.setattr(oep, "_scan_brackets", recorded)
+        xs = np.linspace(-3.0, 3.0, 13)
+        for params, beta in ((double_well, 1.0), (quartic, 0.1), (single_well, 3.0)):
+            optimize_omega_imag_diagonal(params, beta, xs)
+            for x, row in zip(xs, scans[-1]):
+                assert _scan_matches(row, oep._scan_imag(params, x, x, beta)[1])
+
+    def test_table_growth_does_not_change_solutions(self, double_well, monkeypatch):
+        xs = np.linspace(-2.5, 2.5, 21)
+        p = EuclideanPoint(0.7, -1.2, 0.8)
+
+        def scalar():
+            return optimize_omega_imag.__wrapped__(double_well, p)
+
+        def batch():
+            return optimize_omega_imag_diagonal(double_well, 0.8, xs)
+
+        def elsewhere():
+            # grow the table over other windows first, far up and far down
+            optimize_omega_imag.__wrapped__(OscillatorParams(3.0, 50.0), EuclideanPoint(2.0, 1.5, 40.0))
+            optimize_omega_imag_diagonal(OscillatorParams(0.5, 0.01), 0.02, xs)
+
+        runs = []
+        for grow_first in (False, True):
+            monkeypatch.setattr(oep, "_TABLE", hyper.ShapeFactorTable(oep.SCAN_LOG_STEP))
+            if grow_first:
+                elsewhere()
+            runs.append((scalar(), batch()))
+        monkeypatch.setattr(oep, "_TABLE", hyper.ShapeFactorTable(oep.SCAN_LOG_STEP))
+        b = batch()             # the batch first this time
+        runs.append((scalar(), b))
+        for gap, b in runs[1:]:
+            assert gap == runs[0][0]
+            for field in ("omega_star", "residual", "n_roots", "fallback_used", "w1"):
+                assert np.array_equal(getattr(b, field), getattr(runs[0][1], field))
+
+
 # optimize_omega_real before its candidate brackets were screened over arrays,
 # as REAL_PINS: (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used), two
 # points each at real T, in the wedge and at T = -i beta for the weak, strong,
@@ -565,11 +636,11 @@ SCREEN_PINS = [
     (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
      complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
     (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
-     complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
+     complex(0.0, -1.1666269500051962), 3.246818060101435, 1, False),
     (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
      complex(0.0, -1.5357010559951587), 2.3394773317962363, 1, False),
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
-     complex(0.0, -2.079500742736352), 0.7098852367560942, 1, False),
+     complex(0.0, -2.079500742736352), 0.7098852367560954, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
      complex(0.0, -1.8481591051359827), 0.013973796934857792, 0, True),
     (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,
@@ -681,10 +752,12 @@ class TestRealScreen:
         g = optimize_omega_real(params, RealTimePoint(0.38005541743812987, 1.2588475123979697,
                                                       -0.5525972391582087j))
         assert (g.n_roots, g.fallback_used) == (1, False)
-        assert g.omega_star == pytest.approx(0.04357734241355915, rel=1e-12)
+        assert g.omega_star == pytest.approx(0.04357734241744077, rel=1e-12)
         assert g.residual < 1e-14
         assert g.omega_star not in scan_window(params, 0.38005541743812987,
                                                1.2588475123979697, 0.5525972391582087)
+        assert g.omega_star not in oep._scan_imag(params, 0.38005541743812987,
+                                                  1.2588475123979697, 0.5525972391582087)[0]
 
     def test_harmonic_root_is_exactly_the_bare_frequency(self):
         rng = np.random.default_rng(11)

@@ -105,6 +105,12 @@ class TestTrace:
         gap0 = optimize_omega_imag(quartic, EuclideanPoint(0.0, 0.0, 2.0))
         assert info["omega_star_origin"] == pytest.approx(gap0.omega_star, rel=1e-12)
 
+    def test_double_well_fallbacks_stay_where_they_were(self, double_well):
+        # the lattice scan keeps each window's own two ends, so the fallback
+        # kinks do not move with x and the rule does not chase them
+        info = free_energy_oep(double_well, 1.0).omega_info
+        assert (info["gap_solves"], info["fallbacks"], info["quad_nodes"]) == (585, 423, 560)
+
     def test_no_scalar_gap_solves(self):
         before = optimize_omega_imag.cache_info()
         free_energy_oep(OscillatorParams(0.9, 0.4), 1.3)
