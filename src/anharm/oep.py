@@ -187,8 +187,9 @@ def _illinois(f, lo, hi, flo, fhi):
     glo, ghi = flo, fhi     # f at lo and hi; flo and fhi may have been halved
     kept = 0                # -1: lo survived the last step, +1: hi
     while hi - lo > BRACKET_REL_WIDTH * hi and lo != 0.5 * (lo + hi) != hi:
-        t = (lo * fhi - hi * flo) / (fhi - flo) if fhi != flo else lo
-        t = t if lo < t < hi else 0.5 * (lo + hi)
+        t = (lo * fhi - hi * flo) / (fhi - flo) if fhi != flo else math.nan
+        d = 0.5 * BRACKET_REL_WIDTH * hi
+        t = min(max(t, lo + d), hi - d) if math.isfinite(t) else 0.5 * (lo + hi)
         ft = f(t)
         if ft == 0.0:
             return t, t, t
@@ -365,10 +366,14 @@ def _illinois_rows(f, lo, hi, flo, fhi):
 
     Illinois regula falsi: the secant point of the bracket, with the function
     value kept at an end that survives twice in a row halved so that both
-    ends close in; the midpoint wherever the secant point is not strictly
-    inside.  f(rows, omega) evaluates the residual.  Returns the roots, the
-    secant points of the final brackets through the unhalved values of f at
-    their ends, and the brackets.
+    ends close in.  The step is clipped into [lo + d, hi - d] with
+    d = BRACKET_REL_WIDTH * hi / 2, the end step of Dekker's and Brent's
+    zero finders: once one end sits on the root to rounding, the secant
+    point rounds onto it, and the clipped step lands within d of it on the
+    other side, which meets the width target.  The midpoint is taken only
+    where the secant point is not finite.  f(rows, omega) evaluates the residual.
+    Returns the roots, the secant points of the final brackets through the
+    unhalved values of f at their ends, and the brackets.
     """
     lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
     glo, ghi = flo.copy(), fhi.copy()
@@ -382,9 +387,10 @@ def _illinois_rows(f, lo, hi, flo, fhi):
             # a row that met an exact zero has lo = hi there, which it returns
             return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
         a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (a * fb - b * fa) / (fb - fa)
-        t = np.where((t > a) & (t < b), t, 0.5 * (a + b))
+        d = 0.5 * BRACKET_REL_WIDTH * b
+        t = np.where(np.isfinite(t), np.minimum(np.maximum(t, a + d), b - d), 0.5 * (a + b))
         ft = f(act, t)
         root = ft == 0.0
         left = ~root & ((fa < 0.0) != (ft < 0.0))     # sign change in [lo, t]

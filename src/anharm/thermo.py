@@ -16,12 +16,14 @@ the particle density without extra work, which is what density_oep and
 density_matrix_oep expose.
 
 The OEP trace probes its half-width and integrates on an adaptive
-Gauss-Legendre rule whose refinement levels are each one batched gap solve
-(oep.optimize_omega_imag_diagonal); see _log_partition_oep.  The FK route
-runs on the same probe and rule, each level one array evaluation of its
-effective potential (_fk_potential).  Both raise QuadratureError when the
-tail or the panel count does not converge or a node's integrand is not
-finite, and IntegrandError naming the point where the integrand failed.
+Gauss-Legendre rule.  Each probe also evaluates the first level of the rule
+on its own half-width, in the same batched gap solve
+(oep.optimize_omega_imag_diagonal), and each later refinement level is one
+more; see _log_partition_oep.  The FK route runs on the same probe and rule,
+each call one array evaluation of its effective potential (_fk_potential).
+Both raise QuadratureError when the tail or the panel count does not
+converge or a node's integrand is not finite, and IntegrandError naming the
+point where the integrand failed.
 """
 
 import math
@@ -92,38 +94,18 @@ def _initial_halfwidth(params: OscillatorParams, beta: float) -> float:
     return 3.0 * max(scales)
 
 
-def _grow_halfwidth(logf, x0, max_doublings=24):
-    """Double the half-width until the endpoint integrand is negligible.
-
-    logf maps an array of points to their log-integrands; each probe is one
-    call on PROBE_POINTS points spread over [0, half-width].
-    """
-    log_tail = math.log(TAIL_RATIO)
-    x = x0
-    for _ in range(max_doublings):
-        probe = logf(np.linspace(0.0, x, PROBE_POINTS))
-        peak = float(np.max(probe))
-        if probe[-1] - peak <= log_tail:
-            return x, peak
-        x *= 2.0
-    raise QuadratureError(f"integrand tail still {probe[-1] - peak:g} above "
-                          f"threshold at half-width {x:g}")
+def _halves(a, h):
+    """Starts and widths of the left, then the right halves of the panels."""
+    return np.concatenate([a, a + 0.5 * h]), np.concatenate([0.5 * h, 0.5 * h])
 
 
-def _weight(logf, peak):
-    """exp(logf(x) - peak) at an array of x; QuadratureError at the first node
-    where it is not finite, far above the peak that the probe found."""
-    def f(xs):
-        rel = logf(xs) - peak
-        with np.errstate(over="ignore"):
-            out = np.exp(rel)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise QuadratureError(
-                f"trace integrand not finite at x={float(xs[bad[0]])!r} (log-integrand "
-                f"{rel[bad[0]]:g} above the probe's peak): the half-width probe missed a peak")
-        return out
-    return f
+def _first_level(x_max):
+    """Starts and widths of _adaptive_gauss's first level on [0, x_max]: the
+    QUAD_START_PANELS starting panels, then their halves."""
+    h = np.full(QUAD_START_PANELS, x_max / QUAD_START_PANELS)
+    a = h * np.arange(QUAD_START_PANELS)
+    ha, hh = _halves(a, h)
+    return np.concatenate([a, ha]), np.concatenate([h, hh])
 
 
 @lru_cache(maxsize=1)
@@ -132,34 +114,81 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(GAUSS_POINTS)
 
 
-def _gauss_sums(f, a, h):
-    """Gauss-Legendre sums over the panels [a, a + h], all nodes in one call of f."""
-    t, w = _gauss_rule()
-    nodes = a[:, None] + (0.5 * h)[:, None] * (1.0 + t)
-    return 0.5 * h * (f(nodes.ravel()).reshape(nodes.shape) @ w)
+def _gauss_nodes(a, h):
+    """The GAUSS_POINTS nodes of each panel [a, a + h], panel by panel."""
+    t, _ = _gauss_rule()
+    return (a[:, None] + (0.5 * h)[:, None] * (1.0 + t)).ravel()
 
 
-def _adaptive_gauss(f, x_max, tol):
-    """int_0^x_max f(x) dx, one call of f per refinement level.
+def _grow_halfwidth(logf, x0, max_doublings=24):
+    """Double the half-width until the endpoint integrand is negligible.
 
-    Every open panel is compared with the sum over its two halves.  Where the
-    difference is within the panel's share of the tolerance,
-    tol * |integral| * width / x_max, the halves' sum is kept; elsewhere the
-    halves become open panels of the next level.  Only panels that miss their
+    logf maps an array of points to their log-integrands.  Each probe is one
+    call: PROBE_POINTS points spread over [0, half-width], x = 0 first, then
+    the nodes of _adaptive_gauss's first level on that half-width.  The probe
+    points alone decide the doubling and the peak.  Returns the half-width,
+    the peak and the log-integrands at the first level's nodes, from which
+    _adaptive_gauss starts; a doubling discards them.
+    """
+    log_tail = math.log(TAIL_RATIO)
+    x = x0
+    for _ in range(max_doublings):
+        logs = logf(np.concatenate([np.linspace(0.0, x, PROBE_POINTS),
+                                    _gauss_nodes(*_first_level(x))]))
+        probe = logs[:PROBE_POINTS]
+        peak = float(np.max(probe))
+        if probe[-1] - peak <= log_tail:
+            return x, peak, logs[PROBE_POINTS:]
+        x *= 2.0
+    raise QuadratureError(f"integrand tail still {probe[-1] - peak:g} above "
+                          f"threshold at half-width {x:g}")
+
+
+def _weight(xs, logs, peak):
+    """exp(logs - peak), the trace weight at the nodes xs from their
+    log-integrands; QuadratureError at the first node where it is not
+    finite, far above the peak that the probe found."""
+    rel = logs - peak
+    with np.errstate(over="ignore"):
+        out = np.exp(rel)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise QuadratureError(
+            f"trace integrand not finite at x={float(xs[bad[0]])!r} (log-integrand "
+            f"{rel[bad[0]]:g} above the probe's peak): the half-width probe missed a peak")
+    return out
+
+
+def _gauss_sums(values, h):
+    """Gauss-Legendre sums over panels of widths h from the values at their
+    nodes (_gauss_nodes)."""
+    _, w = _gauss_rule()
+    return 0.5 * h * (values.reshape(h.size, GAUSS_POINTS) @ w)
+
+
+def _adaptive_gauss(logf, x_max, peak, first, tol):
+    """int_0^x_max exp(logf(x) - peak) dx, one call of logf per refinement level.
+
+    first holds the log-integrands at the first level's nodes, which the
+    half-width probe (_grow_halfwidth) evaluated in its own call, so a trace
+    calls logf only from the second level on.  Every open panel is compared
+    with the sum over its two halves.  Where the difference is within the
+    panel's share of the tolerance, tol * |integral| * width / x_max, the
+    halves' sum is kept; elsewhere the halves become open panels of the next
+    level.  Only panels that miss their
     share split, so a kink is refined locally.  When the open and accepted
     panels would exceed QUAD_PANEL_LIMIT, every open panel is accepted if the
     accepted error plus the open panels' differences is within
     tol * |integral| (a narrow integrand can keep its panels' shares out of
     reach while the whole meets tol), and QuadratureError is raised
-    otherwise.  f is a trace weight, so an integral that is not positive
-    means every node missed its peak, and raises QuadratureError too.
+    otherwise.  The integrand is a trace weight, so an integral that is not
+    positive means every node missed its peak, and raises QuadratureError
+    too; so does a weight that is not finite (_weight).
     Returns (integral, error estimate, nodes evaluated).
     """
-    h = np.full(QUAD_START_PANELS, x_max / QUAD_START_PANELS)
-    a = h * np.arange(QUAD_START_PANELS)
-    whole, left, right = np.split(
-        _gauss_sums(f, np.concatenate([a, a, a + 0.5 * h]),
-                    np.concatenate([h, 0.5 * h, 0.5 * h])), 3)
+    a, h = _first_level(x_max)
+    whole, left, right = np.split(_gauss_sums(_weight(_gauss_nodes(a, h), first, peak), h), 3)
+    a, h = a[:QUAD_START_PANELS], h[:QUAD_START_PANELS]
     nodes = 3 * QUAD_START_PANELS * GAUSS_POINTS
     value = error = 0.0
     accepted = 0
@@ -173,8 +202,8 @@ def _adaptive_gauss(f, x_max, tol):
         accepted += int(np.count_nonzero(ok))
         if ok.all():
             break
-        a, h, whole = a[~ok], 0.5 * h[~ok], np.concatenate([left[~ok], right[~ok]])
-        a, h = np.concatenate([a, a + h]), np.concatenate([h, h])
+        a, h = _halves(a[~ok], h[~ok])
+        whole = np.concatenate([left[~ok], right[~ok]])
         if accepted + a.size > QUAD_PANEL_LIMIT:
             value, error = total, error + float(np.sum(diff[~ok]))
             if error <= tol * abs(total):
@@ -182,8 +211,9 @@ def _adaptive_gauss(f, x_max, tol):
             raise QuadratureError(
                 f"trace quadrature: more than {QUAD_PANEL_LIMIT} panels "
                 f"(error estimate {error:g})")
-        left, right = np.split(_gauss_sums(f, np.concatenate([a, a + 0.5 * h]),
-                                           np.concatenate([0.5 * h, 0.5 * h])), 2)
+        ha, hh = _halves(a, h)
+        xs = _gauss_nodes(ha, hh)
+        left, right = np.split(_gauss_sums(_weight(xs, logf(xs), peak), hh), 2)
         nodes += 2 * a.size * GAUSS_POINTS
     if not value > 0.0:
         raise QuadratureError(
@@ -210,14 +240,17 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
     Z = 2 int_0^x_max exp(W1(x, x; omega*(x))) dx.  The half-width x_max
     doubles from _initial_halfwidth until a PROBE_POINTS-point probe puts the
     endpoint weight below TAIL_RATIO of the peak; the integral then runs on
-    the adaptive Gauss-Legendre rule of _adaptive_gauss.  Each probe and each
-    quadrature level solves all its nodes in one batched gap solve
-    (optimize_omega_imag_diagonal).  Raises QuadratureError when the tail or
-    the panel count does not converge or a node's integrand is not finite
+    the adaptive Gauss-Legendre rule of _adaptive_gauss.  Each probe solves
+    its points and the nodes of the first quadrature level on its half-width
+    in one batched gap solve (optimize_omega_imag_diagonal), and each later
+    level solves its nodes in one more, so a trace that neither doubles nor
+    refines makes one call.  Raises QuadratureError when the tail or the
+    panel count does not converge or a node's integrand is not finite
     (_weight), and IntegrandError naming the x where the gap solve failed.
     The diagnostics count the gap solves, fallbacks, points with more than
-    one root and quadrature nodes, and give the worst residual and omega*(0),
-    read off the first probe's x = 0 node.
+    one root, quadrature nodes and batched gap-solve calls (solve_calls),
+    and give the worst residual and omega*(0), read off the first probe's
+    x = 0 node.
     """
     _check_tolerance(tol_quad=tol_quad, tol_root=tol_root)
     batches = []
@@ -230,13 +263,14 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
         batches.append(batch)
         return batch.w1
 
-    x_max, peak = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
-    val, err, nodes = _adaptive_gauss(_weight(logw, peak), x_max, tol_quad)
+    x_max, peak, first = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
+    val, err, nodes = _adaptive_gauss(logw, x_max, peak, first, tol_quad)
     counts = [b.counts() for b in batches]
     diag = {key: sum(c[key] for c in counts)
             for key in ("gap_solves", "fallbacks", "multi_root")}
     diag.update(worst_residual=max(c["worst_residual"] for c in counts),
-                quad_nodes=nodes, omega_star_origin=float(batches[0].omega_star[0]))
+                quad_nodes=nodes, solve_calls=len(batches),
+                omega_star_origin=float(batches[0].omega_star[0]))
     return peak + math.log(2.0 * val), err / val, x_max, diag
 
 
@@ -478,8 +512,8 @@ def free_energy_fk(params: OscillatorParams, beta: float,
         curvatures.append(s)
         return -beta * v
 
-    x_max, peak = _grow_halfwidth(neg_beta_v, _initial_halfwidth(params, beta))
-    val, err, nodes = _adaptive_gauss(_weight(neg_beta_v, peak), x_max, tol_quad)
+    x_max, peak, first = _grow_halfwidth(neg_beta_v, _initial_halfwidth(params, beta))
+    val, err, nodes = _adaptive_gauss(neg_beta_v, x_max, peak, first, tol_quad)
     ln_z = peak + math.log(2.0 * val) - 0.5 * math.log(2.0 * math.pi * beta)
     # the first probe's first node is x0 = 0
     info = {"quad_rel_error": err / val, "halfwidth": x_max,

@@ -385,7 +385,7 @@ REAL_PINS = [
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552528281, 0, True),
-    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
+    (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219812, 1, False),
 ]
 # W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
 # compared exactly
@@ -397,7 +397,7 @@ REAL_PIN_W1 = {
     (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363213848974, -0.04302889341581394),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
         complex(-1.1906424908901787, 1.8328590702506182),
-    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
+    (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500852),
 }
 
 
@@ -466,8 +466,30 @@ class TestIllinois:
         assert hi - lo <= oep.BRACKET_REL_WIDTH * hi
         # bisection from a width of 0.2 needs 38 calls
         assert len(calls) <= 12
+        self._check_rows_alike(f, calls, (omega, lo, hi))
 
-        # _illinois_rows on the same bracket makes the same calls and stops alike
+    def test_stops_once_an_end_sits_on_the_root(self):
+        # the root lies 1e-18 above the float 1.03, so the first secant point
+        # lands on it to rounding and every later one rounds onto that end;
+        # bisecting from the far end instead took 36 more calls
+        def f(w):
+            return (w - 1.03) - 1e-18
+
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return f(w)
+
+        omega, lo, hi = oep._illinois(counted, 0.9, 1.1, f(0.9), f(1.1))
+        landed = next(i for i, w in enumerate(calls) if abs(f(w)) <= 1e-17)
+        assert len(calls) <= landed + 1 + 2
+        assert lo == 1.03 == omega and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        self._check_rows_alike(f, calls, (omega, lo, hi))
+
+    @staticmethod
+    def _check_rows_alike(f, calls, result):
+        """_illinois_rows on the scalar's bracket makes the same calls and stops alike."""
         row_calls = []
 
         def rows(k, w):
@@ -476,7 +498,7 @@ class TestIllinois:
 
         bomega, blo, bhi = oep._illinois_rows(rows, np.array([0.9]), np.array([1.1]),
                                               np.array([f(0.9)]), np.array([f(1.1)]))
-        assert (float(bomega[0]), float(blo[0]), float(bhi[0])) == (omega, lo, hi)
+        assert (float(bomega[0]), float(blo[0]), float(bhi[0])) == result
         assert row_calls == calls
 
 
@@ -636,11 +658,11 @@ SCREEN_PINS = [
     (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
      complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
     (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
-     complex(0.0, -1.1666269500051962), 3.246818060101435, 1, False),
+     complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
     (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
      complex(0.0, -1.5357010559951587), 2.3394773317962363, 1, False),
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
-     complex(0.0, -2.079500742736352), 0.7098852367560954, 1, False),
+     complex(0.0, -2.079500742736352), 0.709885236756096, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
      complex(0.0, -1.8481591051359827), 0.013973796934857792, 0, True),
     (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,

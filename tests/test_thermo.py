@@ -86,6 +86,26 @@ TRACE_PINS = [
     (-1.0, 0.1, 5.0, 0.635613132112516, 7.135242690016327),
 ]
 
+# (fallbacks, quadrature nodes, batched gap-solve calls) of each TRACE_PINS
+# trace; the first two as they were before the probe solved the first level
+TRACE_COUNTS = {
+    (0.0, 1.0, 0.1): (0, 200, 2),
+    (0.0, 1.0, 2.0): (0, 120, 1),
+    (0.0, 1.0, 50.0): (0, 120, 1),
+    (1.0, 10.0, 1.0): (0, 120, 1),
+    (1.0, 0.01, 0.3): (0, 120, 1),
+    (-1.0, 0.1, 1.0): (423, 560, 10),
+    (-1.0, 0.1, 5.0): (0, 160, 3),
+}
+# the five traces of the ROADMAP's global-rule table, and two whose first
+# probe had a bracket end on the root to rounding (26 and 28 Illinois steps
+# when the rule then bisected from the far end).  The double well at beta = 1
+# is not among them: its refinement levels still take up to 21 steps, on
+# brackets narrower than the band where the residual is rounding noise
+# (ROADMAP item 10).
+ILLINOIS_TRACES = [(0.0, 1.0, 0.1), (0.0, 1.0, 2.0), (0.0, 1.0, 50.0), (1.0, 10.0, 1.0),
+                   (-1.0, 0.1, 5.0), (0.965, 0.016, 7.498), (1.0, 0.01, 0.3)]
+
 
 class TestTrace:
     @pytest.mark.parametrize("m2, lam, beta, ln_z, halfwidth", TRACE_PINS)
@@ -93,6 +113,43 @@ class TestTrace:
         r = free_energy_oep(OscillatorParams(m2, lam), beta)
         assert abs(-beta * r.f - ln_z) <= 1e-10
         assert r.omega_info["halfwidth"] == halfwidth
+
+    @pytest.mark.parametrize("m2, lam, beta, ln_z, halfwidth", TRACE_PINS)
+    def test_pinned_counts(self, m2, lam, beta, ln_z, halfwidth):
+        info = free_energy_oep(OscillatorParams(m2, lam), beta).omega_info
+        assert (info["fallbacks"], info["quad_nodes"], info["solve_calls"]) == \
+            TRACE_COUNTS[m2, lam, beta]
+
+    def test_probe_solves_the_first_level(self, quartic):
+        # no doubling and no refinement: one batched call for the whole trace
+        info = free_energy_oep(quartic, 2.0).omega_info
+        assert info["solve_calls"] == 1
+        assert info["gap_solves"] == thermo.PROBE_POINTS + info["quad_nodes"] == 145
+        # one doubling: the first probe's first level is discarded
+        params = OscillatorParams(2.0, 0.5)
+        info = free_energy_oep(params, 2.0).omega_info
+        assert info["halfwidth"] == 2.0 * thermo._initial_halfwidth(params, 2.0)
+        assert info["solve_calls"] == 2
+        assert info["gap_solves"] == 2 * (thermo.PROBE_POINTS + info["quad_nodes"])
+
+    @pytest.mark.parametrize("m2, lam, beta", ILLINOIS_TRACES)
+    def test_illinois_steps_per_call(self, monkeypatch, m2, lam, beta):
+        steps = []
+        body = oep._illinois_rows
+
+        def counted(f, *brackets):
+            steps.append(0)
+
+            def step(rows, omega):
+                steps[-1] += 1
+                return f(rows, omega)
+
+            return body(step, *brackets)
+
+        monkeypatch.setattr(oep, "_illinois_rows", counted)
+        thermo._log_partition_oep.__wrapped__(OscillatorParams(m2, lam), beta,
+                                              thermo.TOL_QUAD, thermo.TOL_ROOT)
+        assert steps and max(steps) <= 10
 
     def test_diagnostics(self, quartic, double_well):
         info = free_energy_oep(double_well, 1.0).omega_info
@@ -354,9 +411,13 @@ class TestFreeEnergyFK:
 
         monkeypatch.setattr(thermo, "_fk_potential", counted)
         info = free_energy_fk(quartic, 0.3).omega_info
-        probes = sizes.index(next(n for n in sizes if n != thermo.PROBE_POINTS))
-        assert sizes[:probes] == [thermo.PROBE_POINTS] * probes
-        assert sum(sizes[probes:]) == info["quad_nodes"] >= 120
+        # each probe call also evaluates the first level of its own half-width;
+        # the last probe's first level and every later call are the quadrature
+        first = 3 * thermo.QUAD_START_PANELS * thermo.GAUSS_POINTS
+        probes = sizes.index(next(n for n in sizes if n != thermo.PROBE_POINTS + first))
+        assert probes >= 1
+        assert sizes[:probes] == [thermo.PROBE_POINTS + first] * probes
+        assert first + sum(sizes[probes:]) == info["quad_nodes"] > first
 
     def test_harmonic_exact(self, harmonic):
         for beta in (0.3, 1.0, 4.0):
