@@ -151,6 +151,27 @@ def horner_w(coef, w):
     return r
 
 
+def _unrolled_horner(tables):
+    """z -> (horner_w(c, z) for c in tables), as one function.
+
+    Each series is one nested expression that makes the multiply-adds of
+    horner_w in the same order, starting from the same 0.0, so its bits equal
+    horner_w's for a real or complex z; unrolled, it saves the loop and the
+    calls, about 2.4x for a real z.  Built only from the float tables here.
+    """
+    terms = []
+    for coef in tables:
+        term = "0.0"
+        for c in reversed(coef):
+            term = f"({term}) * z + {float(c)!r}"
+        terms.append(term)
+    return eval("lambda z: (" + ", ".join(terms) + ",)")
+
+
+_SERIES_VALUES = _unrolled_horner(_COEF)
+_SERIES_DERIVATIVES = _unrolled_horner(_DCOEF)
+
+
 def _closed_d(z, m):
     """Closed forms together with their z-derivatives (m: math, cmath or numpy)."""
     q = m.exp(-z)
@@ -206,8 +227,7 @@ def shape_factors_d(z):
     if m is np:
         return shape_factors_d_grid(z)
     if (abs(z) if m is cmath else z) < Z_SWITCH:
-        return (ShapeFactors(*(horner_w(c, z) for c in _COEF)),
-                ShapeFactors(*(horner_w(c, z) for c in _DCOEF)))
+        return ShapeFactors(*_SERIES_VALUES(z)), ShapeFactors(*_SERIES_DERIVATIVES(z))
     return _closed_d(z, m)
 
 
@@ -257,14 +277,17 @@ def _factor_rows(z):
         zs = flat[idx]
         powers = np.empty((_SERIES_LEN, zs.size), dtype=flat.dtype)
         powers[0] = 1.0
-        np.cumprod(np.broadcast_to(zs, (_SERIES_LEN - 1, zs.size)), axis=0, out=powers[1:])
-        values = np.empty((2 * len(_NAMES), zs.size), dtype=flat.dtype)
+        powers[1:] = zs
+        np.cumprod(powers[1:], axis=0, out=powers[1:])
+        values = (out if n_series == flat.size
+                  else np.empty((2 * len(_NAMES), zs.size), dtype=flat.dtype))
         # the tables are real: a complex column is two real ones, side by side
         cols_in, cols_out = powers.view(float), values.view(float)
         for start in range(0, cols_in.shape[1], _PRODUCT_COLUMNS):
             cols = slice(start, start + _PRODUCT_COLUMNS)
             np.matmul(_SERIES_MATRIX, cols_in[:, cols], out=cols_out[:, cols])
-        out[:, idx] = values
+        if values is not out:
+            out[:, idx] = values
     if n_series < flat.size:
         idx = slice(None) if not n_series else np.flatnonzero(~series)
         val, der = _closed_d(flat[idx], np)

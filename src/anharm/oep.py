@@ -404,25 +404,30 @@ def _illinois_rows(f, lo, hi, flo, fhi):
 
 
 def _golden_rows(f, lo, hi):
-    """_golden_min on every row at once; returns the minimizers."""
-    a, b = lo.copy(), hi.copy()
-    rows = np.arange(a.size)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
+    """_golden_min on every row at once; returns the minimizers.
+
+    The search state is held for the open rows only, so a step costs the
+    same few array operations however many rows have closed."""
+    end_a, end_b = lo.copy(), hi.copy()
+    rows = np.arange(lo.size)
+    c = hi - GOLDEN * (hi - lo)
+    d = lo + GOLDEN * (hi - lo)
     fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
-    act = rows[b - a > BRACKET_REL_WIDTH * b]
+    act = rows[hi - lo > BRACKET_REL_WIDTH * hi]
+    a, b, c, d, fc, fd = lo[act], hi[act], c[act], d[act], fc[act], fd[act]
     while act.size:
-        left = fc[act] < fd[act]
-        b[act] = np.where(left, d[act], b[act])
-        a[act] = np.where(left, a[act], c[act])
-        probe = np.where(left, b[act] - GOLDEN * (b[act] - a[act]),
-                         a[act] + GOLDEN * (b[act] - a[act]))
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         fp = f(act, probe)
-        c[act], d[act], fc[act], fd[act] = (
-            np.where(left, probe, d[act]), np.where(left, c[act], probe),
-            np.where(left, fp, fd[act]), np.where(left, fc[act], fp))
-        act = act[b[act] - a[act] > BRACKET_REL_WIDTH * b[act]]
-    return 0.5 * (a + b)
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
+        going = b - a > BRACKET_REL_WIDTH * b
+        if not going.all():
+            end_a[act], end_b[act] = a, b
+            act, a, b, c, d, fc, fd = (v[going] for v in (act, a, b, c, d, fc, fd))
+    return 0.5 * (end_a + end_b)
 
 
 def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,

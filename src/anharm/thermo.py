@@ -223,8 +223,11 @@ def _adaptive_gauss(logf, x_max, peak, first, tol):
 
 
 def _diag_solve(params, beta, x, tol_root):
-    """(gap solution, W1) at the diagonal point (x, x, beta)."""
-    p = EuclideanPoint(x, x, beta)
+    """(gap solution, W1) at the diagonal point (x, x, beta), solved at
+    (|x|, |x|): the solve reads the endpoints only through even monomials
+    (kernels._monomials), so x and -x give the same bits and share one
+    cached solve."""
+    p = EuclideanPoint(abs(x), abs(x), beta)
     try:
         gap = optimize_omega_imag(params, p, tol_root)
     except NoStationaryPointError as exc:
@@ -333,10 +336,16 @@ def density_matrix_oep(params: OscillatorParams, beta: float,
                        tol_quad: float = TOL_QUAD,
                        tol_root: float = TOL_ROOT) -> DensityMatrixEntry:
     """Off-diagonal density matrix with a per-pair optimized frequency, solved
-    at the sorted pair: W1 is swap-symmetric, so both orders share one solve."""
+    at the sorted pair, reflected to x_a + x_b >= 0: the solve reads the
+    endpoints only through monomials that are symmetric under swapping them
+    and even under reflecting both (kernels._monomials), so the pairs these
+    map onto each other give the same bits and share one cached solve."""
     _check_beta(beta)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
-    p = EuclideanPoint(*sorted((x_a, x_b)), beta)
+    lo, hi = sorted((x_a, x_b))
+    if lo + hi < 0.0:
+        lo, hi = -hi, -lo
+    p = EuclideanPoint(lo, hi, beta)
     gap = optimize_omega_imag(params, p, tol_root)
     value = math.exp(w1_imag(params, p, gap.omega_star) - ln_z)
     return DensityMatrixEntry(x_a, x_b, value, beta)

@@ -60,6 +60,24 @@ def test_series_and_closed_forms_agree_near_switch(z):
         assert a == pytest.approx(b, rel=5e-13), (name, z)
 
 
+def _bits(v):
+    v = complex(v)
+    return (v.real, v.imag, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 1e-9, 0.05, 0.3, 0.49, -0.2,
+                               0.3j, complex(-0.0, 0.3), complex(0.0, -0.3),
+                               complex(-0.0, -0.3), complex(0.3, -0.0),
+                               cmath.rect(0.4, 2.0), cmath.rect(0.2, -0.7)])
+def test_scalar_series_is_horner_bit_for_bit(z):
+    # the unrolled series of shape_factors_d make horner_w's own operations
+    val, der = hyper.shape_factors_d(z)
+    for got, coef in zip(val + der, hyper._COEF + hyper._DCOEF):
+        want = hyper.horner_w(coef, z)
+        assert type(got) is type(want)
+        assert _bits(got) == _bits(want)
+
+
 @pytest.mark.parametrize("z", [0.05, 0.3, 0.49, 0.51, 1.7, 8.0, 60.0, 400.0])
 def test_derivatives_match_finite_differences(z):
     h = 1e-6 * max(z, 1.0)

@@ -281,15 +281,19 @@ class TestOptimizeImag:
         assert max(scalar) <= 0.01 and max(batched) <= 0.01
 
     def test_endpoint_swap_is_exact(self):
-        # density_matrix_oep solves one order of each pair for both; the
-        # uncached solver must give both orders the same solution and W1
+        # density_matrix_oep solves one of each pair, its swap and its
+        # reflection (-x_b, -x_a) for all three, and density_oep one of x and
+        # -x for both; the uncached solver must give them the same solution and W1
         fallbacks = 0
         for family, params, x_a, x_b, beta in _family_points(31, 240, (0.1, 10.0)):
-            ab, ba = EuclideanPoint(x_a, x_b, beta), EuclideanPoint(x_b, x_a, beta)
-            g = optimize_omega_imag.__wrapped__(params, ab)
-            assert optimize_omega_imag.__wrapped__(params, ba) == g
-            assert w1_imag(params, ba, g.omega_star) == w1_imag(params, ab, g.omega_star)
-            fallbacks += family == "double" and g.fallback_used
+            for (a, b), images in (((x_a, x_b), ((x_b, x_a), (-x_b, -x_a))),
+                                   ((x_a, x_a), ((-x_a, -x_a),))):
+                p = EuclideanPoint(a, b, beta)
+                g = optimize_omega_imag.__wrapped__(params, p)
+                for image in (EuclideanPoint(*ends, beta) for ends in images):
+                    assert optimize_omega_imag.__wrapped__(params, image) == g
+                    assert w1_imag(params, image, g.omega_star) == w1_imag(params, p, g.omega_star)
+                fallbacks += family == "double" and g.fallback_used
         assert fallbacks >= 20
 
     def test_local_flatness_quadratic(self, quartic):
@@ -441,6 +445,21 @@ class TestGoldenFallback:
         assert oep.GOLDEN * oep.BRACKET_REL_WIDTH * hi < hi - lo <= oep.BRACKET_REL_WIDTH * hi
         steps = math.ceil(math.log(oep.BRACKET_REL_WIDTH * hi / 0.2) / math.log(oep.GOLDEN))
         assert len(calls) == 2 + steps
+
+    def test_rows_are_the_scalar_search_bit_for_bit(self):
+        # rows of different widths close at different steps; a row already
+        # narrow enough takes no step
+        lo = np.array([0.9, 1.0, 0.5, 2.0, 1.7])
+        hi = np.array([1.1, 1.0 + 1e-13, 1.5, 2.0001, 1.9])
+        mins = np.array([1.03, 1.0, 0.77, 2.00004, 1.9])
+
+        def f(rows, w):
+            return np.abs(np.sin(w - mins[rows]))
+
+        got = oep._golden_rows(f, lo, hi)
+        for k in range(lo.size):
+            want, _ = oep._golden_min(lambda w: abs(math.sin(w - mins[k])), lo[k], hi[k])
+            assert got[k] == want
 
 
 class TestIllinois:

@@ -256,6 +256,23 @@ class TestDensityMatrix:
         assert [(e.x_a, e.x_b) for row in entries for e in row] == [
             (xa, xb) for xa in grid for xb in grid]
 
+    def test_reflected_pairs_share_one_solve(self, double_well):
+        # on a grid symmetric about 0, reflecting x -> -x maps the 231
+        # unordered pairs onto each other, the 11 with x_a + x_b = 0 onto
+        # themselves: 121 solves, and the same bits for a pair and its image
+        beta = 0.7
+        grid = thermo.default_grid(double_well, beta, n=21)
+        optimize_omega_imag.cache_clear()
+        values = np.array([[density_matrix_oep(double_well, beta, xa, xb).value
+                            for xb in grid] for xa in grid])
+        assert optimize_omega_imag.cache_info().misses == 121
+        assert np.array_equal(values, values[::-1, ::-1].T)
+        optimize_omega_imag.cache_clear()
+        prof = density_oep(double_well, beta, grid)
+        assert optimize_omega_imag.cache_info().misses == 11
+        assert np.array_equal(prof.rho, prof.rho[::-1])
+        assert np.array_equal(prof.rho, np.diag(values))
+
     @pytest.mark.parametrize("xa, xb", [(1.0, math.nan), (math.nan, 1.0), (0.5, math.inf)])
     def test_non_finite_endpoint_raises(self, quartic, xa, xb):
         # sorting the pair must not drop a NaN, as min and max would
