@@ -330,12 +330,14 @@ def cmd_propagator(cfg: RunConfig) -> int:
         omega = o["omega"]
         kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid(cfg.params, p, omega))),
                   n_roots="", fallback="forced")
+        w = w1(cfg.params, p, omega)
     else:
         gap = solve(cfg.params, p, o["tol-root"])
         omega = gap.omega_star
         kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
                   n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
-    w = w1(cfg.params, p, omega)
+        # an imaginary-time solve carries its W1; a real-time one is recomputed
+        w = gap.value if o["mode"] == "imag" else w1(cfg.params, p, omega)
     if o["mode"] == "imag":
         kv.update(W=_fmt(w), amplitude=_fmt(math.exp(w)))
     else:

@@ -20,8 +20,11 @@ The public functions check their arguments and call those bodies; solvers
 call the bodies directly.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import hyper
 
@@ -167,7 +170,10 @@ def _w0(x_a, x_b, beta, omega):
     z = omega * beta
     sq = x_a * x_a + x_b * x_b
     cross = x_a * x_b
-    return (0.5 * (hyper._lib(omega).log(omega) - math.log(TWO_PI) - hyper.log_sinh(z))
+    m = hyper._lib(z)
+    # a real-time z (cmath) takes math's log of its real omega
+    log_omega = (math if m is cmath else m).log(omega)
+    return (0.5 * (log_omega - math.log(TWO_PI) - hyper.log_sinh(z))
             - 0.5 * omega * (sq * hyper.coth(z) - 2.0 * cross * hyper.inv_sinh(z)))
 
 
@@ -199,6 +205,14 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
     return -1j * _w0(p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
+def _pow(x, k):
+    """x**k by the C library's pow: Python's ** on a float, numpy's
+    float_power on each entry of an array.  numpy's own power takes another
+    route on some CPUs, so an array entry would not get the bits of the same
+    float."""
+    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
+
+
 def _monomials(x_a, x_b):
     """The endpoint monomials the kernel integrals are linear in (see hyper):
     1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2) and
@@ -207,7 +221,7 @@ def _monomials(x_a, x_b):
     each monomial."""
     sq = x_a * x_a + x_b * x_b
     cross = x_a * x_b
-    return 1.0, sq, cross, x_a ** 4 + x_b ** 4, 4.0 * cross * sq, 6.0 * cross * cross
+    return 1.0, sq, cross, _pow(x_a, 4) + _pow(x_b, 4), 4.0 * cross * sq, 6.0 * cross * cross
 
 
 def _assemble(s, x_a, x_b, omega):
@@ -215,8 +229,8 @@ def _assemble(s, x_a, x_b, omega):
     il2 = (0.5 * sq * s.l2_sum + cross * s.l2_cross) / omega
     ik = 0.5 * s.k1 / (omega * omega)
     il4 = (q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq) / omega
-    il2k = (sq * s.l2k_sum + 2.0 * cross * s.l2k_cross) / omega ** 2
-    ikk = s.k2 / omega ** 3
+    il2k = (sq * s.l2k_sum + 2.0 * cross * s.l2k_cross) / _pow(omega, 2)
+    ikk = s.k2 / _pow(omega, 3)
     return KernelIntegrals(il2, ik, il4, il2k, ikk)
 
 

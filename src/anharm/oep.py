@@ -20,10 +20,11 @@ derivatives of the kernel integrals alone:
 The scan covers real omega > 0 only, so a stationary point at trial
 curvature omega^2 <= 0 is out of its reach.  That happens in the double well
 near the barrier: for m2 = -1, lam = 0.1 the 201-point default density grid
-falls back at 41 points for beta = 0.25 (all with |x| <= 1.51) and 49 for
-beta = 1 (|x| <= 1.28), and at none for beta = 5.  When the bracketing scan
-finds no sign change, the minimal-sensitivity fallback returns the omega of
-least |dW1/domega| in the window and flags it.
+falls back at 41 points (21 distinct |x|) for beta = 0.25, all with
+|x| <= 1.51, at 49 (25) for beta = 1 (|x| <= 1.28), and at none for
+beta = 5.  When the bracketing scan finds no sign change, the
+minimal-sensitivity fallback returns the omega of least |dW1/domega| in the
+window and flags it.
 
 Every imaginary-time scan covers its point's own window of SCAN_POINTS
 log-spaced frequencies from exp(lo), lo = _log_window_start.  Its two ends,
@@ -32,10 +33,12 @@ directly; the points between them are lattice points, omega = z_k/beta with
 z_k = exp(k * SCAN_LOG_STEP) for k0 < k < k0 + SCAN_POINTS - 1 and
 k0 = floor((lo + log beta)/SCAN_LOG_STEP).  The shape factors depend on
 z = omega*beta alone, so every scan of the process reads them off one table
-(_TABLE, a hyper.ShapeFactorTable) and only assembles them; on the diagonal
-the residual at a lattice point is A + (B + C x^2) x^2, with A, B and C
-assembled once per lattice point and call.  Keeping each window's own ends
-keeps the fallback cells, and with them the kinks of a trace that falls
+(_TABLE, a hyper.ShapeFactorTable).  dW1/domega is linear in the six endpoint
+monomials of kernels._monomials, so each (params, beta) keeps one more table
+(_coefficient_table) of its coefficients at every lattice point, and a scan
+only combines its rows with the point's monomials (_combine): on the
+diagonal x_a = x_b = x as A + (B + C x^2) x^2.  Keeping each window's own
+ends keeps the fallback cells, and with them the kinks of a trace that falls
 back, where they were; a window snapped onto the lattice moved them with x.
 Illinois, golden-section, acceptance and W1 evaluations run off the lattice
 through _gap_residual and _w1.  OEF and the real-time solve off the edge
@@ -45,11 +48,14 @@ optimize_omega_imag solves one point: its scan, then the scalar sequence of
 _solve_scanned (last bracket, Illinois regula falsi, acceptance test,
 golden-section fallback), which free_energy_oef shares.
 optimize_omega_imag_diagonal runs the same rules over arrays for many
-diagonal points of one beta, which is how the thermal trace solves its
-nodes.  Both read their brackets and the residual at the bracket ends off the
-scan with _bracket_ends and refine them by one rule (_illinois, over arrays
-_illinois_rows), whose root is the secant point of the final bracket.  A
-solution whose residual is not finite raises NoStationaryPointError.
+diagonal points of one beta, which is how the thermal trace and the density
+solve their points.  Both read their brackets and the residual at the
+bracket ends off the scan with _bracket_ends and refine them by one rule
+(_illinois, over arrays _illinois_rows), whose root is the secant point of
+the final bracket.  A solution whose residual is not finite raises
+NoStationaryPointError.  Every operation of the two, down to the shape
+factors (hyper), is elementwise and made in the same order, so a diagonal
+point gets the same bits from the point solve as from any row of any batch.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -88,13 +94,19 @@ class NoStationaryPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class GapSolution:
-    """Optimized trial frequency and solver diagnostics."""
+    """Optimized trial frequency and solver diagnostics.
+
+    value is the function that sets the acceptance scale at omega_star, as
+    the solve computed it: W1 for an imaginary-time point, the free-energy
+    series for OEF, and None for a real-time point off the continuation edge.
+    """
 
     omega_star: float
     residual: float
     n_roots: int
     bracket: tuple
     fallback_used: bool
+    value: object
 
 
 @dataclass(frozen=True)
@@ -238,12 +250,13 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     """The gap solve once the residual has been scanned on the grid.
 
     resid(omega) is the scalar residual and vals its scan on grid (possibly
-    vectorized); value(omega) sets the acceptance scale.  Shrinks the last
-    sign change (the one connected to the large-omega branch) by _illinois,
-    starting from the scanned values at its ends, and accepts the secant root
-    if |resid| <= tol * max(1, |value|/omega).  Otherwise, or with no sign
-    change anywhere, returns the minimal-sensitivity frequency (least |resid|)
-    with fallback_used set.  where names the solve in NoStationaryPointError.
+    vectorized); value(omega) sets the acceptance scale, and the solution
+    carries it.  Shrinks the last sign change (the one connected to the
+    large-omega branch) by _illinois, starting from the scanned values at its
+    ends, and accepts the secant root if |resid| <= tol * max(1, |value|/omega).
+    Otherwise, or with no sign change anywhere, returns the minimal-sensitivity
+    frequency (least |resid|) with fallback_used set.  where names the solve
+    in NoStationaryPointError.
     """
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
@@ -260,8 +273,9 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
             omega, lo, hi = _illinois(resid, grid[j - 1], grid[j], float(vals[j - 1]),
                                       float(vals[j]))
         res = abs(resid(omega))
-        if res <= tol * max(1.0, abs(value(omega)) / omega):
-            return GapSolution(omega, res, n_roots, (lo, hi), False)
+        val = value(omega)
+        if res <= tol * max(1.0, abs(val) / omega):
+            return GapSolution(omega, res, n_roots, (lo, hi), False, val)
         # the bracket met its width target but the residual did not drop below
         # tolerance: report the least-sensitive point instead of a fake root
     else:
@@ -272,16 +286,14 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     res = abs(resid(omega))
     if not math.isfinite(res):
         raise NoStationaryPointError(f"residual not finite at the solution for {where}")
-    return GapSolution(omega, res, n_roots, bracket, True)
+    return GapSolution(omega, res, n_roots, bracket, True, value(omega))
 
 
 # the shape factors at the scan lattice z_k = exp(k*SCAN_LOG_STEP): every
 # imaginary-time scan of the process reads its interior off this one table
 _TABLE = hyper.ShapeFactorTable(SCAN_LOG_STEP)
-# the endpoint monomials (kernels._monomials) of a diagonal point (x, x) in
-# the basis 1, x^2, x^4
-_DIAGONAL = tuple(np.array(c, dtype=float)[:, None] for c in
-                  ((1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 2), (0, 0, 8), (0, 0, 6)))
+# offsets of a scan window's two ends from its start, in log omega
+_END_STEPS = np.array([0, SCAN_POINTS - 1]) * SCAN_LOG_STEP
 
 
 def _lattice_start(log_lo, beta):
@@ -291,29 +303,71 @@ def _lattice_start(log_lo, beta):
     return np.floor((log_lo + math.log(beta)) / SCAN_LOG_STEP).astype(np.int64)
 
 
+def _monomial_coefficients(params: OscillatorParams, s, sd, omega, z):
+    """dW1/domega's coefficient of each endpoint monomial of kernels._monomials
+    (1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2),
+    6 (x_a x_b)^2): _assemble_domega and _w1_terms with one monomial at a
+    time, written out so that no term is evaluated for a monomial it lacks."""
+    def d(name, k):             # z G'(z) - k G(z) of one shape factor G
+        return z * getattr(sd, name) - k * getattr(s, name)
+
+    w2 = omega * omega
+    w3 = omega * w2
+    a = -0.5 * (params.m2 - w2)
+    lam = params.lam
+    return (a * (0.5 * d("k1", 2.0) / w3) - lam * (3.0 * d("k2", 3.0) / (w2 * w2)),
+            a * (0.5 * d("l2_sum", 1.0) / w2) - lam * (6.0 * d("l2k_sum", 2.0) / w3),
+            a * (d("l2_cross", 1.0) / w2) - lam * (12.0 * d("l2k_cross", 2.0) / w3),
+            -lam * (d("l4_sum", 1.0) / w2),
+            -lam * (d("l4_cross", 1.0) / w2),
+            -lam * (d("l4_sq", 1.0) / w2))
+
+
+@lru_cache(maxsize=16)
+def _coefficient_table(params: OscillatorParams, beta: float):
+    """The lattice table of one (params, beta): row 0 holds omega_k = z_k/beta,
+    rows 1 to 6 the coefficient of each endpoint monomial in dW1/domega
+    there, and rows 7 and 8 B and C of a diagonal point (x, x), whose
+    residual is A + (B + C x^2) x^2 with A = row 1.  _combine turns a span
+    of it into the residual at a point."""
+    def fill(k_lo, k_hi):
+        z, factors = _TABLE.span(k_lo, k_hi)
+        omega = z / beta
+        c = _monomial_coefficients(params, *hyper.split_rows(factors), omega, z)
+        # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
+        return np.concatenate([omega[None], c, [2.0 * c[1] + c[2],
+                                               2.0 * c[3] + 8.0 * c[4] + 6.0 * c[5]]])
+    return hyper.LatticeTable(fill)
+
+
+def _combine(rows, x_a, x_b):
+    """dW1/domega at the endpoints from rows 1 to 8 of a _coefficient_table
+    span; a diagonal point takes A + (B + C x^2) x^2, as the batch does."""
+    if x_a == x_b:
+        t = x_a * x_a
+        return rows[1] + (rows[7] + rows[8] * t) * t
+    _, sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
+    return (rows[1] + rows[2] * sq + rows[3] * cross + rows[4] * q_sum
+            + rows[5] * q_cross + rows[6] * q_sq)
+
+
 def _scan_imag(params: OscillatorParams, x_a: float, x_b: float, beta: float):
     """The imaginary-time scan of one point: its omegas and the residual there.
 
     The window's own ends, exp(lo) and exp(lo + (SCAN_POINTS - 1) *
-    SCAN_LOG_STEP) as in scan_window, take their shape factors directly; the
-    points between them are the lattice points z_k/beta of _lattice_start,
-    whose shape factors are read off the table.  One assembly of all the
-    columns gives the residual.
+    SCAN_LOG_STEP) as in scan_window but by numpy's exp, are evaluated
+    directly; the points between them are the lattice points z_k/beta of
+    _lattice_start, whose residual _combine reads off the _coefficient_table.
     """
     lo = _log_window_start(params, x_a * x_a + x_b * x_b, beta)
     k0 = int(_lattice_start(lo, beta))
-    z = np.empty(SCAN_POINTS)
-    rows = np.empty((2 * len(hyper.ShapeFactors._fields), SCAN_POINTS))
-    z[1:-1], rows[:, 1:-1] = _TABLE.span(k0 + 1, k0 + SCAN_POINTS - 1)
-    omega = z / beta
-    for col, w in ((0, math.exp(lo)), (-1, math.exp(lo + (SCAN_POINTS - 1) * SCAN_LOG_STEP))):
+    rows = _coefficient_table(params, beta).span(k0, k0 + SCAN_POINTS)
+    omega = rows[0].tolist()
+    vals = _combine(rows, x_a, x_b)
+    for col, w in zip((0, -1), np.exp(lo + _END_STEPS).tolist()):
         omega[col] = w
-        z[col] = w * beta
-        s_end, sd_end = hyper.shape_factors_d(w * beta)
-        rows[:, col] = s_end + sd_end
-    s, sd = hyper.split_rows(rows)
-    return omega.tolist(), _w1_terms(params, omega,
-                                     _assemble_domega(s, sd, _monomials(x_a, x_b), omega, z))
+        vals[col] = _gap_residual(params, x_a, x_b, beta, w)
+    return omega, vals
 
 
 @lru_cache(maxsize=1 << 12)
@@ -323,7 +377,9 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
 
     Scans the window (_scan_imag: its own two ends, the lattice between
     them) and hands the scan to _solve_scanned: the largest root, or the
-    minimal-sensitivity frequency with fallback_used set.
+    minimal-sensitivity frequency with fallback_used set.  The solution
+    carries W1 at omega_star as its value.  A diagonal point gets the bits
+    of its row in optimize_omega_imag_diagonal.
     """
     _check_tolerance(tol=tol)
     grid, vals = _scan_imag(params, p.x_a, p.x_b, p.beta)
@@ -436,29 +492,28 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 
     The same rules run over arrays: each point's own scan window, its two
     ends evaluated directly and its interior on the lattice of
-    _lattice_start, where the residual is A + (B + C x^2) x^2 with A, B, C
-    assembled once per lattice point from the table; the last bracket of
-    the scan shrunk to BRACKET_REL_WIDTH by Illinois regula falsi from its
-    scanned end values, the secant root of the final bracket, the acceptance
-    test tol * max(1, |W1|/omega), and the golden-section fallback on the
-    least-|residual| cell.  omega_star agrees with the scalar solver to
-    rounding.  Raises NoStationaryPointError naming the first point whose
-    residual is nowhere finite, or not finite at its solution.
+    _lattice_start, where the residual is A + (B + C x^2) x^2 read off the
+    _coefficient_table; the last bracket of the scan shrunk to
+    BRACKET_REL_WIDTH by Illinois regula falsi from its scanned end values,
+    the secant root of the final bracket, the acceptance test
+    tol * max(1, |W1|/omega), and the golden-section fallback on the
+    least-|residual| cell.  Every row agrees with the point solve
+    (omega_star, residual, n_roots, fallback_used and its value W1) bit for
+    bit, whatever the batch.  Raises NoStationaryPointError naming the first
+    point whose residual is nowhere finite, or not finite at its solution.
     """
     _check_tolerance(tol=tol)
     x = np.asarray(x, dtype=float)
     n = x.size
-    log_lo = np.array([_log_window_start(params, 2.0 * v * v, beta) for v in x.tolist()])
+    log_lo = np.array([_log_window_start(params, v * v + v * v, beta) for v in x.tolist()])
     k0 = _lattice_start(log_lo, beta)
     base = int(k0.min(initial=0))
-    z, factors = _TABLE.span(base, int(k0.max(initial=0)) + SCAN_POINTS)
-    omega_k = z / beta
-    coef = _w1_terms(params, omega_k, _assemble_domega(*hyper.split_rows(factors), _DIAGONAL,
-                                                       omega_k, z))
+    table = _coefficient_table(params, beta).span(base, int(k0.max(initial=0)) + SCAN_POINTS)
+    omega_k = table[0]
     offset = k0 - base          # column of each row's window start in omega_k
-    ends = np.exp(log_lo[:, None] + np.array([0, SCAN_POINTS - 1]) * SCAN_LOG_STEP)
+    ends = np.exp(log_lo[:, None] + _END_STEPS)
     end_vals = _gap_residual(params, x[:, None], x[:, None], beta, ends)
-    windows = [np.lib.stride_tricks.sliding_window_view(c, SCAN_POINTS) for c in coef]
+    windows = [np.lib.stride_tricks.sliding_window_view(table[r], SCAN_POINTS) for r in (1, 7, 8)]
     t = x * x
 
     def grid(rows, cols):
@@ -560,7 +615,7 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     if params.lam == 0.0 and params.m2 > 0.0:
         omega = math.sqrt(params.m2)
         if good(omega):
-            return GapSolution(omega, abs(resid(omega)), 1, (omega, omega), False)
+            return GapSolution(omega, abs(resid(omega)), 1, (omega, omega), False, None)
 
     grid = scan_window(params, p.x_a, p.x_b, abs(t))
     omegas = np.array(grid)
@@ -587,13 +642,13 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     hi = grid[min(pick + 1, len(grid) - 1)]
     omega, bracket = _golden_min(lambda w: abs(resid(w)) ** 2, lo, hi)
     accepted = good(omega)
-    return GapSolution(omega, abs(resid(omega)), int(accepted), bracket, not accepted)
+    return GapSolution(omega, abs(resid(omega)), int(accepted), bracket, not accepted, None)
 
 
 def optimized_w1_imag(params: OscillatorParams, p: EuclideanPoint,
                       tol: float = 1e-10) -> FirstOrderAmplitude:
     gap = optimize_omega_imag(params, p, tol)
-    return FirstOrderAmplitude(w1_imag(params, p, gap.omega_star), gap, p)
+    return FirstOrderAmplitude(gap.value, gap, p)
 
 
 def optimized_w1_real(params: OscillatorParams, p: RealTimePoint,

@@ -13,7 +13,10 @@ Three first-order routes to the free energy of the quartic oscillator:
 
 The per-point route is the only one that also yields the density matrix and
 the particle density without extra work, which is what density_oep and
-density_matrix_oep expose.
+density_matrix_oep expose.  The density solves the distinct |x| of its grid
+in one batched gap solve, and the density matrix solves each entry on its
+own (oep.optimize_omega_imag); a diagonal entry gets the bits of the
+density's row, as every batch row does.
 
 The OEP trace probes its half-width and integrates on an adaptive
 Gauss-Legendre rule.  Each probe also evaluates the first level of the rule
@@ -37,7 +40,7 @@ from . import hyper
 from .kernels import (EuclideanPoint, OscillatorParams, QuadratureError,
                       _check_tolerance)
 from .oep import (NoStationaryPointError, _solve_scanned, optimize_omega_imag,
-                  optimize_omega_imag_diagonal, scan_window, w1_imag)
+                  optimize_omega_imag_diagonal, scan_window)
 
 TOL_QUAD = 1e-10
 TOL_ROOT = 1e-10
@@ -222,19 +225,6 @@ def _adaptive_gauss(logf, x_max, peak, first, tol):
     return value, error, nodes
 
 
-def _diag_solve(params, beta, x, tol_root):
-    """(gap solution, W1) at the diagonal point (x, x, beta), solved at
-    (|x|, |x|): the solve reads the endpoints only through even monomials
-    (kernels._monomials), so x and -x give the same bits and share one
-    cached solve."""
-    p = EuclideanPoint(abs(x), abs(x), beta)
-    try:
-        gap = optimize_omega_imag(params, p, tol_root)
-    except NoStationaryPointError as exc:
-        raise IntegrandError(f"trial-frequency optimization failed at x={x!r}") from exc
-    return gap, w1_imag(params, p, gap.omega_star)
-
-
 @lru_cache(maxsize=4096)
 def _log_partition_oep(params: OscillatorParams, beta: float,
                        tol_quad: float, tol_root: float):
@@ -314,7 +304,13 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
                 tol_quad: float = TOL_QUAD,
                 tol_root: float = TOL_ROOT) -> DensityProfile:
     """Particle density exp(W1(x,x))/Z on a grid; reports its trapezoid defect
-    and, in info, the gap-solve counts of a trace (see _log_partition_oep)."""
+    and, in info, the gap-solve counts of a trace (see _log_partition_oep).
+
+    The gap solve reads the endpoints only through even monomials
+    (kernels._monomials), so x and -x give the same bits: the distinct |x| of
+    the grid are solved in one optimize_omega_imag_diagonal call, and the
+    counts are those of its solves.
+    """
     _check_beta(beta)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     if grid is None:
@@ -322,13 +318,15 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
-    gaps, w1 = zip(*(_diag_solve(params, beta, x, tol_root) for x in grid))
-    rho = np.array([math.exp(w - ln_z) for w in w1])
+    x, solve_of = np.unique(np.abs(grid), return_inverse=True)
+    try:
+        batch = optimize_omega_imag_diagonal(params, beta, x, tol_root)
+    except NoStationaryPointError as exc:
+        raise IntegrandError(f"trial-frequency optimization failed: {exc}") from exc
+    # math.exp, as density_matrix_oep takes it
+    rho = np.array([math.exp(w - ln_z) for w in batch.w1[solve_of].tolist()])
     norm_err = abs(float(np.trapezoid(rho, grid)) - 1.0)
-    info = {"gap_solves": len(gaps), "fallbacks": sum(g.fallback_used for g in gaps),
-            "multi_root": sum(g.n_roots > 1 for g in gaps),
-            "worst_residual": float(max(g.residual for g in gaps))}
-    return DensityProfile(grid, rho, beta, norm_err, info)
+    return DensityProfile(grid, rho, beta, norm_err, batch.counts())
 
 
 def density_matrix_oep(params: OscillatorParams, beta: float,
@@ -339,7 +337,8 @@ def density_matrix_oep(params: OscillatorParams, beta: float,
     at the sorted pair, reflected to x_a + x_b >= 0: the solve reads the
     endpoints only through monomials that are symmetric under swapping them
     and even under reflecting both (kernels._monomials), so the pairs these
-    map onto each other give the same bits and share one cached solve."""
+    map onto each other give the same bits and share one cached solve.  A
+    diagonal entry equals the density_oep value at that x bit for bit."""
     _check_beta(beta)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     lo, hi = sorted((x_a, x_b))
@@ -347,8 +346,7 @@ def density_matrix_oep(params: OscillatorParams, beta: float,
         lo, hi = -hi, -lo
     p = EuclideanPoint(lo, hi, beta)
     gap = optimize_omega_imag(params, p, tol_root)
-    value = math.exp(w1_imag(params, p, gap.omega_star) - ln_z)
-    return DensityMatrixEntry(x_a, x_b, value, beta)
+    return DensityMatrixEntry(x_a, x_b, math.exp(gap.value - ln_z), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def free_energy_oef(params: OscillatorParams, beta: float,
                          resid(np.array(grid)), tol_root, f"the OEF series at beta={beta!r}")
     info = {"omega_star": gap.omega_star, "residual": gap.residual,
             "n_roots": gap.n_roots, "fallback_used": gap.fallback_used}
-    return FreeEnergyResult(beta, oef_series(params, beta, gap.omega_star), "OEF", info)
+    return FreeEnergyResult(beta, gap.value, "OEF", info)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,20 @@ def test_series_and_closed_forms_agree_near_switch(z):
         assert a == pytest.approx(b, rel=5e-13), (name, z)
 
 
+def _estrin(coef, z):
+    """An independent copy of Estrin's scheme for a series odd or even in z:
+    its coefficients of w = z^2, zero-padded to 16, added in neighbouring
+    pairs a + b*p with p = w, w^2, w^4, w^8."""
+    odd = next(k for k, c in enumerate(coef) if c != 0.0) % 2
+    terms = [float(c) for c in coef[odd::2]]
+    terms += [0.0] * (16 - len(terms))
+    p = z * z
+    while len(terms) > 1:
+        terms = [a + b * p for a, b in zip(terms[0::2], terms[1::2])]
+        p = p * p
+    return terms[0] * z if odd else terms[0]
+
+
 def _bits(v):
     v = complex(v)
     return (v.real, v.imag, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
@@ -70,10 +84,11 @@ def _bits(v):
                                complex(-0.0, -0.3), complex(0.3, -0.0),
                                cmath.rect(0.4, 2.0), cmath.rect(0.2, -0.7)])
 def test_scalar_series_is_horner_bit_for_bit(z):
-    # the unrolled series of shape_factors_d make horner_w's own operations
+    # the unrolled series of shape_factors_d make their scheme's own
+    # operations: horner_w's for a complex z, Estrin's in z^2 for a real one
     val, der = hyper.shape_factors_d(z)
     for got, coef in zip(val + der, hyper._COEF + hyper._DCOEF):
-        want = hyper.horner_w(coef, z)
+        want = hyper.horner_w(coef, z) if isinstance(z, complex) else _estrin(coef, z)
         assert type(got) is type(want)
         assert _bits(got) == _bits(want)
 
@@ -175,20 +190,21 @@ def test_coth_real_complex_and_array():
     assert hyper.coth(zs) == pytest.approx(np.cosh(zs) / np.sinh(zs), rel=1e-14)
 
 
-def _grid_real_reference(z):
-    """shape_factors_d_grid as it was for real z alone, an independent copy:
-    series product in blocks of 448 columns, closed forms on the rest."""
-    z = np.asarray(z, dtype=float)
-    series = z < hyper.Z_SWITCH
-    out = np.empty((18, z.size))
+def _grid_complex_reference(z):
+    """shape_factors_d_grid for complex z, an independent copy: series
+    product in blocks of 448 columns, a complex column as two real ones,
+    closed forms on the rest."""
+    series = np.abs(z) < hyper.Z_SWITCH
+    out = np.empty((18, z.size), dtype=complex)
     zs = z[series]
-    powers = np.empty((hyper._SERIES_LEN, zs.size))
+    powers = np.empty((hyper._SERIES_LEN, zs.size), dtype=complex)
     powers[0] = 1.0
     np.cumprod(np.broadcast_to(zs, (hyper._SERIES_LEN - 1, zs.size)), axis=0, out=powers[1:])
-    values = np.empty((18, zs.size))
-    for start in range(0, zs.size, 448):
+    values = np.empty((18, zs.size), dtype=complex)
+    cols_in, cols_out = powers.view(float), values.view(float)
+    for start in range(0, cols_in.shape[1], 448):
         cols = slice(start, start + 448)
-        np.matmul(hyper._SERIES_MATRIX, powers[:, cols], out=values[:, cols])
+        np.matmul(hyper._SERIES_MATRIX, cols_in[:, cols], out=cols_out[:, cols])
     out[:, series] = values
     val, der = hyper._closed_d(z[~series], np)
     out[:9, ~series] = val
@@ -198,11 +214,41 @@ def _grid_real_reference(z):
 
 @pytest.mark.parametrize("n", [5, 200, 1001])
 def test_grid_on_real_z_keeps_its_bits(n):
-    # both branches, and more series columns than one product block
+    # both branches: every entry has the bits of the same float alone, so a
+    # point gets the same shape factors in any batch
     z = np.geomspace(1e-3, 600.0, n)
     z[: n // 2] = np.linspace(1e-3, 0.499, n // 2)
+    rows = np.stack(hyper.shape_factors_d_grid(z)[0] + hyper.shape_factors_d_grid(z)[1])
+    for k, zk in enumerate(z.tolist()):
+        val, der = hyper.shape_factors_d(zk)
+        assert rows[:, k].tolist() == list(val + der), zk
+
+
+@pytest.mark.parametrize("n", [5, 1001])
+def test_grid_on_complex_z_keeps_its_bits(n):
+    # both branches, and more series columns than one product block: the
+    # real-time scan's shape factors are those of the product
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.0, 3.0, n) * np.exp(1j * rng.uniform(0.0, math.pi / 2, n))
+    z[: n // 2] *= hyper.Z_SWITCH / 3.0
     val, der = hyper.shape_factors_d_grid(z)
-    assert np.array_equal(np.stack(val + der), _grid_real_reference(z))
+    assert np.array_equal(np.stack(val + der), _grid_complex_reference(z))
+
+
+def test_short_real_series_drops_no_bit():
+    # below Z_SHORT the terms past w^7 change no bit of the full scheme
+    z = np.concatenate([np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False),
+                        -np.linspace(0.0, hyper.Z_SHORT, 2000, endpoint=False)])
+    full = hyper._estrin_rows(z, hyper._ESTRIN_FULL[1])
+    assert np.array_equal(hyper._estrin_rows(z, hyper._ESTRIN_SHORT[1]), full)
+
+
+def test_real_floats_match_array_entries():
+    # a real float gets the bits of the same z as an array entry
+    zs = np.geomspace(1e-3, 700.0, 4001)
+    for f in (hyper.log_sinh, hyper.coth, hyper.inv_sinh):
+        on_array = f(zs)
+        assert [f(v) for v in zs.tolist()] == on_array.tolist(), f.__name__
 
 
 def _complex_samples():
@@ -277,4 +323,4 @@ def test_table_entries_do_not_depend_on_how_it_grew():
     assert np.array_equal(grown.span(-200, 500)[1], rows)
     assert np.allclose(z, np.exp(np.arange(-200, 500) * step), rtol=2e-16, atol=0.0)
     val, der = hyper.shape_factors_d_grid(z)
-    assert np.allclose(rows, np.stack(val + der), rtol=1e-14, atol=0.0)
+    assert np.array_equal(rows, np.stack(val + der))

@@ -209,14 +209,18 @@ class TestDensity:
 
     def test_info_counts_the_fallbacks_the_oep_docstring_names(self, double_well):
         from anharm import exact_density
-        for beta, fallbacks in ((0.25, 41), (1.0, 49), (5.0, 0)):
+        # fallbacks at grid points, then at the distinct |x| the density solves
+        for beta, points, solves in ((0.25, 41, 21), (1.0, 49, 25), (5.0, 0, 0)):
             prof = density_oep(double_well, beta)
-            gaps = [optimize_omega_imag(double_well, EuclideanPoint(x, x, beta))
-                    for x in prof.grid]
+            x = np.unique(np.abs(prof.grid))
+            gaps = {v: optimize_omega_imag(double_well, EuclideanPoint(v, v, beta))
+                    for v in x.tolist()}
+            assert x.size == (thermo.DENSITY_GRID_POINTS + 1) // 2
+            assert sum(gaps[abs(v)].fallback_used for v in prof.grid.tolist()) == points
             assert prof.info == {
-                "gap_solves": thermo.DENSITY_GRID_POINTS, "fallbacks": fallbacks,
-                "multi_root": sum(g.n_roots > 1 for g in gaps),
-                "worst_residual": max(g.residual for g in gaps)}
+                "gap_solves": x.size, "fallbacks": solves,
+                "multi_root": sum(g.n_roots > 1 for g in gaps.values()),
+                "worst_residual": max(g.residual for g in gaps.values())}
         assert exact_density(solve_spectrum(double_well, 32, 1.0), 1.0, prof.grid).info == {}
 
     def test_double_well_bimodal_matches_oracle_peaks(self, double_well):
@@ -267,11 +271,21 @@ class TestDensityMatrix:
                             for xb in grid] for xa in grid])
         assert optimize_omega_imag.cache_info().misses == 121
         assert np.array_equal(values, values[::-1, ::-1].T)
-        optimize_omega_imag.cache_clear()
+        before = optimize_omega_imag.cache_info()
         prof = density_oep(double_well, beta, grid)
-        assert optimize_omega_imag.cache_info().misses == 11
+        assert optimize_omega_imag.cache_info() == before     # no point solve
+        assert prof.info["gap_solves"] == 11
         assert np.array_equal(prof.rho, prof.rho[::-1])
         assert np.array_equal(prof.rho, np.diag(values))
+
+    @pytest.mark.parametrize("beta", [1.0, 0.05])
+    def test_density_is_the_diagonal_bit_for_bit(self, double_well, beta):
+        # the density's batched solve against the matrix's point solves, where
+        # the double well falls back (and at beta = 0.05 on the series branch)
+        prof = density_oep(double_well, beta)
+        assert prof.info["fallbacks"] > 0
+        diag = [density_matrix_oep(double_well, beta, x, x).value for x in prof.grid.tolist()]
+        assert prof.rho.tolist() == diag
 
     @pytest.mark.parametrize("xa, xb", [(1.0, math.nan), (math.nan, 1.0), (0.5, math.inf)])
     def test_non_finite_endpoint_raises(self, quartic, xa, xb):
