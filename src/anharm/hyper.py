@@ -15,14 +15,16 @@ Every function here takes a real z, a complex z (the real-time amplitudes
 are the imaginary-time ones at beta = i*T, so they live at z = i*omega*T) or
 an array of real or complex z, and dispatches on that type:
 
+* a scalar z, real or complex, takes the series by Estrin's scheme in
+  w = z^2 (_scalar_series), in plain Python arithmetic, so its bits depend
+  on neither the CPU nor the BLAS build;
 * a real z, float or array, takes numpy's exp, log, log1p and expm1 (on a
   float through _REAL, which hands back floats), the C library's tanh
-  (coth) and, inside the switch, the series by Estrin's scheme in w = z^2
-  (_real_series on a float, _real_series_rows on an array).  Every
-  operation is elementwise, so a real z gives the same bits alone and as any
-  entry of any array: the gap solve of one point and the batched gap solve
-  of the trace agree bit for bit;
-* a complex z takes ``cmath`` and the series by Horner's rule in z;
+  (coth) and, on an array, the series by the same scheme
+  (_real_series_rows).  Every operation is elementwise, so a real z gives
+  the same bits alone and as any entry of any array: the gap solve of one
+  point and the batched gap solve of the trace agree bit for bit;
+* a complex z takes ``cmath``;
 * an array of complex z (the real-time gap solve's scan) takes numpy and
   the series as a product of the coefficient tables with a power matrix.
 
@@ -163,27 +165,7 @@ def horner_w(coef, w):
     return r
 
 
-def _unrolled_horner(tables):
-    """z -> (horner_w(c, z) for c in tables), as one function.
-
-    Each series is one nested expression that makes the multiply-adds of
-    horner_w in the same order, starting from the same 0.0, so its bits equal
-    horner_w's for a complex z; unrolled, it saves the loop and the calls.
-    Built only from the float tables here.
-    """
-    terms = []
-    for coef in tables:
-        term = "0.0"
-        for c in reversed(coef):
-            term = f"({term}) * z + {float(c)!r}"
-        terms.append(term)
-    return eval("lambda z: (" + ", ".join(terms) + ",)")
-
-
-# the complex series: every value, then every derivative
-_SERIES_COMPLEX = _unrolled_horner(_COEF + _DCOEF)
-
-# Estrin's scheme for the real series.  Every series is odd or even in z, so
+# Estrin's scheme for the series.  Every series is odd or even in z, so
 # it is c(w) or z*c(w) in w = z^2, with at most 14 coefficients of w, padded
 # with zeros to 2**_ESTRIN_LEVELS.  Each level adds neighbouring terms in
 # pairs, a + b*p, with p = w, w^2, w^4, w^8 in turn: four levels of
@@ -217,9 +199,9 @@ _ESTRIN_N_ODD = sum(_ESTRIN_ODD)
 
 
 def _unrolled_estrin(levels):
-    """z -> every real series value, then every derivative, by Estrin's
-    scheme of the given depth, as one function built from the float tables
-    here; _estrin_rows makes the same operations over an array."""
+    """z -> every series value, then every derivative, by Estrin's scheme
+    of the given depth, as one function built from the float tables here;
+    _estrin_rows makes the same operations over an array."""
     powers = ["w"] + [f"w{1 << k}" for k in range(1, levels)]
     lines = ["def series(z):", "    w = z * z"]
     lines += [f"    {p} = {q} * {q}" for q, p in zip(powers, powers[1:])]
@@ -245,8 +227,8 @@ _ESTRIN_FULL = (_unrolled_estrin(_ESTRIN_LEVELS), _estrin_table(_ESTRIN_LEVELS))
 _ESTRIN_SHORT = (_unrolled_estrin(_ESTRIN_LEVELS - 1), _estrin_table(_ESTRIN_LEVELS - 1))
 
 
-def _real_series(z):
-    """The real series at a float z, by the scheme its |z| takes."""
+def _scalar_series(z):
+    """The series at a real or complex scalar z, by the scheme its |z| takes."""
     return (_ESTRIN_SHORT if abs(z) < Z_SHORT else _ESTRIN_FULL)[0](z)
 
 
@@ -268,7 +250,7 @@ def _estrin_rows(z, table):
 
 
 def _real_series_rows(z):
-    """_real_series at each entry of a 1-d array of real z, as rows."""
+    """_scalar_series at each entry of a 1-d array of real z, as rows."""
     short = np.abs(z) < Z_SHORT
     n_short = np.count_nonzero(short)
     if n_short in (0, z.size):
@@ -344,14 +326,10 @@ def shape_factors_d(z):
     as a pair of tuples (of arrays, for an array z)."""
     m = _lib(z)
     if m is np:
-        return shape_factors_d_grid(z)
-    if m is cmath:
-        rows = _SERIES_COMPLEX(z) if abs(z) < Z_SWITCH else None
-    else:
-        rows = _real_series(z) if z < Z_SWITCH else None
-    if rows is None:
-        return _closed_d(z, m)
-    return split_rows(rows)
+        return split_rows(_factor_rows(z))
+    if (abs(z) if m is cmath else z) < Z_SWITCH:
+        return split_rows(_scalar_series(z))
+    return _closed_d(z, m)
 
 
 def shape_factors(z):
@@ -363,15 +341,6 @@ def shape_factors(z):
 # common length, so the series branch of a complex array is a product.
 _SERIES_LEN = max(len(c) for c in _COEF + _DCOEF)
 _SERIES_MATRIX = np.array([c + [0.0] * (_SERIES_LEN - len(c)) for c in _COEF + _DCOEF])
-# columns per product: OpenBLAS splits products above 2^18 multiply-adds
-# across threads, whose wake-up and spinning cost more than these short
-# products take (4096 columns: 16 ms threaded, 0.2 ms in blocks of 448)
-_PRODUCT_COLUMNS = 448
-
-
-def shape_factors_d_grid(z):
-    """Vectorized shape_factors_d over an array of real or complex z."""
-    return split_rows(_factor_rows(z))
 
 
 def split_rows(rows):
@@ -389,16 +358,13 @@ def _product_rows(zs):
     np.cumprod(powers[1:], axis=0, out=powers[1:])
     values = np.empty((2 * len(_NAMES), zs.size), dtype=zs.dtype)
     # the tables are real: a complex column is two real ones, side by side
-    cols_in, cols_out = powers.view(float), values.view(float)
-    for start in range(0, cols_in.shape[1], _PRODUCT_COLUMNS):
-        cols = slice(start, start + _PRODUCT_COLUMNS)
-        np.matmul(_SERIES_MATRIX, cols_in[:, cols], out=cols_out[:, cols])
+    np.matmul(_SERIES_MATRIX, powers.view(float), out=values.view(float))
     return values
 
 
 def _factor_rows(z):
-    """shape_factors_d_grid as one array: the nine values, then the nine
-    z-derivatives, along its first axis.
+    """shape_factors_d over an array of real or complex z as one array: the
+    nine values, then the nine z-derivatives, along its first axis.
 
     The series runs only on the entries inside the switch (z < Z_SWITCH for
     real z, |z| < Z_SWITCH for complex z, as in shape_factors_d), by

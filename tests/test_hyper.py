@@ -83,12 +83,12 @@ def _bits(v):
                                0.3j, complex(-0.0, 0.3), complex(0.0, -0.3),
                                complex(-0.0, -0.3), complex(0.3, -0.0),
                                cmath.rect(0.4, 2.0), cmath.rect(0.2, -0.7)])
-def test_scalar_series_is_horner_bit_for_bit(z):
-    # the unrolled series of shape_factors_d make their scheme's own
-    # operations: horner_w's for a complex z, Estrin's in z^2 for a real one
+def test_scalar_series_is_estrin_bit_for_bit(z):
+    # the unrolled series of shape_factors_d make the operations of Estrin's
+    # scheme in z^2, for a real and for a complex z
     val, der = hyper.shape_factors_d(z)
     for got, coef in zip(val + der, hyper._COEF + hyper._DCOEF):
-        want = hyper.horner_w(coef, z) if isinstance(z, complex) else _estrin(coef, z)
+        want = _estrin(coef, z)
         assert type(got) is type(want)
         assert _bits(got) == _bits(want)
 
@@ -113,17 +113,14 @@ def test_values_and_derivatives_consistent_between_entry_points():
         assert val == val2
     # an array z runs the grid evaluation
     zs = np.array([0.02, 0.3, 0.7, 3.0, 45.0])
-    val, der = hyper.shape_factors_d(zs)
-    gval, gder = hyper.shape_factors_d_grid(zs)
-    for a, b, c in zip(hyper.shape_factors(zs), val, gval):
-        assert np.array_equal(a, b) and np.array_equal(b, c)
-    for a, b in zip(der, gder):
+    val, _ = hyper.shape_factors_d(zs)
+    for a, b in zip(hyper.shape_factors(zs), val):
         assert np.array_equal(a, b)
 
 
 def test_grid_evaluation_matches_scalar():
     zs = np.geomspace(1e-3, 300.0, 40)
-    gval, gder = hyper.shape_factors_d_grid(zs)
+    gval, gder = hyper.shape_factors_d(zs)
     for i, z in enumerate(zs):
         sval, sder = hyper.shape_factors_d(float(z))
         for k in range(9):
@@ -191,9 +188,9 @@ def test_coth_real_complex_and_array():
 
 
 def _grid_complex_reference(z):
-    """shape_factors_d_grid for complex z, an independent copy: series
-    product in blocks of 448 columns, a complex column as two real ones,
-    closed forms on the rest."""
+    """shape_factors_d for an array of complex z, an independent copy: one
+    series product, a complex column as two real ones, closed forms on the
+    rest."""
     series = np.abs(z) < hyper.Z_SWITCH
     out = np.empty((18, z.size), dtype=complex)
     zs = z[series]
@@ -201,10 +198,7 @@ def _grid_complex_reference(z):
     powers[0] = 1.0
     np.cumprod(np.broadcast_to(zs, (hyper._SERIES_LEN - 1, zs.size)), axis=0, out=powers[1:])
     values = np.empty((18, zs.size), dtype=complex)
-    cols_in, cols_out = powers.view(float), values.view(float)
-    for start in range(0, cols_in.shape[1], 448):
-        cols = slice(start, start + 448)
-        np.matmul(hyper._SERIES_MATRIX, cols_in[:, cols], out=cols_out[:, cols])
+    np.matmul(hyper._SERIES_MATRIX, powers.view(float), out=values.view(float))
     out[:, series] = values
     val, der = hyper._closed_d(z[~series], np)
     out[:9, ~series] = val
@@ -218,7 +212,8 @@ def test_grid_on_real_z_keeps_its_bits(n):
     # point gets the same shape factors in any batch
     z = np.geomspace(1e-3, 600.0, n)
     z[: n // 2] = np.linspace(1e-3, 0.499, n // 2)
-    rows = np.stack(hyper.shape_factors_d_grid(z)[0] + hyper.shape_factors_d_grid(z)[1])
+    val, der = hyper.shape_factors_d(z)
+    rows = np.stack(val + der)
     for k, zk in enumerate(z.tolist()):
         val, der = hyper.shape_factors_d(zk)
         assert rows[:, k].tolist() == list(val + der), zk
@@ -226,21 +221,32 @@ def test_grid_on_real_z_keeps_its_bits(n):
 
 @pytest.mark.parametrize("n", [5, 1001])
 def test_grid_on_complex_z_keeps_its_bits(n):
-    # both branches, and more series columns than one product block: the
-    # real-time scan's shape factors are those of the product
+    # both branches, and at n = 1001 a product large enough for OpenBLAS to
+    # split across threads: the real-time scan's shape factors are those of
+    # the product
     rng = np.random.default_rng(n)
     z = rng.uniform(0.0, 3.0, n) * np.exp(1j * rng.uniform(0.0, math.pi / 2, n))
     z[: n // 2] *= hyper.Z_SWITCH / 3.0
-    val, der = hyper.shape_factors_d_grid(z)
+    val, der = hyper.shape_factors_d(z)
     assert np.array_equal(np.stack(val + der), _grid_complex_reference(z))
 
 
 def test_short_real_series_drops_no_bit():
-    # below Z_SHORT the terms past w^7 change no bit of the full scheme
-    z = np.concatenate([np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False),
-                        -np.linspace(0.0, hyper.Z_SHORT, 2000, endpoint=False)])
-    full = hyper._estrin_rows(z, hyper._ESTRIN_FULL[1])
-    assert np.array_equal(hyper._estrin_rows(z, hyper._ESTRIN_SHORT[1]), full)
+    # below Z_SHORT the terms past w^7 change no bit of the full scheme, for
+    # a real and for a complex z, alone and as rows
+    rng = np.random.default_rng(7)
+    real = np.concatenate([np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False),
+                           -np.linspace(0.0, hyper.Z_SHORT, 2000, endpoint=False)])
+    cplx = (np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False)
+            * np.exp(1j * rng.uniform(-math.pi, math.pi, 20000)))
+    cplx[:4] = [complex(0.0, -0.0), complex(-0.0, 0.0), 0.05j, complex(-0.0, -0.05)]
+    for z in (real, cplx):
+        full = hyper._estrin_rows(z, hyper._ESTRIN_FULL[1])
+        short = hyper._estrin_rows(z, hyper._ESTRIN_SHORT[1])
+        assert np.array_equal(short.view(np.int64), full.view(np.int64))
+        for zk in z[::10].tolist():
+            full, short = hyper._ESTRIN_FULL[0](zk), hyper._ESTRIN_SHORT[0](zk)
+            assert list(map(_bits, short)) == list(map(_bits, full)), zk
 
 
 def test_real_floats_match_array_entries():
@@ -266,7 +272,7 @@ def test_grid_on_complex_z_matches_scalar(region):
     which cancel, and near a focal point 1 - exp(-2z) loses a further factor
     m; they agree to 1e-14 of max(1, |z|) m^6."""
     z = _complex_samples()[region]
-    val, der = hyper.shape_factors_d_grid(z)
+    val, der = hyper.shape_factors_d(z)
     assert np.iscomplexobj(val.k1)
     for k, zk in enumerate(z.tolist()):
         sval, sder = hyper.shape_factors_d(zk)
@@ -294,7 +300,7 @@ def test_grid_on_complex_z_matches_40_digits(region):
     mpmath = pytest.importorskip("mpmath")
     exact = _mpmath_shape_factors()
     zs = _complex_samples()[region]
-    val, der = hyper.shape_factors_d_grid(zs)
+    val, der = hyper.shape_factors_d(zs)
     grid = np.stack(val + der)
     with mpmath.workdps(40):
         for k, zk in enumerate(zs.tolist()):
@@ -305,7 +311,7 @@ def test_grid_on_complex_z_matches_40_digits(region):
 def test_grid_takes_the_series_inside_the_switch_circle():
     # the same |z| as a real z just past the switch and a complex one inside
     z = np.array([0.499 + 0.0j, 0.3 + 0.39j, 0.4j, 0.5 + 0.01j])
-    val, _ = hyper.shape_factors_d_grid(z)
+    val, _ = hyper.shape_factors_d(z)
     for k, zk in enumerate(z.tolist()):
         series = hyper.horner_w(hyper._SERIES["k1"], zk)
         closed = hyper._closed_d(zk, cmath)[0].k1
@@ -322,5 +328,5 @@ def test_table_entries_do_not_depend_on_how_it_grew():
     assert np.array_equal(grown.span(-200, 500)[0], z)
     assert np.array_equal(grown.span(-200, 500)[1], rows)
     assert np.allclose(z, np.exp(np.arange(-200, 500) * step), rtol=2e-16, atol=0.0)
-    val, der = hyper.shape_factors_d_grid(z)
+    val, der = hyper.shape_factors_d(z)
     assert np.array_equal(rows, np.stack(val + der))
