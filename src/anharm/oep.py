@@ -24,7 +24,8 @@ falls back at 41 points (21 distinct |x|) for beta = 0.25, all with
 |x| <= 1.51, at 49 (25) for beta = 1 (|x| <= 1.28), and at none for
 beta = 5.  When the bracketing scan finds no sign change, the
 minimal-sensitivity fallback returns the omega of least |dW1/domega| in the
-window and flags it.
+window and flags it; a bracketed root that misses the acceptance test is
+flagged too.
 
 Every imaginary-time scan covers its point's own window of SCAN_POINTS
 log-spaced frequencies from exp(lo), lo = _log_window_start.  Its two ends,
@@ -45,17 +46,16 @@ through _gap_residual and _w1.  OEF and the real-time solve off the edge
 scan scan_window directly.
 
 optimize_omega_imag solves one point: its scan, then the scalar sequence of
-_solve_scanned (last bracket, Illinois regula falsi, acceptance test,
-golden-section fallback), which free_energy_oef shares.
-optimize_omega_imag_diagonal runs the same rules over arrays for many
-diagonal points of one beta, which is how the thermal trace and the density
-solve their points.  Both read their brackets and the residual at the
-bracket ends off the scan with _bracket_ends and refine them by one rule
-(_illinois, over arrays _illinois_rows), whose root is the secant point of
-the final bracket.  A solution whose residual is not finite raises
-NoStationaryPointError.  Every operation of the two, down to the shape
-factors (hyper), is elementwise and made in the same order, so a diagonal
-point gets the same bits from the point solve as from any row of any batch.
+_solve_scanned, which free_energy_oef shares.  optimize_omega_imag_diagonal
+runs the same rules over arrays for many diagonal points of one beta, which
+is how the thermal trace and the density solve their points.  Both read
+their brackets off the scan with _bracket_ends, an exact zero counting as
+positive, and refine the last by one rule (_illinois, over arrays
+_illinois_rows) to the secant point of its final bracket: exactly its end
+where the residual there is 0.  With no bracket, golden section takes the
+least |dW1/domega|.  Every operation of the two, down to the shape factors
+(hyper), is elementwise and made in the same order, so a diagonal point gets
+the same bits from the point solve as from any row of any batch.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -203,8 +203,6 @@ def _illinois(f, lo, hi, flo, fhi):
         d = 0.5 * BRACKET_REL_WIDTH * hi
         t = min(max(t, lo + d), hi - d) if math.isfinite(t) else 0.5 * (lo + hi)
         ft = f(t)
-        if ft == 0.0:
-            return t, t, t
         if (flo < 0.0) != (ft < 0.0):     # sign change in [lo, t]
             hi, fhi, ghi, flo, kept = t, ft, ft, flo * (0.5 if kept == -1 else 1.0), -1
         else:
@@ -231,18 +229,13 @@ def _golden_min(f, lo, hi):
 
 
 def _bracket_ends(vals):
-    """Where the brackets of a residual scan end, along its last axis.
-
-    A bracket ends at an exact zero (which is its own bracket) and at a
-    finite value whose finite left neighbour has the other sign (the cell to
-    its left is the bracket).
-    """
+    """Where the brackets of a residual scan end, along its last axis: at
+    each finite value whose finite left neighbour has the other sign, an
+    exact zero counting as positive (the cell to its left is the bracket)."""
     finite = np.isfinite(vals)
-    zero = vals == 0.0
     neg = vals < 0.0
-    ends = zero.copy()
-    ends[..., 1:] |= (finite[..., :-1] & finite[..., 1:] & ~zero[..., 1:]
-                      & (neg[..., :-1] != neg[..., 1:]))
+    ends = np.zeros(vals.shape, dtype=bool)
+    ends[..., 1:] = finite[..., :-1] & finite[..., 1:] & (neg[..., :-1] != neg[..., 1:])
     return ends
 
 
@@ -253,10 +246,12 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     vectorized); value(omega) sets the acceptance scale, and the solution
     carries it.  Shrinks the last sign change (the one connected to the
     large-omega branch) by _illinois, starting from the scanned values at its
-    ends, and accepts the secant root if |resid| <= tol * max(1, |value|/omega).
-    Otherwise, or with no sign change anywhere, returns the minimal-sensitivity
-    frequency (least |resid|) with fallback_used set.  where names the solve
-    in NoStationaryPointError.
+    ends, to its secant root; with no sign change anywhere, takes the
+    minimal-sensitivity frequency (golden section on the cells either side of
+    the least |resid|).  The solution is flagged fallback_used unless it is a
+    root with |resid| <= tol * max(1, |value|/omega).  where names the solve
+    in NoStationaryPointError, raised if resid is nowhere finite on the scan
+    or not finite at the solution.
     """
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
@@ -267,26 +262,18 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     n_roots = ends.size
     if n_roots:
         j = int(ends[-1])
-        if vals[j] == 0.0:
-            omega = lo = hi = grid[j]
-        else:
-            omega, lo, hi = _illinois(resid, grid[j - 1], grid[j], float(vals[j - 1]),
-                                      float(vals[j]))
-        res = abs(resid(omega))
-        val = value(omega)
-        if res <= tol * max(1.0, abs(val) / omega):
-            return GapSolution(omega, res, n_roots, (lo, hi), False, val)
-        # the bracket met its width target but the residual did not drop below
-        # tolerance: report the least-sensitive point instead of a fake root
+        omega, lo, hi = _illinois(resid, grid[j - 1], grid[j], float(vals[j - 1]),
+                                  float(vals[j]))
     else:
-        # no sign change: the cells either side of the least |residual|
         i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    omega, bracket = _golden_min(lambda w: abs(resid(w)), lo, hi)
+        omega, (lo, hi) = _golden_min(lambda w: abs(resid(w)), grid[max(i - 1, 0)],
+                                      grid[min(i + 1, len(grid) - 1)])
     res = abs(resid(omega))
     if not math.isfinite(res):
         raise NoStationaryPointError(f"residual not finite at the solution for {where}")
-    return GapSolution(omega, res, n_roots, bracket, True, value(omega))
+    val = value(omega)
+    accepted = n_roots > 0 and res <= tol * max(1.0, abs(val) / omega)
+    return GapSolution(omega, res, n_roots, (lo, hi), not accepted, val)
 
 
 # the shape factors at the scan lattice z_k = exp(k*SCAN_LOG_STEP): every
@@ -393,8 +380,7 @@ def _scan_brackets(resid_scan, n, point):
     resid_scan(rows) gives the scans of those rows and point(row) names a
     row in the error raised when none is finite.  Returns the bracket count,
     the column where the last bracket ends, the column of least |residual|
-    and the scanned residual one column before and at the end of the last
-    bracket (an exact zero there is its own bracket): the data
+    and the scanned residual at the two ends of the last bracket: the data
     _solve_scanned reads off one row.
     """
     n_roots, last, least = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -408,7 +394,7 @@ def _scan_brackets(resid_scan, n, point):
         n_roots[rows] = np.count_nonzero(ends, axis=1)
         last[rows] = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
         fhi[rows] = vals[rows - start, last[rows]]
-        flo[rows] = vals[rows - start, np.maximum(last[rows] - 1, 0)]
+        flo[rows] = vals[rows - start, last[rows] - 1]
         least[rows] = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=1)
         dead = rows[~finite.any(axis=1)]
         if dead.size:
@@ -427,9 +413,12 @@ def _illinois_rows(f, lo, hi, flo, fhi):
     zero finders: once one end sits on the root to rounding, the secant
     point rounds onto it, and the clipped step lands within d of it on the
     other side, which meets the width target.  The midpoint is taken only
-    where the secant point is not finite.  f(rows, omega) evaluates the residual.
-    Returns the roots, the secant points of the final brackets through the
-    unhalved values of f at their ends, and the brackets.
+    where the secant point is not finite.  An exact zero counts as positive,
+    as in _bracket_ends: a step onto a root becomes an end with value 0, and
+    the final bracket's secant point through it is that end.  f(rows, omega)
+    evaluates the residual.  Returns the roots, the secant points of the
+    final brackets through the unhalved values of f at their ends, and the
+    brackets.
     """
     lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
     glo, ghi = flo.copy(), fhi.copy()
@@ -440,7 +429,6 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         mid = 0.5 * (a + b)
         act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
         if not act.size:
-            # a row that met an exact zero has lo = hi there, which it returns
             return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
         a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -448,10 +436,8 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         d = 0.5 * BRACKET_REL_WIDTH * b
         t = np.where(np.isfinite(t), np.minimum(np.maximum(t, a + d), b - d), 0.5 * (a + b))
         ft = f(act, t)
-        root = ft == 0.0
-        left = ~root & ((fa < 0.0) != (ft < 0.0))     # sign change in [lo, t]
-        right = ~root & ~left
-        lo[act[root]] = hi[act[root]] = t[root]
+        left = (fa < 0.0) != (ft < 0.0)     # sign change in [lo, t]
+        right = ~left
         hi[act[left]], fhi[act[left]], ghi[act[left]] = t[left], ft[left], ft[left]
         flo[act[left & (kept[act] == -1)]] *= 0.5
         lo[act[right]], flo[act[right]], glo[act[right]] = t[right], ft[right], ft[right]
@@ -493,11 +479,13 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     The same rules run over arrays: each point's own scan window, its two
     ends evaluated directly and its interior on the lattice of
     _lattice_start, where the residual is A + (B + C x^2) x^2 read off the
-    _coefficient_table; the last bracket of the scan shrunk to
-    BRACKET_REL_WIDTH by Illinois regula falsi from its scanned end values,
-    the secant root of the final bracket, the acceptance test
-    tol * max(1, |W1|/omega), and the golden-section fallback on the
-    least-|residual| cell.  Every row agrees with the point solve
+    _coefficient_table; the last bracket of the scan (an exact zero counting
+    as positive) shrunk to BRACKET_REL_WIDTH by Illinois regula falsi from
+    its scanned end values, to the secant root of the final bracket, or
+    where the scan has no bracket the golden section over the cells either
+    side of the least |residual|; then one residual and one W1 call over all
+    rows, and the acceptance test tol * max(1, |W1|/omega), which only a
+    bracketed row can pass.  Every row agrees with the point solve
     (omega_star, residual, n_roots, fallback_used and its value W1) bit for
     bit, whatever the batch.  Raises NoStationaryPointError naming the first
     point whose residual is nowhere finite, or not finite at its solution.
@@ -537,45 +525,24 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     n_roots, last, least, flo, fhi = _scan_brackets(resid_scan, n, point)
 
     omega = np.empty(n)
-    gold_lo, gold_hi = np.empty(n), np.empty(n)
-    fallback = n_roots == 0
-    # no bracket: golden section over the cells either side of the least |residual|
-    none = np.flatnonzero(fallback)
-    gold_lo[none] = grid(none, np.maximum(least[none] - 1, 0))
-    gold_hi[none] = grid(none, np.minimum(least[none] + 1, SCAN_POINTS - 1))
-
-    rows = np.flatnonzero(~fallback)
+    rows = np.flatnonzero(n_roots)
     j = last[rows]
-    lo = grid(rows, j)          # an exact zero is its own bracket
-    hi = lo.copy()
-    omega[rows] = lo
-    cell = np.flatnonzero(fhi[rows] != 0.0)
-    if cell.size:
-        r = rows[cell]
-        omega[r], lo[cell], hi[cell] = _illinois_rows(
-            lambda k, w: resid(r[k], w), grid(r, j[cell] - 1), hi[cell], flo[r], fhi[r])
+    omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid(rows, j - 1),
+                                       grid(rows, j), flo[rows], fhi[rows])
+    # no bracket: golden section over the cells either side of the least |residual|
+    none = np.flatnonzero(n_roots == 0)
+    if none.size:
+        omega[none] = _golden_rows(lambda k, w: np.abs(resid(none[k], w)),
+                                   grid(none, np.maximum(least[none] - 1, 0)),
+                                   grid(none, np.minimum(least[none] + 1, SCAN_POINTS - 1)))
 
-    res = np.abs(resid(rows, omega[rows]))
-    w1 = np.empty(n)
-    w1[rows] = _w1(params, x[rows], x[rows], beta, omega[rows])
-    missed = ~(res <= tol * np.maximum(1.0, np.abs(w1[rows]) / omega[rows]))
-    # the bracket met its width target but the residual did not drop below
-    # tolerance: the least-sensitive point of the bracket instead
-    fallback[rows[missed]] = True
-    gold_lo[rows[missed]], gold_hi[rows[missed]] = lo[missed], hi[missed]
-
-    residual = np.empty(n)
-    residual[rows] = res
-    gold = np.flatnonzero(fallback)
-    if gold.size:
-        omega[gold] = _golden_rows(lambda k, w: np.abs(resid(gold[k], w)),
-                                   gold_lo[gold], gold_hi[gold])
-        residual[gold] = np.abs(resid(gold, omega[gold]))
-        w1[gold] = _w1(params, x[gold], x[gold], beta, omega[gold])
+    residual = np.abs(_gap_residual(params, x, x, beta, omega))
     dead = np.flatnonzero(~np.isfinite(residual))
     if dead.size:
         raise NoStationaryPointError(f"residual not finite at the solution for {point(dead[0])}")
-    return DiagonalGapBatch(omega, residual, n_roots, fallback, w1)
+    w1 = _w1(params, x, x, beta, omega)
+    accepted = (n_roots > 0) & (residual <= tol * np.maximum(1.0, np.abs(w1) / omega))
+    return DiagonalGapBatch(omega, residual, n_roots, ~accepted, w1)
 
 
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,

@@ -287,6 +287,32 @@ class TestConfigHandling:
         assert captured.err.startswith("anharm: config error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["density", "--m2", "1", "--lambda", "1", "--beta", "1,2"], None,
+         "density takes a single beta"),
+        (["density-matrix", "--m2", "1", "--lambda", "1", "--beta", "1,2"], None,
+         "density-matrix takes a single beta"),
+        (["propagator", "--m2", "1", "--lambda", "1"], None, "--time is required"),
+        # argparse checks a flag's choices, but never sees a config-file value
+        (["propagator", "--time", "1"], "m2 = 1\nlambda = 1\nmode = sideways\n",
+         "--mode must be imag or real"),
+        (["free-energy", "--beta", "1"], "m2 = 1\nlambda 1\n", ":2: expected key=value"),
+        (["free-energy", "--m2", "1", "--lambda", "1", "--beta", "1"], "unreadable",
+         "cannot read config file"),
+    ], ids=["density-two-betas", "density-matrix-two-betas", "propagator-no-time",
+            "config-mode", "config-line-without-equals", "config-unreadable"])
+    def test_exit_2_on_bad_config(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            cfgfile = tmp_path / "run.cfg"
+            if config != "unreadable":
+                cfgfile.write_text(config)
+            argv = argv + ["--config", str(cfgfile)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("anharm: config error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("option", ["tol-root", "tol-quad"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from anharm import (EuclideanPoint, OscillatorParams, RealTimePoint,
+from anharm import (CausticError, EuclideanPoint, OscillatorParams, RealTimePoint,
                     gap_residual_imag, gap_residual_real, optimize_omega_imag,
                     optimize_omega_real, optimized_w1_imag, optimized_w1_real,
                     w0_imag, w0_real, w1_imag, w1_real)
@@ -333,6 +333,22 @@ class TestOptimizeReal:
         assert (g.n_roots, g.fallback_used) == (1, False)
         assert g.omega_star == pytest.approx(math.sqrt(m2), rel=1e-12)
 
+    @pytest.mark.parametrize("T", [math.pi, 2.0 * math.pi])
+    @pytest.mark.parametrize("x_a, x_b", [(0.0, 0.0), (0.4, -0.3)])
+    def test_harmonic_root_on_a_focal_point(self, harmonic, x_a, x_b, T):
+        # the exact root omega = 1 has sin(omega*T) = 0 to rounding: W1 there
+        # raises CausticError, which the acceptance test of the harmonic case
+        # takes as a miss, so the scan's minimal-sensitivity point is returned
+        p = RealTimePoint(x_a, x_b, T)
+        with pytest.raises(CausticError):
+            w1_real(harmonic, p, 1.0)
+        with pytest.raises(CausticError):
+            gap_residual_real(harmonic, p, 1.0)
+        g = optimize_omega_real(harmonic, p)
+        assert (g.n_roots, g.fallback_used, g.value) == (0, True, None)
+        assert math.isfinite(g.omega_star) and g.omega_star != 1.0
+        assert math.isfinite(g.residual)
+
     def test_perturbative_shift_small(self):
         params = OscillatorParams(1.0, 0.01)
         g = optimize_omega_real(params, RealTimePoint(0.3, 0.1, 0.5))
@@ -506,8 +522,26 @@ class TestIllinois:
         assert lo == 1.03 == omega and hi - lo <= oep.BRACKET_REL_WIDTH * hi
         self._check_rows_alike(f, calls, (omega, lo, hi))
 
+    def test_root_on_the_first_secant_point(self):
+        # an exact zero counts as positive: the root becomes the bracket's
+        # upper end, one clipped step lands below it, and the secant point of
+        # the final bracket through the end value 0 is that end
+        def f(w):
+            return w - 1.0
+
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return f(w)
+
+        omega, lo, hi = oep._illinois(counted, 0.5, 1.5, f(0.5), f(1.5))
+        assert calls[0] == 1.0 == omega == hi
+        assert len(calls) == 2 and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        self._check_rows_alike(f, calls, (omega, lo, hi), 0.5, 1.5)
+
     @staticmethod
-    def _check_rows_alike(f, calls, result):
+    def _check_rows_alike(f, calls, result, lo=0.9, hi=1.1):
         """_illinois_rows on the scalar's bracket makes the same calls and stops alike."""
         row_calls = []
 
@@ -515,8 +549,8 @@ class TestIllinois:
             row_calls.extend(float(v) for v in w)
             return np.array([f(float(v)) for v in w])
 
-        bomega, blo, bhi = oep._illinois_rows(rows, np.array([0.9]), np.array([1.1]),
-                                              np.array([f(0.9)]), np.array([f(1.1)]))
+        bomega, blo, bhi = oep._illinois_rows(rows, np.array([lo]), np.array([hi]),
+                                              np.array([f(lo)]), np.array([f(hi)]))
         assert (float(bomega[0]), float(blo[0]), float(bhi[0])) == result
         assert row_calls == calls
 
@@ -579,6 +613,30 @@ class TestDiagonalBatch:
         for run in runs[1:]:
             for field in ("omega_star", "residual", "n_roots", "fallback_used", "w1"):
                 assert np.array_equal(getattr(run, field), getattr(runs[0], field))
+
+
+class TestHarmonicLatticeRoots:
+    """A harmonic root omega = sqrt(m2) that lies on the scan lattice
+    (omega*beta = z_0 = 1) is one root, found exactly."""
+
+    XS = (0.0, 0.4, 1.5)
+
+    @pytest.mark.parametrize("m2, beta", [(1.0, 1.0), (4.0, 0.5)])
+    def test_counted_once_and_exact(self, m2, beta):
+        params = OscillatorParams(m2, 0.0)
+        batch = optimize_omega_imag_diagonal(params, beta, np.array(self.XS))
+        for k, x in enumerate(self.XS):
+            g = optimize_omega_imag.__wrapped__(params, EuclideanPoint(x, x, beta))
+            assert (g.n_roots, g.fallback_used, g.omega_star) == (1, False, math.sqrt(m2))
+            assert (batch.omega_star[k], batch.residual[k], batch.n_roots[k],
+                    batch.fallback_used[k], batch.w1[k]) == (
+                g.omega_star, g.residual, g.n_roots, g.fallback_used, g.value)
+
+    def test_traces_count_no_second_root(self, harmonic):
+        # every solve of these two lies on the lattice; each counted two roots
+        # when an exact zero on the scan was a bracket of its own
+        assert thermo.free_energy_oep(harmonic, 1.0).omega_info["multi_root"] == 0
+        assert thermo.density_oep(harmonic, 1.0).info["multi_root"] == 0
 
 
 def _scan_matches(vals, want):
