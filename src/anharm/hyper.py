@@ -18,7 +18,7 @@ an array of real or complex z, and dispatches on that type:
 * a scalar z, real or complex, takes the series by Estrin's scheme in
   w = z^2 (_scalar_series), in plain Python arithmetic, so its bits depend
   on neither the CPU nor the BLAS build;
-* a real z, float or array, takes numpy's exp, log, log1p and expm1 (on a
+* a real z, float or array, takes numpy's exp, log and expm1 (on a
   float through _REAL, which hands back floats), the C library's tanh
   (coth) and, on an array, the series by the same scheme
   (_real_series_rows).  Every operation is elementwise, so a real z gives
@@ -310,7 +310,7 @@ def _as_float(f):
 # same z in an array call, at the speed of float arithmetic after the call.
 # tanh is the C library's instead (see coth).
 _REAL = types.SimpleNamespace(tanh=math.tanh, **{
-    name: _as_float(getattr(np, name)) for name in ("exp", "log", "log1p", "expm1")})
+    name: _as_float(getattr(np, name)) for name in ("exp", "log", "expm1")})
 
 
 def _lib(z):
@@ -483,6 +483,9 @@ def log_sinh(z):
     time-sliced propagator accumulates at its focal points.
     """
     if isinstance(z, complex):
+        if abs(z) < Z_SWITCH:       # cmath has no expm1; log(z) + log(sinh(z)/z)
+            w = z * z
+            return cmath.log(z) + w * horner_w(LOG_SINH_RATIO_W, w)
         return z + cmath.log(1.0 - cmath.exp(-2.0 * z)) - _LN2
     m = _lib(z)
-    return z + m.log1p(-m.exp(-2.0 * z)) - _LN2
+    return z + m.log(-m.expm1(-2.0 * z)) - _LN2

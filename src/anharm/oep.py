@@ -52,17 +52,20 @@ is how the thermal trace and the density solve their points.  Both read
 their brackets off the scan with _bracket_ends, an exact zero counting as
 positive, and refine the last by one rule (_illinois, over arrays
 _illinois_rows) to the secant point of its final bracket: exactly its end
-where the residual there is 0.  With no bracket, golden section takes the
-least |dW1/domega|.  Every operation of the two, down to the shape factors
-(hyper), is elementwise and made in the same order, so a diagonal point gets
-the same bits from the point solve as from any row of any batch.
+where the residual there is 0.  With no bracket the fallback is the least
+|dW1/domega| of the scan: a window end as scanned, for golden section would
+only close in on it, and an interior sample by golden section over its two
+cells.  Every operation of the two, down to the shape factors (hyper), is
+elementwise and made in the same order, so a diagonal point gets the same
+bits from the point solve as from any row of any batch.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
-is optimize_omega_imag there: every real residual has the one root rule of
-_solve_scanned.  In the harmonic limit omega = sqrt(m2) is the exact root.
-Elsewhere a complex residual has no real zero, and the solve is golden section
-on the deepest dip of |dW1/domega| in a complex array scan (Stevenson 1981).
+is optimize_omega_imag there: every real residual has the one root and
+fallback rule of _solve_scanned.  In the harmonic limit omega = sqrt(m2) is
+the exact root.  Elsewhere a complex residual has no real zero, and the solve
+is golden section on the deepest dip of |dW1/domega| in a complex array scan
+(Stevenson 1981).
 """
 
 import math
@@ -247,11 +250,12 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     carries it.  Shrinks the last sign change (the one connected to the
     large-omega branch) by _illinois, starting from the scanned values at its
     ends, to its secant root; with no sign change anywhere, takes the
-    minimal-sensitivity frequency (golden section on the cells either side of
-    the least |resid|).  The solution is flagged fallback_used unless it is a
-    root with |resid| <= tol * max(1, |value|/omega).  where names the solve
-    in NoStationaryPointError, raised if resid is nowhere finite on the scan
-    or not finite at the solution.
+    minimal-sensitivity frequency, the least |resid| of the scan: an end of
+    the grid as it is, with the bracket (end, end), an interior sample by
+    golden section on its two cells.  The solution is flagged fallback_used
+    unless it is a root with |resid| <= tol * max(1, |value|/omega).  where
+    names the solve in NoStationaryPointError, raised if resid is nowhere
+    finite on the scan or not finite at the solution.
     """
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
@@ -266,8 +270,10 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
                                   float(vals[j]))
     else:
         i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
-        omega, (lo, hi) = _golden_min(lambda w: abs(resid(w)), grid[max(i - 1, 0)],
-                                      grid[min(i + 1, len(grid) - 1)])
+        if 0 < i < len(grid) - 1:
+            omega, (lo, hi) = _golden_min(lambda w: abs(resid(w)), grid[i - 1], grid[i + 1])
+        else:
+            omega = lo = hi = grid[i]
     res = abs(resid(omega))
     if not math.isfinite(res):
         raise NoStationaryPointError(f"residual not finite at the solution for {where}")
@@ -482,13 +488,14 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     _coefficient_table; the last bracket of the scan (an exact zero counting
     as positive) shrunk to BRACKET_REL_WIDTH by Illinois regula falsi from
     its scanned end values, to the secant root of the final bracket, or
-    where the scan has no bracket the golden section over the cells either
-    side of the least |residual|; then one residual and one W1 call over all
-    rows, and the acceptance test tol * max(1, |W1|/omega), which only a
-    bracketed row can pass.  Every row agrees with the point solve
-    (omega_star, residual, n_roots, fallback_used and its value W1) bit for
-    bit, whatever the batch.  Raises NoStationaryPointError naming the first
-    point whose residual is nowhere finite, or not finite at its solution.
+    where the scan has no bracket its least |residual|, a window end as
+    scanned and an interior one by golden section over its two cells; then
+    one residual and one W1 call over all rows, and the acceptance test
+    tol * max(1, |W1|/omega), which only a bracketed row can pass.  Every row
+    agrees with the point solve (omega_star, residual, n_roots, fallback_used
+    and its value W1) bit for bit, whatever the batch.  Raises
+    NoStationaryPointError naming the first point whose residual is nowhere
+    finite, or not finite at its solution.
     """
     _check_tolerance(tol=tol)
     x = np.asarray(x, dtype=float)
@@ -529,12 +536,13 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     j = last[rows]
     omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid(rows, j - 1),
                                        grid(rows, j), flo[rows], fhi[rows])
-    # no bracket: golden section over the cells either side of the least |residual|
+    # no bracket: the least |residual|, by golden section where it is interior
     none = np.flatnonzero(n_roots == 0)
-    if none.size:
-        omega[none] = _golden_rows(lambda k, w: np.abs(resid(none[k], w)),
-                                   grid(none, np.maximum(least[none] - 1, 0)),
-                                   grid(none, np.minimum(least[none] + 1, SCAN_POINTS - 1)))
+    omega[none] = grid(none, least[none])
+    dip = none[(least[none] > 0) & (least[none] < SCAN_POINTS - 1)]
+    if dip.size:
+        omega[dip] = _golden_rows(lambda k, w: np.abs(resid(dip[k], w)),
+                                  grid(dip, least[dip] - 1), grid(dip, least[dip] + 1))
 
     residual = np.abs(_gap_residual(params, x, x, beta, omega))
     dead = np.flatnonzero(~np.isfinite(residual))
@@ -551,8 +559,8 @@ def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
     the input before any scan.
 
     * On the continuation edge (Re T = 0) this is optimize_omega_imag at
-      beta = -Im T (n_roots counts brackets there); W1 is -i times its W1 to
-      rounding.
+      beta = -Im T (n_roots counts brackets, a fallback on a window end
+      returns that end); W1 is -i times its W1 to rounding.
     * In the harmonic limit (lam = 0, m2 > 0): omega = sqrt(m2), if it
       passes the test |dW1/domega| <= tol * max(1, |W1|/omega).
     * Anywhere else a complex residual has no real zero: golden section on

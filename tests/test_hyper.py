@@ -150,6 +150,22 @@ def test_log_sinh_stable():
         assert from_array == pytest.approx(want, rel=1e-13)
 
 
+def test_log_sinh_accurate_near_zero():
+    # 1 - exp(-2z) loses digits as z -> 0 (5e-14 of log sinh at z = 1e-3);
+    # against mpmath both branches hold 2 ulp on z in [1e-4, 0.5], complex z
+    # over the right half plane
+    import mpmath
+    radii = np.geomspace(1e-4, 0.5, 301)
+    phases = np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 13))
+    with mpmath.workdps(40):
+        for z in radii.tolist():
+            want = float(mpmath.log(mpmath.sinh(mpmath.mpf(z))))
+            assert abs(hyper.log_sinh(z) - want) <= 4.4e-16 * abs(want), z
+        for z in (radii[::10, None] * phases).ravel().tolist():
+            want = complex(mpmath.log(mpmath.sinh(mpmath.mpc(z))))
+            assert abs(hyper.log_sinh(z) - want) <= 4.4e-16 * abs(want), z
+
+
 def test_log_sinh_wedge_exponentiates_to_sinh():
     pts = [0.3 + 0.2j, 1.0 + 2.0j, 0.5 + 4.5j, 2.0 + 9.0j, 1e-3 + 0.6j]
     for z in pts:

@@ -478,6 +478,62 @@ class TestGoldenFallback:
             assert got[k] == want
 
 
+class TestEndFallback:
+    """A scan with no bracket whose least |dW1/domega| lies at an end of its
+    window returns that end, with the bracket (end, end) and no search; only
+    an interior least sample takes the golden section."""
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0])
+    def test_foot_fallback_is_the_scanned_foot(self, double_well, beta):
+        rng = np.random.default_rng(19)
+        xs = np.linspace(-3.0, 3.0, 200)
+        for x in (0.0, 0.5, 1.0):
+            foot = oep._scan_imag(double_well, x, x, beta)[0][0]
+            g = optimize_omega_imag.__wrapped__(double_well, EuclideanPoint(x, x, beta))
+            assert (g.n_roots, g.fallback_used, g.omega_star, g.bracket) == (0, True, foot, (foot, foot))
+            for size in (1, 7, 200):
+                rows = np.concatenate([[x], rng.choice(xs, size - 1, replace=False)])
+                batch = optimize_omega_imag_diagonal(double_well, beta, rows)
+                assert (batch.omega_star[0], batch.residual[0], batch.w1[0]) == (
+                    foot, g.residual, g.value)
+                assert (batch.n_roots[0], batch.fallback_used[0]) == (0, True)
+
+    def test_oef_returns_its_window_top(self):
+        # the stationary frequency ~ 6 lam lies below this window
+        params, beta = OscillatorParams(-1.0, 1e-4), 100.0
+        info = thermo.free_energy_oef(params, beta).omega_info
+        assert (info["n_roots"], info["fallback_used"]) == (0, True)
+        assert info["omega_star"] == scan_window(params, 0.0, 0.0, beta)[-1]
+
+    def test_foot_fallback_trace_runs_no_golden_section(self, double_well, monkeypatch):
+        calls = []
+        body = oep._golden_rows
+
+        def counted(f, lo, hi):
+            calls.append(lo.size)
+            return body(f, lo, hi)
+
+        monkeypatch.setattr(oep, "_golden_rows", counted)
+        thermo._log_partition_oep.__wrapped__(double_well, 1.0, thermo.TOL_QUAD, thermo.TOL_ROOT)
+        assert calls == []
+        assert thermo.free_energy_oep(double_well, 1.0).omega_info["fallbacks"] > 0
+
+    def test_interior_least_sample_is_searched(self):
+        # a deep double well at low temperature: the least |dW1/domega| of
+        # this scan is at column 174, so golden section narrows its two cells
+        params, beta = OscillatorParams(-2.5, 0.005), 20.0
+        grid, vals = oep._scan_imag(params, 0.0, 0.0, beta)
+        i = int(np.argmin(np.abs(vals)))
+        assert 0 < i < oep.SCAN_POINTS - 1
+        g = optimize_omega_imag.__wrapped__(params, EuclideanPoint(0.0, 0.0, beta))
+        lo, hi = g.bracket
+        assert (g.n_roots, g.fallback_used) == (0, True)
+        assert grid[i - 1] < lo < g.omega_star < hi < grid[i + 1]
+        assert hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        batch = optimize_omega_imag_diagonal(params, beta, np.array([0.0, 1.0, -2.0]))
+        assert (batch.omega_star[0], batch.w1[0]) == (g.omega_star, g.value)
+
+
 class TestIllinois:
     """The scalar bracket rule of _solve_scanned is the batched one on one row."""
 
@@ -722,7 +778,8 @@ class TestLatticeScan:
 # as REAL_PINS: (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used), two
 # points each at real T, in the wedge and at T = -i beta for the weak, strong,
 # double-well and harmonic families.  The roots at T = -i beta are those of
-# the Illinois bracket rule.
+# the Illinois bracket rule, and a fallback there whose least |dW1/domega| is
+# an end of its window returns that end.
 SCREEN_PINS = [
     (1.8119412615293302, 0.01216392045649809, -1.8637786204150837, 0.9363511648986176,
      complex(2.175758684326429, 0.0), 1.8790334443349952, 0, True),
@@ -767,7 +824,7 @@ SCREEN_PINS = [
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
      complex(0.0, -2.079500742736352), 0.7098852367560949, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
-     complex(0.0, -1.8481591051359827), 0.013973796939144767, 0, True),
+     complex(0.0, -1.8481591051359827), 0.013973796934434676, 0, True),
     (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,
      complex(0.0, -1.1144032692613062), 0.9373097391402095, 1, False),
     (1.6812950597746472, 0.0, -0.014621186586997847, 1.419267494182935,
