@@ -66,11 +66,11 @@ def parse_grid(spec) -> list:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError("count must be >= 1")
+            if logspace and (start <= 0 or stop <= 0):
+                raise ValueError("log spacing needs positive endpoints")
             if count == 1:
                 values = [start]
             elif logspace:
-                if start <= 0 or stop <= 0:
-                    raise ValueError("log spacing needs positive endpoints")
                 values = list(np.geomspace(start, stop, count))
             else:
                 values = list(np.linspace(start, stop, count))

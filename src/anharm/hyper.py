@@ -20,10 +20,10 @@ an array of real or complex z, and dispatches on that type:
   on neither the CPU nor the BLAS build;
 * a real z, float or array, takes numpy's exp, log and expm1 (on a
   float through _REAL, which hands back floats), the C library's tanh
-  (coth) and, on an array, the series by the same scheme
-  (_real_series_rows).  Every operation is elementwise, so a real z gives
-  the same bits alone and as any entry of any array: the gap solve of one
-  point and the batched gap solve of the trace agree bit for bit;
+  (coth) and, on an array, the series by the same scheme (_estrin_rows).
+  Every operation is elementwise, so a real z gives the same bits alone
+  and as any entry of any array: the gap solve of one point and the
+  batched gap solve of the trace agree bit for bit;
 * a complex z takes ``cmath``;
 * an array of complex z (the real-time gap solve's scan) takes numpy and
   the series as a product of the coefficient tables with a power matrix.
@@ -39,11 +39,11 @@ which integral and which endpoint monomial they multiply:
     int K^2 dt      =  k2(z) / w^3
 
 LatticeTable holds rows of values on the integer lattice k, grown on demand
-in fixed blocks; ShapeFactorTable is the one of the shape factors and their
-derivatives at z_k = exp(k*step).  The imaginary-time gap solves of oep read
-the interior of every scan off such tables, and evaluate only the two ends
-of each scan window and the off-lattice points of their root and minimum
-searches here directly.
+in fixed blocks by a fill function; lattice_factors fills one with the shape
+factors and their derivatives at z_k = exp(k*step).  The imaginary-time gap
+solves of oep read the interior of every scan off such a table, and
+evaluate only the two ends of each scan window and the off-lattice points of
+their root and minimum searches here directly.
 """
 
 import cmath
@@ -171,12 +171,6 @@ def horner_w(coef, w):
 # pairs, a + b*p, with p = w, w^2, w^4, w^8 in turn: four levels of
 # independent operations where Horner's rule makes 28 dependent ones.
 _ESTRIN_LEVELS = 4
-# Below |z| = Z_SHORT the scheme stops after three levels, on the first eight
-# coefficients: the rest add at most 4e-20 of the sum, 2e-4 of its last bit,
-# so dropping them changes no bit (tests/test_hyper.py checks this), and the
-# arrays of the trace's fallbacks, near the foot of their scan windows, take
-# about half the operations.
-Z_SHORT = 0.1
 
 
 def _in_w(coef):
@@ -198,16 +192,16 @@ _ESTRIN_INVERSE = np.argsort(_ESTRIN_ORDER)
 _ESTRIN_N_ODD = sum(_ESTRIN_ODD)
 
 
-def _unrolled_estrin(levels):
-    """z -> every series value, then every derivative, by Estrin's scheme
-    of the given depth, as one function built from the float tables here;
-    _estrin_rows makes the same operations over an array."""
-    powers = ["w"] + [f"w{1 << k}" for k in range(1, levels)]
+def _unrolled_estrin():
+    """z -> every series value, then every derivative, by Estrin's scheme,
+    as one function built from the float tables here; _estrin_rows makes the
+    same operations over an array."""
+    powers = ["w"] + [f"w{1 << k}" for k in range(1, _ESTRIN_LEVELS)]
     lines = ["def series(z):", "    w = z * z"]
     lines += [f"    {p} = {q} * {q}" for q, p in zip(powers, powers[1:])]
     terms = []
     for odd, coef in zip(_ESTRIN_ODD, _ESTRIN_COEF):
-        level = [repr(c) for c in coef[:1 << levels]]
+        level = [repr(c) for c in coef]
         for p in powers:
             level = [f"({a} + {b} * {p})" for a, b in zip(level[0::2], level[1::2])]
         terms.append(f"{level[0]} * z" if odd else level[0])
@@ -217,28 +211,23 @@ def _unrolled_estrin(levels):
     return namespace["series"]
 
 
-def _estrin_table(levels):
-    bits = [int(f"{j:0{levels}b}"[::-1], 2) for j in range(1 << levels)]
+def _estrin_table():
+    bits = [int(f"{j:0{_ESTRIN_LEVELS}b}"[::-1], 2) for j in range(1 << _ESTRIN_LEVELS)]
     return np.array([[_ESTRIN_COEF[i][k] for i in _ESTRIN_ORDER] for k in bits]).reshape(-1, 1)
 
 
-# (float function, array table) of the full scheme and of the one below Z_SHORT
-_ESTRIN_FULL = (_unrolled_estrin(_ESTRIN_LEVELS), _estrin_table(_ESTRIN_LEVELS))
-_ESTRIN_SHORT = (_unrolled_estrin(_ESTRIN_LEVELS - 1), _estrin_table(_ESTRIN_LEVELS - 1))
+# the series at a real or complex scalar z
+_scalar_series = _unrolled_estrin()
+_ESTRIN_TABLE = _estrin_table()
 
 
-def _scalar_series(z):
-    """The series at a real or complex scalar z, by the scheme its |z| takes."""
-    return (_ESTRIN_SHORT if abs(z) < Z_SHORT else _ESTRIN_FULL)[0](z)
-
-
-def _estrin_rows(z, table):
-    """An Estrin table's scheme over a 1-d array of real z: the values, then
-    the derivatives, as rows, from the operations of its float function."""
-    half = table.shape[0] // 2
+def _estrin_rows(z):
+    """_scalar_series at each entry of a 1-d array of real z, as rows: the
+    values, then the derivatives, from the operations of its float function."""
+    half = _ESTRIN_TABLE.shape[0] // 2
     p = z * z
-    rows = table[half:] * p
-    rows += table[:half]
+    rows = _ESTRIN_TABLE[half:] * p
+    rows += _ESTRIN_TABLE[:half]
     while half > len(_ESTRIN_ORDER):
         p = p * p
         half //= 2
@@ -247,18 +236,6 @@ def _estrin_rows(z, table):
         rows = top
     rows[:_ESTRIN_N_ODD] *= z
     return rows[_ESTRIN_INVERSE]
-
-
-def _real_series_rows(z):
-    """_scalar_series at each entry of a 1-d array of real z, as rows."""
-    short = np.abs(z) < Z_SHORT
-    n_short = np.count_nonzero(short)
-    if n_short in (0, z.size):
-        return _estrin_rows(z, (_ESTRIN_SHORT if n_short else _ESTRIN_FULL)[1])
-    rows = np.empty((len(_ESTRIN_ORDER), z.size))
-    for (_, table), cols in ((_ESTRIN_SHORT, short), (_ESTRIN_FULL, ~short)):
-        rows[:, cols] = _estrin_rows(z[cols], table)
-    return rows
 
 
 def _closed_d(z, m):
@@ -345,7 +322,7 @@ _SERIES_MATRIX = np.array([c + [0.0] * (_SERIES_LEN - len(c)) for c in _COEF + _
 
 def split_rows(rows):
     """(shape factors, z-derivatives) of a sequence whose first axis holds the
-    nine values, then the nine derivatives (as ShapeFactorTable.span gives)."""
+    nine values, then the nine derivatives (as lattice_factors gives them)."""
     return ShapeFactors(*rows[:len(_NAMES)]), ShapeFactors(*rows[len(_NAMES):])
 
 
@@ -368,7 +345,7 @@ def _factor_rows(z):
 
     The series runs only on the entries inside the switch (z < Z_SWITCH for
     real z, |z| < Z_SWITCH for complex z, as in shape_factors_d), by
-    _real_series_rows for real z and _product_rows for complex z; the closed
+    _estrin_rows for real z and _product_rows for complex z; the closed
     forms run only on the rest.
     """
     z = np.asarray(z)
@@ -380,7 +357,7 @@ def _factor_rows(z):
     out = np.empty((2 * len(_NAMES), flat.size), dtype=flat.dtype)
     if n_series:
         idx = slice(None) if n_series == flat.size else np.flatnonzero(series)
-        out[:, idx] = (_product_rows if complex_z else _real_series_rows)(flat[idx])
+        out[:, idx] = (_product_rows if complex_z else _estrin_rows)(flat[idx])
     if n_series < flat.size:
         idx = slice(None) if not n_series else np.flatnonzero(~series)
         val, der = _closed_d(flat[idx], np)
@@ -429,24 +406,13 @@ class LatticeTable:
         return self._state
 
 
-class ShapeFactorTable(LatticeTable):
-    """The shape factors and their z-derivatives on the lattice
-    z_k = exp(k*step), k an integer, for one step."""
-
-    def __init__(self, step: float):
-        self.step = step
-        super().__init__(self._factors)
-
-    def _factors(self, k_lo, k_hi):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.exp(np.arange(k_lo, k_hi) * self.step)
-            return np.concatenate([z[None], _factor_rows(z)])
-
-    def span(self, k_lo: int, k_hi: int):
-        """z_k for k_lo <= k < k_hi and the shape factors there, as rows (the
-        nine values, then the nine z-derivatives; see split_rows)."""
-        rows = super().span(k_lo, k_hi)
-        return rows[0], rows[1:]
+def lattice_factors(step: float, k_lo: int, k_hi: int):
+    """A LatticeTable fill: z_k = exp(k*step) for k_lo <= k < k_hi, then the
+    shape factors there (the nine values, then the nine z-derivatives; see
+    split_rows), as rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(np.arange(k_lo, k_hi) * step)
+        return np.concatenate([z[None], _factor_rows(z)])
 
 
 def coth(z):

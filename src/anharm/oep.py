@@ -34,16 +34,16 @@ directly; the points between them are lattice points, omega = z_k/beta with
 z_k = exp(k * SCAN_LOG_STEP) for k0 < k < k0 + SCAN_POINTS - 1 and
 k0 = floor((lo + log beta)/SCAN_LOG_STEP).  The shape factors depend on
 z = omega*beta alone, so every scan of the process reads them off one table
-(_TABLE, a hyper.ShapeFactorTable).  dW1/domega is linear in the six endpoint
-monomials of kernels._monomials, so each (params, beta) keeps one more table
-(_coefficient_table) of its coefficients at every lattice point, and a scan
-only combines its rows with the point's monomials (_combine): on the
-diagonal x_a = x_b = x as A + (B + C x^2) x^2.  Keeping each window's own
-ends keeps the fallback cells, and with them the kinks of a trace that falls
-back, where they were; a window snapped onto the lattice moved them with x.
-Illinois, golden-section, acceptance and W1 evaluations run off the lattice
-through _gap_residual and _w1.  OEF and the real-time solve off the edge
-scan scan_window directly.
+(_TABLE, a hyper.LatticeTable of hyper.lattice_factors).  dW1/domega is linear
+in the six endpoint monomials of kernels._monomials, so each (params, beta)
+keeps one more table (_coefficient_table) of its coefficients at every
+lattice point, and a scan only combines its rows with the point's monomials
+(_combine): on the diagonal x_a = x_b = x as A + (B + C x^2) x^2.  Keeping
+each window's own ends keeps the fallback cells, and with them the kinks of
+a trace that falls back, where they were; a window snapped onto the lattice
+moved them with x.  Illinois, golden-section, acceptance and W1 evaluations
+run off the lattice through _gap_residual and _w1.  OEF and the real-time
+solve off the edge scan scan_window directly.
 
 optimize_omega_imag solves one point: its scan, then the scalar sequence of
 _solve_scanned, which free_energy_oef shares.  optimize_omega_imag_diagonal
@@ -70,7 +70,7 @@ is golden section on the deepest dip of |dW1/domega| in a complex array scan
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -85,9 +85,6 @@ SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
 SCAN_LOG_STEP = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
 BRACKET_REL_WIDTH = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# residual-scan entries the batched solve holds at once; bounds its scratch
-# memory whatever the number of points
-SCAN_CHUNK_ELEMENTS = 1 << 11
 
 
 class NoStationaryPointError(RuntimeError):
@@ -284,7 +281,7 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
 
 # the shape factors at the scan lattice z_k = exp(k*SCAN_LOG_STEP): every
 # imaginary-time scan of the process reads its interior off this one table
-_TABLE = hyper.ShapeFactorTable(SCAN_LOG_STEP)
+_TABLE = hyper.LatticeTable(partial(hyper.lattice_factors, SCAN_LOG_STEP))
 # offsets of a scan window's two ends from its start, in log omega
 _END_STEPS = np.array([0, SCAN_POINTS - 1]) * SCAN_LOG_STEP
 
@@ -324,7 +321,7 @@ def _coefficient_table(params: OscillatorParams, beta: float):
     residual is A + (B + C x^2) x^2 with A = row 1.  _combine turns a span
     of it into the residual at a point."""
     def fill(k_lo, k_hi):
-        z, factors = _TABLE.span(k_lo, k_hi)
+        z, *factors = _TABLE.span(k_lo, k_hi)
         omega = z / beta
         c = _monomial_coefficients(params, *hyper.split_rows(factors), omega, z)
         # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
@@ -380,33 +377,26 @@ def optimize_omega_imag(params: OscillatorParams, p: EuclideanPoint,
                           lambda w: _w1(params, p.x_a, p.x_b, p.beta, w), grid, vals, tol, p)
 
 
-def _scan_brackets(resid_scan, n, point):
-    """Per-row bracket data of the residual scan, in chunks of SCAN_CHUNK_ELEMENTS.
+def _scan_brackets(vals, point):
+    """Per-row bracket data of a residual scan matrix, one row per point.
 
-    resid_scan(rows) gives the scans of those rows and point(row) names a
-    row in the error raised when none is finite.  Returns the bracket count,
-    the column where the last bracket ends, the column of least |residual|
-    and the scanned residual at the two ends of the last bracket: the data
-    _solve_scanned reads off one row.
+    point(row) names a row in the error raised when none of its values is
+    finite.  Returns the bracket count, the column where the last bracket
+    ends, the column of least |residual| and the scanned residual at the two
+    ends of the last bracket: the data _solve_scanned reads off one row.
     """
-    n_roots, last, least = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    flo, fhi = np.zeros(n), np.zeros(n)
-    step = max(1, SCAN_CHUNK_ELEMENTS // SCAN_POINTS)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(n, start + step))
-        vals = resid_scan(rows)
-        finite = np.isfinite(vals)
-        ends = _bracket_ends(vals)
-        n_roots[rows] = np.count_nonzero(ends, axis=1)
-        last[rows] = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
-        fhi[rows] = vals[rows - start, last[rows]]
-        flo[rows] = vals[rows - start, last[rows] - 1]
-        least[rows] = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=1)
-        dead = rows[~finite.any(axis=1)]
-        if dead.size:
-            raise NoStationaryPointError(
-                f"residual not finite anywhere in the scan window for {point(dead[0])}")
-    return n_roots, last, least, flo, fhi
+    finite = np.isfinite(vals)
+    dead = np.flatnonzero(~finite.any(axis=1))
+    if dead.size:
+        raise NoStationaryPointError(
+            f"residual not finite anywhere in the scan window for {point(dead[0])}")
+    ends = _bracket_ends(vals)
+    last = SCAN_POINTS - 1 - np.argmax(ends[:, ::-1], axis=1)
+    mags = np.abs(vals)
+    mags[~finite] = np.inf
+    rows = np.arange(len(vals))
+    return (np.count_nonzero(ends, axis=1), last, np.argmin(mags, axis=1),
+            vals[rows, last - 1], vals[rows, last])
 
 
 def _illinois_rows(f, lo, hi, flo, fhi):
@@ -493,28 +483,28 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     one residual and one W1 call over all rows, and the acceptance test
     tol * max(1, |W1|/omega), which only a bracketed row can pass.  Every row
     agrees with the point solve (omega_star, residual, n_roots, fallback_used
-    and its value W1) bit for bit, whatever the batch.  Raises
-    NoStationaryPointError naming the first point whose residual is nowhere
-    finite, or not finite at its solution.
+    and its value W1) bit for bit, whatever the batch.  Raises ValueError if
+    an x is not finite, and NoStationaryPointError naming the first point
+    whose residual is nowhere finite, or not finite at its solution.
     """
     _check_tolerance(tol=tol)
     x = np.asarray(x, dtype=float)
-    n = x.size
+    if not np.isfinite(x).all():
+        raise ValueError("diagonal points must be finite")
     log_lo = np.array([_log_window_start(params, v * v + v * v, beta) for v in x.tolist()])
     k0 = _lattice_start(log_lo, beta)
     base = int(k0.min(initial=0))
     table = _coefficient_table(params, beta).span(base, int(k0.max(initial=0)) + SCAN_POINTS)
-    omega_k = table[0]
-    offset = k0 - base          # column of each row's window start in omega_k
-    ends = np.exp(log_lo[:, None] + _END_STEPS)
-    end_vals = _gap_residual(params, x[:, None], x[:, None], beta, ends)
-    windows = [np.lib.stride_tricks.sliding_window_view(table[r], SCAN_POINTS) for r in (1, 7, 8)]
-    t = x * x
-
-    def grid(rows, cols):
-        return np.where(cols == 0, ends[rows, 0],
-                        np.where(cols == SCAN_POINTS - 1, ends[rows, 1],
-                                 omega_k[offset[rows] + cols]))
+    # each row's window of the table: omega, and the residual A + (B + C t) t
+    windows = np.lib.stride_tricks.sliding_window_view(table, SCAN_POINTS, axis=1)
+    offset = k0 - base
+    t = (x * x)[:, None]
+    grid, vals = windows[0, offset], windows[8, offset] * t
+    vals += windows[7, offset]
+    vals *= t
+    vals += windows[1, offset]
+    grid[:, [0, -1]] = np.exp(log_lo[:, None] + _END_STEPS)
+    vals[:, [0, -1]] = _gap_residual(params, x[:, None], x[:, None], beta, grid[:, [0, -1]])
 
     def resid(rows, omega):
         return _gap_residual(params, x[rows], x[rows], beta, omega)
@@ -522,27 +512,20 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     def point(row):
         return EuclideanPoint(float(x[row]), float(x[row]), beta)
 
-    def resid_scan(rows):
-        a, b, c = (w[offset[rows]] for w in windows)
-        tr = t[rows, None]
-        vals = a + (b + c * tr) * tr
-        vals[:, [0, -1]] = end_vals[rows]
-        return vals
+    n_roots, last, least, flo, fhi = _scan_brackets(vals, point)
 
-    n_roots, last, least, flo, fhi = _scan_brackets(resid_scan, n, point)
-
-    omega = np.empty(n)
+    omega = np.empty(x.size)
     rows = np.flatnonzero(n_roots)
     j = last[rows]
-    omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid(rows, j - 1),
-                                       grid(rows, j), flo[rows], fhi[rows])
+    omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid[rows, j - 1],
+                                       grid[rows, j], flo[rows], fhi[rows])
     # no bracket: the least |residual|, by golden section where it is interior
     none = np.flatnonzero(n_roots == 0)
-    omega[none] = grid(none, least[none])
+    omega[none] = grid[none, least[none]]
     dip = none[(least[none] > 0) & (least[none] < SCAN_POINTS - 1)]
     if dip.size:
         omega[dip] = _golden_rows(lambda k, w: np.abs(resid(dip[k], w)),
-                                  grid(dip, least[dip] - 1), grid(dip, least[dip] + 1))
+                                  grid[dip, least[dip] - 1], grid[dip, least[dip] + 1])
 
     residual = np.abs(_gap_residual(params, x, x, beta, omega))
     dead = np.flatnonzero(~np.isfinite(residual))

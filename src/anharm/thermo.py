@@ -47,6 +47,8 @@ TOL_ROOT = 1e-10
 TAIL_RATIO = 1e-12
 DENSITY_GRID_POINTS = 201
 PROBE_POINTS = 25
+# half-width doublings before the trace gives up on the integrand's tail
+MAX_DOUBLINGS = 24
 # adaptive Gauss-Legendre trace: points per panel, panels at the start and
 # the most panels (open or accepted) before the trace gives up
 GAUSS_POINTS = 10
@@ -123,7 +125,7 @@ def _gauss_nodes(a, h):
     return (a[:, None] + (0.5 * h)[:, None] * (1.0 + t)).ravel()
 
 
-def _grow_halfwidth(logf, x0, max_doublings=24):
+def _grow_halfwidth(logf, x0):
     """Double the half-width until the endpoint integrand is negligible.
 
     logf maps an array of points to their log-integrands.  Each probe is one
@@ -135,7 +137,7 @@ def _grow_halfwidth(logf, x0, max_doublings=24):
     """
     log_tail = math.log(TAIL_RATIO)
     x = x0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         logs = logf(np.concatenate([np.linspace(0.0, x, PROBE_POINTS),
                                     _gauss_nodes(*_first_level(x))]))
         probe = logs[:PROBE_POINTS]
@@ -316,8 +318,9 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
     if grid is None:
         grid = default_grid(params, beta, tol_quad=tol_quad, tol_root=tol_root)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-d array")
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("grid must be a finite, strictly increasing 1-d array")
     x, solve_of = np.unique(np.abs(grid), return_inverse=True)
     try:
         batch = optimize_omega_imag_diagonal(params, beta, x, tol_root)

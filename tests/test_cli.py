@@ -32,7 +32,7 @@ class TestGridSpec:
 
     def test_rejects_garbage(self):
         from anharm.cli import ConfigError
-        for bad in ("1:2", "a,b", "log:-1:1:5", "3:1:4", ""):
+        for bad in ("1:2", "a,b", "log:-1:1:5", "3:1:4", "", "log:-1:5:1", "log:0:5:1"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 

@@ -247,30 +247,19 @@ def test_grid_on_complex_z_keeps_its_bits(n):
     assert np.array_equal(np.stack(val + der), _grid_complex_reference(z))
 
 
-def test_short_real_series_drops_no_bit():
-    # below Z_SHORT the terms past w^7 change no bit of the full scheme, for
-    # a real and for a complex z, alone and as rows
-    rng = np.random.default_rng(7)
-    real = np.concatenate([np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False),
-                           -np.linspace(0.0, hyper.Z_SHORT, 2000, endpoint=False)])
-    cplx = (np.geomspace(1e-300, hyper.Z_SHORT, 20000, endpoint=False)
-            * np.exp(1j * rng.uniform(-math.pi, math.pi, 20000)))
-    cplx[:4] = [complex(0.0, -0.0), complex(-0.0, 0.0), 0.05j, complex(-0.0, -0.05)]
-    for z in (real, cplx):
-        full = hyper._estrin_rows(z, hyper._ESTRIN_FULL[1])
-        short = hyper._estrin_rows(z, hyper._ESTRIN_SHORT[1])
-        assert np.array_equal(short.view(np.int64), full.view(np.int64))
-        for zk in z[::10].tolist():
-            full, short = hyper._ESTRIN_FULL[0](zk), hyper._ESTRIN_SHORT[0](zk)
-            assert list(map(_bits, short)) == list(map(_bits, full)), zk
-
-
 def test_real_floats_match_array_entries():
     # a real float gets the bits of the same z as an array entry
     zs = np.geomspace(1e-3, 700.0, 4001)
     for f in (hyper.log_sinh, hyper.coth, hyper.inv_sinh):
         on_array = f(zs)
         assert [f(v) for v in zs.tolist()] == on_array.tolist(), f.__name__
+    # and the series of the shape factors, Estrin's scheme alone and as rows,
+    # down to the smallest |z| and the two signed zeros
+    small = np.geomspace(1e-300, hyper.Z_SWITCH, 20000, endpoint=False)
+    zs = np.concatenate([[0.0, -0.0], small, -small])
+    val, der = hyper.shape_factors_d(zs)
+    on_floats = np.array([v + d for v, d in map(hyper.shape_factors_d, zs.tolist())]).T
+    assert np.array_equal(on_floats.view(np.int64), np.stack(val + der).view(np.int64))
 
 
 def _complex_samples():
@@ -337,12 +326,13 @@ def test_grid_takes_the_series_inside_the_switch_circle():
 
 def test_table_entries_do_not_depend_on_how_it_grew():
     step = 0.05
-    grown = hyper.ShapeFactorTable(step)
+    grown = hyper.LatticeTable(functools.partial(hyper.lattice_factors, step))
     for k_lo, k_hi in ((300, 420), (-130, -60), (7, 8), (-200, 500)):
         grown.span(k_lo, k_hi)
-    z, rows = hyper.ShapeFactorTable(step).span(-200, 500)
+    fresh = hyper.LatticeTable(functools.partial(hyper.lattice_factors, step)).span(-200, 500)
+    z, rows = fresh[0], fresh[1:]
     assert np.array_equal(grown.span(-200, 500)[0], z)
-    assert np.array_equal(grown.span(-200, 500)[1], rows)
+    assert np.array_equal(grown.span(-200, 500)[1:], rows)
     assert np.allclose(z, np.exp(np.arange(-200, 500) * step), rtol=2e-16, atol=0.0)
     val, der = hyper.shape_factors_d(z)
     assert np.array_equal(rows, np.stack(val + der))

@@ -1,6 +1,7 @@
 """First-order amplitude, gap residual, and the trial-frequency optimizers."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -660,15 +661,16 @@ class TestDiagonalBatch:
         assert counts["multi_root"] == int((batch.n_roots > 1).sum())
         assert counts["worst_residual"] == batch.residual.max()
 
-    def test_scan_chunks_do_not_change_solutions(self, double_well, monkeypatch):
-        xs = np.linspace(-3.0, 3.0, 41)
-        runs = []
-        for chunk in (1 << 30, oep.SCAN_CHUNK_ELEMENTS, 3 * oep.SCAN_POINTS + 7):
-            monkeypatch.setattr(oep, "SCAN_CHUNK_ELEMENTS", chunk)
-            runs.append(optimize_omega_imag_diagonal(double_well, 1.0, xs))
-        for run in runs[1:]:
-            for field in ("omega_star", "residual", "n_roots", "fallback_used", "w1"):
-                assert np.array_equal(getattr(run, field), getattr(runs[0], field))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, quartic, bad):
+        # checked up front: an infinity used to fail with a bare IndexError,
+        # and a NaN only by accident, while another error named its point
+        grid = [-1.0, 0.0, 1.0]
+        grid[0 if bad < 0.0 else -1] = bad
+        with pytest.raises(ValueError, match="diagonal points must be finite"):
+            optimize_omega_imag_diagonal(quartic, 1.0, [0.5, bad])
+        with pytest.raises(ValueError, match="grid must be a finite"):
+            thermo.density_oep(quartic, 1.0, grid)
 
 
 class TestHarmonicLatticeRoots:
@@ -728,9 +730,9 @@ class TestLatticeScan:
         scans = []
         body = oep._scan_brackets
 
-        def recorded(resid_scan, n, point):
-            scans.append(resid_scan(np.arange(n)))
-            return body(resid_scan, n, point)
+        def recorded(vals, point):
+            scans.append(vals)
+            return body(vals, point)
 
         monkeypatch.setattr(oep, "_scan_brackets", recorded)
         xs = np.linspace(-3.0, 3.0, 13)
@@ -756,7 +758,8 @@ class TestLatticeScan:
 
         def fresh_tables():
             # the shape-factor table, and the coefficient tables built on it
-            monkeypatch.setattr(oep, "_TABLE", hyper.ShapeFactorTable(oep.SCAN_LOG_STEP))
+            monkeypatch.setattr(oep, "_TABLE", hyper.LatticeTable(
+                functools.partial(hyper.lattice_factors, oep.SCAN_LOG_STEP)))
             oep._coefficient_table.cache_clear()
 
         runs = []
