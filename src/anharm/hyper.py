@@ -7,9 +7,12 @@ alone.  The nine z-functions evaluated here combine coth(z) and powers of
 1/sinh(z) in ways whose leading small-z orders cancel, so a naive evaluation
 loses roughly half the mantissa as z -> 0.  We therefore split:
 
-* |z| <  0.5: Maclaurin series (coefficients below, full double precision),
-* |z| >= 0.5: closed hyperbolic forms, written so that nothing overflows for
-  arbitrarily large z (only coth(z) -> 1 and exp(-z) -> 0 appear).
+* |z| <  0.5 (Z_SWITCH), for every z, real or complex: Maclaurin series
+  (coefficients below to z^27, full double precision only well inside the
+  series' radius pi),
+* |z| >= 0.5, a real z below -0.5 too: closed hyperbolic forms, written so
+  that nothing overflows for arbitrarily large Re z (only coth(z) -> 1 and
+  exp(-z) -> 0 appear).
 
 Every function here takes a real z, a complex z (the real-time amplitudes
 are the imaginary-time ones at beta = i*T, so they live at z = i*omega*T) or
@@ -28,8 +31,8 @@ an array of real or complex z, and dispatches on that type:
 * an array of complex z (the real-time gap solve's scan) takes numpy and
   the series as a product of the coefficient tables with a power matrix.
 
-Complex z take the series where |z| < 0.5.  The shape-factor names encode
-which integral and which endpoint monomial they multiply:
+The shape-factor names encode which integral and which endpoint monomial
+they multiply:
 
     int K dt        =  k1(z) / (2 w^2)
     int L^2 dt      = [(xa^2+xb^2) l2_sum(z)/2 + xa xb l2_cross(z)] / w
@@ -304,7 +307,7 @@ def shape_factors_d(z):
     m = _lib(z)
     if m is np:
         return split_rows(_factor_rows(z))
-    if (abs(z) if m is cmath else z) < Z_SWITCH:
+    if abs(z) < Z_SWITCH:
         return split_rows(_scalar_series(z))
     return _closed_d(z, m)
 
@@ -343,16 +346,15 @@ def _factor_rows(z):
     """shape_factors_d over an array of real or complex z as one array: the
     nine values, then the nine z-derivatives, along its first axis.
 
-    The series runs only on the entries inside the switch (z < Z_SWITCH for
-    real z, |z| < Z_SWITCH for complex z, as in shape_factors_d), by
-    _estrin_rows for real z and _product_rows for complex z; the closed
-    forms run only on the rest.
+    The series runs only on the entries inside the switch (|z| < Z_SWITCH,
+    as in shape_factors_d), by _estrin_rows for real z and _product_rows for
+    complex z; the closed forms run only on the rest.
     """
     z = np.asarray(z)
     complex_z = z.dtype.kind == "c"
     z = z.astype(complex if complex_z else float, copy=False)
     flat = z.reshape(-1)
-    series = (np.abs(flat) if complex_z else flat) < Z_SWITCH
+    series = np.abs(flat) < Z_SWITCH
     n_series = np.count_nonzero(series)
     out = np.empty((2 * len(_NAMES), flat.size), dtype=flat.dtype)
     if n_series:

@@ -20,11 +20,8 @@ The public functions check their arguments and call those bodies; solvers
 call the bodies directly.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import hyper
 
@@ -170,10 +167,7 @@ def _w0(x_a, x_b, beta, omega):
     z = omega * beta
     sq = x_a * x_a + x_b * x_b
     cross = x_a * x_b
-    m = hyper._lib(z)
-    # a real-time z (cmath) takes math's log of its real omega
-    log_omega = (math if m is cmath else m).log(omega)
-    return (0.5 * (log_omega - math.log(TWO_PI) - hyper.log_sinh(z))
+    return (0.5 * (hyper._lib(z).log(omega) - math.log(TWO_PI) - hyper.log_sinh(z))
             - 0.5 * omega * (sq * hyper.coth(z) - 2.0 * cross * hyper.inv_sinh(z)))
 
 
@@ -205,59 +199,56 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
     return -1j * _w0(p.x_a, p.x_b, _real_time_beta(p, omega), omega)
 
 
-def _pow(x, k):
-    """x**k by the C library's pow: Python's ** on a float, numpy's
-    float_power on each entry of an array.  numpy's own power takes another
-    route on some CPUs, so an array entry would not get the bits of the same
-    float."""
-    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
-
-
 def _monomials(x_a, x_b):
     """The endpoint monomials the kernel integrals are linear in (see hyper):
     1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2) and
-    6 (x_a x_b)^2.  _assemble_domega takes them, not the endpoints, so that
-    a basis in place of their values gives each derivative's coefficient of
-    each monomial."""
-    sq = x_a * x_a + x_b * x_b
+    6 (x_a x_b)^2, each power a product, so a float and an array entry get
+    the same bits.  _sums takes them, not the endpoints, so that a basis in
+    place of their values gives each sum's coefficient of each monomial."""
+    a2 = x_a * x_a
+    b2 = x_b * x_b
+    sq = a2 + b2
     cross = x_a * x_b
-    return 1.0, sq, cross, _pow(x_a, 4) + _pow(x_b, 4), 4.0 * cross * sq, 6.0 * cross * cross
+    return 1.0, sq, cross, a2 * a2 + b2 * b2, 4.0 * cross * sq, 6.0 * cross * cross
 
 
-def _assemble(s, x_a, x_b, omega):
-    _, sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
-    il2 = (0.5 * sq * s.l2_sum + cross * s.l2_cross) / omega
-    ik = 0.5 * s.k1 / (omega * omega)
-    il4 = (q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq) / omega
-    il2k = (sq * s.l2k_sum + 2.0 * cross * s.l2k_cross) / _pow(omega, 2)
-    ikk = s.k2 / _pow(omega, 3)
-    return KernelIntegrals(il2, ik, il4, il2k, ikk)
+def _sums(s, m):
+    """The endpoint sums G of the integrals of L^2, K, L^4, L^2 K and K^2:
+    each integral is G(z)/w^k, k = 1, 2, 1, 2, 3, with G linear in the
+    monomials m (_monomials) and in the shape factors s, or in their
+    z-derivatives for G'(z)."""
+    one, sq, cross, q_sum, q_cross, q_sq = m
+    return (0.5 * sq * s.l2_sum + cross * s.l2_cross,
+            0.5 * one * s.k1,
+            q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq,
+            sq * s.l2k_sum + 2.0 * cross * s.l2k_cross,
+            one * s.k2)
+
+
+def _assemble(s, m, omega):
+    """The five integrals G(z)/w^k from the shape factors s at z = w*beta."""
+    l2, k, l4, l2k, kk = _sums(s, m)
+    w2 = omega * omega
+    return KernelIntegrals(l2 / omega, k / w2, l4 / omega, l2k / w2, kk / (omega * w2))
 
 
 def _assemble_domega(s, sd, m, omega, z):
-    # d/dw [G(z)/w^k] = (z G'(z) - k G(z)) / w^(k+1) at fixed beta (z = w*beta)
-    one, sq, cross, q_sum, q_cross, q_sq = m
-    g_l2 = 0.5 * sq * s.l2_sum + cross * s.l2_cross
-    gd_l2 = 0.5 * sq * sd.l2_sum + cross * sd.l2_cross
-    g_l4 = q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq
-    gd_l4 = q_sum * sd.l4_sum + q_cross * sd.l4_cross + q_sq * sd.l4_sq
-    g_l2k = sq * s.l2k_sum + 2.0 * cross * s.l2k_cross
-    gd_l2k = sq * sd.l2k_sum + 2.0 * cross * sd.l2k_cross
+    """The omega-derivatives of the five integrals at fixed beta,
+    d/dw [G(z)/w^k] = (z G'(z) - k G(z)) / w^(k+1), from the shape factors s
+    and their z-derivatives sd at z = w*beta."""
+    l2, k, l4, l2k, kk = _sums(s, m)
+    dl2, dk, dl4, dl2k, dkk = _sums(sd, m)
     w2 = omega * omega
-    return KernelIntegrals(
-        (z * gd_l2 - g_l2) / w2,
-        0.5 * one * (z * sd.k1 - 2.0 * s.k1) / (omega * w2),
-        (z * gd_l4 - g_l4) / w2,
-        (z * gd_l2k - 2.0 * g_l2k) / (omega * w2),
-        one * (z * sd.k2 - 3.0 * s.k2) / (w2 * w2),
-    )
+    w3 = omega * w2
+    return KernelIntegrals((z * dl2 - l2) / w2, (z * dk - 2.0 * k) / w3, (z * dl4 - l4) / w2,
+                           (z * dl2k - 2.0 * l2k) / w3, (z * dkk - 3.0 * kk) / (w2 * w2))
 
 
 def kernel_integrals_imag(p: EuclideanPoint, omega: float) -> KernelIntegrals:
     """Closed-form integrals of L^2, K, L^4, L^2 K, K^2 over [0, beta]."""
     _check_path_args(omega, p.beta)
     z = omega * p.beta
-    return _assemble(hyper.shape_factors(z), p.x_a, p.x_b, omega)
+    return _assemble(hyper.shape_factors(z), _monomials(p.x_a, p.x_b), omega)
 
 
 def kernel_integrals_imag_domega(p: EuclideanPoint, omega: float) -> KernelIntegrals:
@@ -320,7 +311,7 @@ def _map_continued(k: KernelIntegrals) -> KernelIntegrals:
 def kernel_integrals_real(p: RealTimePoint, omega: float) -> KernelIntegrals:
     """Complex integrals of the trigonometric kernels over [0, T]."""
     zc = omega * _real_time_beta(p, omega)
-    return _map_continued(_assemble(hyper.shape_factors(zc), p.x_a, p.x_b, omega))
+    return _map_continued(_assemble(hyper.shape_factors(zc), _monomials(p.x_a, p.x_b), omega))
 
 
 def kernel_integrals_real_domega(p: RealTimePoint, omega: float) -> KernelIntegrals:

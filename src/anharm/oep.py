@@ -145,7 +145,8 @@ def _w1(params: OscillatorParams, x_a, x_b, beta, omega):
     """W1 at a real beta (float, or arrays broadcast with the endpoints and
     omega) or at beta = i*T, where it is i times the real-time W1; unchecked."""
     s = hyper.shape_factors(omega * beta)
-    return _w1_terms(params, omega, _assemble(s, x_a, x_b, omega), _w0(x_a, x_b, beta, omega))
+    return _w1_terms(params, omega, _assemble(s, _monomials(x_a, x_b), omega),
+                     _w0(x_a, x_b, beta, omega))
 
 
 def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):

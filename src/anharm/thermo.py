@@ -146,7 +146,7 @@ def _grow_halfwidth(logf, x0):
             return x, peak, logs[PROBE_POINTS:]
         x *= 2.0
     raise QuadratureError(f"integrand tail still {probe[-1] - peak:g} above "
-                          f"threshold at half-width {x:g}")
+                          f"threshold at half-width {x / 2.0:g}")
 
 
 def _weight(xs, logs, peak):
@@ -314,13 +314,13 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
     counts are those of its solves.
     """
     _check_beta(beta)
-    ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     if grid is None:
         grid = default_grid(params, beta, tol_quad=tol_quad, tol_root=tol_root)
     grid = np.asarray(grid, dtype=float)
     if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
             or np.any(np.diff(grid) <= 0)):
         raise ValueError("grid must be a finite, strictly increasing 1-d array")
+    ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     x, solve_of = np.unique(np.abs(grid), return_inverse=True)
     try:
         batch = optimize_omega_imag_diagonal(params, beta, x, tol_root)

@@ -118,6 +118,21 @@ class TestDensityCommand:
         assert np.max(np.abs(rho - rho[::-1])) <= 1e-12 * np.max(rho)
         assert xs[0] == -4.0 and xs[-1] == 4.0
 
+    def test_error_column(self, tmp_path):
+        # a basis of 16 fails the spectral tail bound at small beta
+        out = tmp_path / "rho.csv"
+        rc = run_cli(["density", "--m2", "0", "--lambda", "1", "--beta", "0.05",
+                      "--x-grid=-1:1:3", "--methods", "EXACT,OEP", "--basis-size", "16",
+                      "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        rows = [l.split(",") for l in lines if l and not l.startswith("#")][1:]
+        assert [r[1] for r in rows] == ["EXACT", "OEP"] * 3
+        assert all(r[2:] == ["", "TruncationError"] for r in rows[0::2])
+        assert all(r[2] != "" and r[3] == "" for r in rows[1::2])
+        assert [l for l in lines if l.startswith("# normalization_error")] == [
+            next(l for l in lines if l.startswith("# normalization_error OEP="))]
+
     def test_exact_and_oep_match_for_harmonic(self, tmp_path):
         out = tmp_path / "rho.csv"
         run_cli(["density", "--m2", "1", "--lambda", "0", "--beta", "1",
@@ -196,6 +211,29 @@ class TestDensityMatrixCommand:
         assert len(rows) == 9
         vals = {(r[0], r[1]): float(r[2]) for r in rows}
         assert vals[("-1", "1")] == vals[("1", "-1")]
+
+    def test_error_column(self, tmp_path, monkeypatch):
+        from anharm import thermo
+        from anharm.thermo import IntegrandError
+        solve = thermo.density_matrix_oep
+
+        def failing_off_diagonal(params, beta, xa, xb, *tols):
+            if xa != xb:
+                raise IntegrandError(f"no solve at ({xa}, {xb})")
+            return solve(params, beta, xa, xb, *tols)
+
+        monkeypatch.setattr(thermo, "density_matrix_oep", failing_off_diagonal)
+        out = tmp_path / "dm.csv"
+        assert run_cli(["density-matrix", "--m2", "1", "--lambda", "0.1", "--beta", "1",
+                        "--x-grid=-1:1:3", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert len(rows) == 9
+        for xa, xb, value, error in rows:
+            if xa == xb:
+                assert value != "" and error == ""
+            else:
+                assert (value, error) == ("", "IntegrandError")
 
 
 class TestExactSpectrumCommand:
@@ -299,8 +337,17 @@ class TestConfigHandling:
         (["free-energy", "--beta", "1"], "m2 = 1\nlambda 1\n", ":2: expected key=value"),
         (["free-energy", "--m2", "1", "--lambda", "1", "--beta", "1"], "unreadable",
          "cannot read config file"),
+        (["free-energy", "--beta", "1"], "m2 = one\nlambda = 1\n", "bad value for 'm2': 'one'"),
+        (["free-energy", "--m2", "1", "--lambda", "1"], None, "--beta is required"),
+        (["free-energy", "--m2", "1", "--lambda", "1", "--beta=-1"], None,
+         "beta values must be > 0"),
+        (["free-energy", "--m2", "1", "--lambda", "1", "--beta", "1", "--methods=,"], None,
+         "at least one method is required"),
+        (["free-energy", "--m2", "1", "--lambda", "1", "--beta", "1", "--workers", "0"], None,
+         "workers must be >= 1"),
     ], ids=["density-two-betas", "density-matrix-two-betas", "propagator-no-time",
-            "config-mode", "config-line-without-equals", "config-unreadable"])
+            "config-mode", "config-line-without-equals", "config-unreadable",
+            "config-value-unparsed", "no-beta", "negative-beta", "no-methods", "no-workers"])
     def test_exit_2_on_bad_config(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             cfgfile = tmp_path / "run.cfg"

@@ -262,6 +262,23 @@ def test_real_floats_match_array_entries():
     assert np.array_equal(on_floats.view(np.int64), np.stack(val + der).view(np.int64))
 
 
+@pytest.mark.parametrize("z", [-0.6, -1.0, -2.0, -3.0, -5.0])
+def test_negative_real_z_takes_the_closed_forms(z):
+    """Past |z| = Z_SWITCH a real z takes the closed forms on both sides of 0,
+    as a complex z does: the series stops at z^27 and was 14% off in k1 at
+    z = -3.  Against 40 digits the closed forms hold 1e-13 of max(1, |value|):
+    their terms cancel in the smaller derivatives, at z = +0.6 as at -0.6."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = np.array([float(f(mpmath.mpf(z))) for f in _mpmath_shape_factors()])
+    as_complex = np.array(sum(hyper.shape_factors_d(complex(z)), ())).real
+    val, der = hyper.shape_factors_d(z)
+    arr_val, arr_der = hyper.shape_factors_d(np.array([z]))
+    for got in (np.array(val + der), np.stack(arr_val + arr_der)[:, 0]):
+        assert np.all(np.abs(got - as_complex) <= 1e-13 * np.abs(as_complex)), z
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact))), z
+
+
 def _complex_samples():
     rng = np.random.default_rng(314)
     ring = rng.uniform(0.4, 0.6, 400) * np.exp(1j * rng.uniform(0.0, math.pi / 2, 400))

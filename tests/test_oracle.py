@@ -24,6 +24,10 @@ class TestJacobi:
             assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
             assert np.max(np.abs(a @ v - v * w)) < 1e-10 * np.linalg.norm(a)
 
+    def test_zero_matrix(self):
+        w, v = jacobi_eigh(np.zeros((3, 3)))
+        assert np.array_equal(w, np.zeros(3)) and np.array_equal(v, np.eye(3))
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))

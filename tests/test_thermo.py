@@ -184,6 +184,16 @@ class TestTrace:
         with pytest.raises(QuadratureError, match="more than 6 panels"):
             free_energy_oep(OscillatorParams(-0.9, 0.15), 1.1)
 
+    def test_doubling_limit(self, monkeypatch):
+        # this trace doubles once (test_probe_solves_the_first_level); the
+        # error names the half-width whose probe missed the tail
+        params = OscillatorParams(2.0, 0.5)
+        monkeypatch.setattr(thermo, "MAX_DOUBLINGS", 1)
+        x0 = thermo._initial_halfwidth(params, 2.0)
+        with pytest.raises(QuadratureError, match=f"at half-width {x0:g}$"):
+            thermo._log_partition_oep.__wrapped__(params, 2.0, thermo.TOL_QUAD,
+                                                  thermo.TOL_ROOT)
+
 
 class TestDensity:
     def test_harmonic_gaussian(self, harmonic):
@@ -206,6 +216,23 @@ class TestDensity:
         assert prof.grid.shape == (41,)
         with pytest.raises(ValueError):
             density_oep(harmonic, 1.0, [0.0, 0.0, 1.0])
+
+    def test_caller_grid_is_checked_before_the_trace(self, monkeypatch):
+        def trace(*args):
+            raise AssertionError("the trace ran before the grid check")
+
+        monkeypatch.setattr(thermo, "_log_partition_oep", trace)
+        for grid in ([0.0, math.nan], [1.0, 0.5], [[0.0, 1.0], [2.0, 3.0]], [0.5]):
+            with pytest.raises(ValueError, match="grid must be"):
+                density_oep(OscillatorParams(-1.0, 0.14), 1.0, grid)
+
+    def test_failed_gap_solve_is_an_integrand_error(self, monkeypatch):
+        params = OscillatorParams(0.7, 0.3)
+        free_energy_oep(params, 1.7)    # the trace is cached before the solve breaks
+        monkeypatch.setattr(oep, "_gap_residual",
+                            lambda params, x_a, x_b, beta, omega: np.full(np.shape(x_a * omega), np.nan))
+        with pytest.raises(IntegrandError, match="trial-frequency optimization failed"):
+            density_oep(params, 1.7, [-0.5, 0.0, 0.5])
 
     def test_info_counts_the_fallbacks_the_oep_docstring_names(self, double_well):
         from anharm import exact_density
