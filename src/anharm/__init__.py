@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 
 from .kernels import (CausticError, EuclideanPoint, KernelIntegrals,
                       OscillatorParams, QuadratureError, RealTimePoint,
-                      kernel_integrals_imag, kernel_integrals_imag_domega,
-                      kernel_integrals_imag_quad, kernel_integrals_real,
-                      kernel_integrals_real_domega, path_K, path_L, w0_imag,
-                      w0_real)
+                      kernel_integrals_imag, kernel_integrals_imag_quad,
+                      kernel_integrals_real, path_K, path_L, w0_imag, w0_real)
 from .oep import (FirstOrderAmplitude, GapSolution, NoStationaryPointError,
                   gap_residual_imag, gap_residual_real, optimize_omega_imag,
                   optimize_omega_real, optimized_w1_imag, optimized_w1_real,
@@ -23,8 +21,7 @@ __all__ = [
     "__version__",
     "CausticError", "EuclideanPoint", "KernelIntegrals", "OscillatorParams",
     "QuadratureError", "RealTimePoint", "kernel_integrals_imag",
-    "kernel_integrals_imag_domega", "kernel_integrals_imag_quad",
-    "kernel_integrals_real", "kernel_integrals_real_domega", "path_K",
+    "kernel_integrals_imag_quad", "kernel_integrals_real", "path_K",
     "path_L", "w0_imag", "w0_real",
     "FirstOrderAmplitude", "GapSolution", "NoStationaryPointError",
     "gap_residual_imag", "gap_residual_real", "optimize_omega_imag",

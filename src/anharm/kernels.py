@@ -200,48 +200,35 @@ def w0_real(p: RealTimePoint, omega: float) -> complex:
 
 
 def _monomials(x_a, x_b):
-    """The endpoint monomials the kernel integrals are linear in (see hyper):
-    1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2) and
-    6 (x_a x_b)^2, each power a product, so a float and an array entry get
-    the same bits.  _sums takes them, not the endpoints, so that a basis in
-    place of their values gives each sum's coefficient of each monomial."""
+    """The endpoint monomials x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4,
+    4 x_a x_b (x_a^2 + x_b^2) and 6 (x_a x_b)^2; with 1, the kernel integrals
+    are linear in them (see hyper).  Each power is a product, so a float and
+    an array entry get the same bits."""
     a2 = x_a * x_a
     b2 = x_b * x_b
     sq = a2 + b2
     cross = x_a * x_b
-    return 1.0, sq, cross, a2 * a2 + b2 * b2, 4.0 * cross * sq, 6.0 * cross * cross
+    return sq, cross, a2 * a2 + b2 * b2, 4.0 * cross * sq, 6.0 * cross * cross
 
 
 def _sums(s, m):
-    """The endpoint sums G of the integrals of L^2, K, L^4, L^2 K and K^2:
-    each integral is G(z)/w^k, k = 1, 2, 1, 2, 3, with G linear in the
-    monomials m (_monomials) and in the shape factors s, or in their
-    z-derivatives for G'(z)."""
-    one, sq, cross, q_sum, q_cross, q_sq = m
+    """The endpoint sums G of the integrals of L^2, K, L^4, L^2 K and K^2,
+    from the shape factors s at z = w*beta and the monomials m (_monomials):
+    each integral is G(z)/w^k, k = 1, 2, 1, 2, 3."""
+    sq, cross, q_sum, q_cross, q_sq = m
     return (0.5 * sq * s.l2_sum + cross * s.l2_cross,
-            0.5 * one * s.k1,
+            0.5 * s.k1,
             q_sum * s.l4_sum + q_cross * s.l4_cross + q_sq * s.l4_sq,
             sq * s.l2k_sum + 2.0 * cross * s.l2k_cross,
-            one * s.k2)
+            s.k2)
 
 
 def _assemble(s, m, omega):
-    """The five integrals G(z)/w^k from the shape factors s at z = w*beta."""
+    """The five integrals G(z)/w^k of _sums; oep._w1 takes them for W1, and
+    oep._coefficients writes their omega-derivatives out per monomial."""
     l2, k, l4, l2k, kk = _sums(s, m)
     w2 = omega * omega
     return KernelIntegrals(l2 / omega, k / w2, l4 / omega, l2k / w2, kk / (omega * w2))
-
-
-def _assemble_domega(s, sd, m, omega, z):
-    """The omega-derivatives of the five integrals at fixed beta,
-    d/dw [G(z)/w^k] = (z G'(z) - k G(z)) / w^(k+1), from the shape factors s
-    and their z-derivatives sd at z = w*beta."""
-    l2, k, l4, l2k, kk = _sums(s, m)
-    dl2, dk, dl4, dl2k, dkk = _sums(sd, m)
-    w2 = omega * omega
-    w3 = omega * w2
-    return KernelIntegrals((z * dl2 - l2) / w2, (z * dk - 2.0 * k) / w3, (z * dl4 - l4) / w2,
-                           (z * dl2k - 2.0 * l2k) / w3, (z * dkk - 3.0 * kk) / (w2 * w2))
 
 
 def kernel_integrals_imag(p: EuclideanPoint, omega: float) -> KernelIntegrals:
@@ -249,14 +236,6 @@ def kernel_integrals_imag(p: EuclideanPoint, omega: float) -> KernelIntegrals:
     _check_path_args(omega, p.beta)
     z = omega * p.beta
     return _assemble(hyper.shape_factors(z), _monomials(p.x_a, p.x_b), omega)
-
-
-def kernel_integrals_imag_domega(p: EuclideanPoint, omega: float) -> KernelIntegrals:
-    """Derivatives of the five integrals with respect to omega (beta fixed)."""
-    _check_path_args(omega, p.beta)
-    z = omega * p.beta
-    s, sd = hyper.shape_factors_d(z)
-    return _assemble_domega(s, sd, _monomials(p.x_a, p.x_b), omega, z)
 
 
 def kernel_integrals_imag_quad(p: EuclideanPoint, omega: float,
@@ -312,10 +291,3 @@ def kernel_integrals_real(p: RealTimePoint, omega: float) -> KernelIntegrals:
     """Complex integrals of the trigonometric kernels over [0, T]."""
     zc = omega * _real_time_beta(p, omega)
     return _map_continued(_assemble(hyper.shape_factors(zc), _monomials(p.x_a, p.x_b), omega))
-
-
-def kernel_integrals_real_domega(p: RealTimePoint, omega: float) -> KernelIntegrals:
-    """omega-derivatives of the real-time kernel integrals (T fixed)."""
-    zc = omega * _real_time_beta(p, omega)
-    s, sd = hyper.shape_factors_d(zc)
-    return _map_continued(_assemble_domega(s, sd, _monomials(p.x_a, p.x_b), omega, zc))

@@ -15,7 +15,10 @@ Because dW0/domega = -omega*(iL2 + iK) exactly, the residual reduces to
 derivatives of the kernel integrals alone:
 
     dW1/domega = -(m2 - omega^2)/2 * d(iL2 + iK)/domega
-                 - lam * d(iL4 + 6 iL2K + 3 iKK)/domega.
+                 - lam * d(iL4 + 6 iL2K + 3 iKK)/domega,
+
+linear in 1 and the endpoint monomials of kernels._monomials with the
+coefficients of _coefficients, the one formula of the residual.
 
 The scan covers real omega > 0 only, so a stationary point at trial
 curvature omega^2 <= 0 is out of its reach.  That happens in the double well
@@ -34,11 +37,11 @@ directly; the points between them are lattice points, omega = z_k/beta with
 z_k = exp(k * SCAN_LOG_STEP) for k0 < k < k0 + SCAN_POINTS - 1 and
 k0 = floor((lo + log beta)/SCAN_LOG_STEP).  The shape factors depend on
 z = omega*beta alone, so every scan of the process reads them off one table
-(_TABLE, a hyper.LatticeTable of hyper.lattice_factors).  dW1/domega is linear
-in the six endpoint monomials of kernels._monomials, so each (params, beta)
-keeps one more table (_coefficient_table) of its coefficients at every
-lattice point, and a scan only combines its rows with the point's monomials
-(_combine): on the diagonal x_a = x_b = x as A + (B + C x^2) x^2.  Keeping
+(_TABLE, a hyper.LatticeTable of hyper.lattice_factors).  Each (params,
+beta) keeps one more table (_coefficient_table), whose columns are
+_coefficients at the lattice points, and a scan only combines its rows with
+the point's monomials (_combine): on the diagonal x_a = x_b = x as
+A + (B + C x^2) x^2.  Keeping
 each window's own ends keeps the fallback cells, and with them the kinks of
 a trace that falls back, where they were; a window snapped onto the lattice
 moved them with x.  Illinois, golden-section, acceptance and W1 evaluations
@@ -77,8 +80,8 @@ import numpy as np
 from . import hyper
 from .kernels import (CAUSTIC_TOL, CausticError, EuclideanPoint,
                       OscillatorParams, RealTimePoint, _assemble,
-                      _assemble_domega, _check_path_args, _check_tolerance,
-                      _monomials, _real_time_beta, _w0)
+                      _check_path_args, _check_tolerance, _monomials,
+                      _real_time_beta, _w0)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
@@ -134,27 +137,48 @@ class FirstOrderAmplitude:
     point: object
 
 
-def _w1_terms(params: OscillatorParams, omega, k, w0=0.0):
-    """W1 from W0 and the kernel integrals k; with w0 = 0 and the
-    omega-derivatives of the integrals, the gap residual dW1/domega."""
-    return (w0 - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
-            - params.lam * (k.iL4 + 6.0 * k.iL2K + 3.0 * k.iKK))
-
-
 def _w1(params: OscillatorParams, x_a, x_b, beta, omega):
     """W1 at a real beta (float, or arrays broadcast with the endpoints and
     omega) or at beta = i*T, where it is i times the real-time W1; unchecked."""
-    s = hyper.shape_factors(omega * beta)
-    return _w1_terms(params, omega, _assemble(s, _monomials(x_a, x_b), omega),
-                     _w0(x_a, x_b, beta, omega))
+    k = _assemble(hyper.shape_factors(omega * beta), _monomials(x_a, x_b), omega)
+    return (_w0(x_a, x_b, beta, omega) - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
+            - params.lam * (k.iL4 + 6.0 * k.iL2K + 3.0 * k.iKK))
+
+
+def _coefficients(params: OscillatorParams, s, sd, omega, z):
+    """omega, dW1/domega's coefficients of 1 and of each monomial of
+    kernels._monomials, and B and C of a diagonal point: the nine rows of a
+    _coefficient_table column, from the shape factors s and z-derivatives sd
+    at z = omega*beta.  G(z)/omega^k of kernels._sums has the derivative
+    (z G'(z) - k G(z))/omega^(k+1) at fixed beta."""
+    w2 = omega * omega
+    w3 = omega * w2
+    a = -0.5 * (params.m2 - w2)
+    lam = params.lam
+    c = (a * (0.5 * (z * sd.k1 - 2.0 * s.k1) / w3)
+         - lam * (3.0 * (z * sd.k2 - 3.0 * s.k2) / (w2 * w2)),
+         a * (0.5 * (z * sd.l2_sum - s.l2_sum) / w2)
+         - lam * (6.0 * (z * sd.l2k_sum - 2.0 * s.l2k_sum) / w3),
+         a * ((z * sd.l2_cross - s.l2_cross) / w2)
+         - lam * (12.0 * (z * sd.l2k_cross - 2.0 * s.l2k_cross) / w3),
+         -lam * ((z * sd.l4_sum - s.l4_sum) / w2),
+         -lam * ((z * sd.l4_cross - s.l4_cross) / w2),
+         -lam * ((z * sd.l4_sq - s.l4_sq) / w2))
+    # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
+    return (omega, *c, 2.0 * c[1] + c[2], 2.0 * c[3] + 8.0 * c[4] + 6.0 * c[5])
+
+
+def _monomial_sum(c, x_a, x_b):
+    """dW1/domega at the endpoints from the coefficient rows c of _coefficients."""
+    sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
+    return c[1] + c[2] * sq + c[3] * cross + c[4] * q_sum + c[5] * q_cross + c[6] * q_sq
 
 
 def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):
-    """dW1/domega at a real beta (float or arrays) or at beta = i*T, from the
-    analytic omega-derivatives of the closed forms; unchecked."""
+    """dW1/domega at a real beta (float or arrays) or at beta = i*T: the
+    _coefficients there summed with the endpoint monomials; unchecked."""
     z = omega * beta
-    s, sd = hyper.shape_factors_d(z)
-    return _w1_terms(params, omega, _assemble_domega(s, sd, _monomials(x_a, x_b), omega, z))
+    return _monomial_sum(_coefficients(params, *hyper.shape_factors_d(z), omega, z), x_a, x_b)
 
 
 def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
@@ -294,52 +318,25 @@ def _lattice_start(log_lo, beta):
     return np.floor((log_lo + math.log(beta)) / SCAN_LOG_STEP).astype(np.int64)
 
 
-def _monomial_coefficients(params: OscillatorParams, s, sd, omega, z):
-    """dW1/domega's coefficient of each endpoint monomial of kernels._monomials
-    (1, x_a^2 + x_b^2, x_a x_b, x_a^4 + x_b^4, 4 x_a x_b (x_a^2 + x_b^2),
-    6 (x_a x_b)^2): _assemble_domega and _w1_terms with one monomial at a
-    time, written out so that no term is evaluated for a monomial it lacks."""
-    def d(name, k):             # z G'(z) - k G(z) of one shape factor G
-        return z * getattr(sd, name) - k * getattr(s, name)
-
-    w2 = omega * omega
-    w3 = omega * w2
-    a = -0.5 * (params.m2 - w2)
-    lam = params.lam
-    return (a * (0.5 * d("k1", 2.0) / w3) - lam * (3.0 * d("k2", 3.0) / (w2 * w2)),
-            a * (0.5 * d("l2_sum", 1.0) / w2) - lam * (6.0 * d("l2k_sum", 2.0) / w3),
-            a * (d("l2_cross", 1.0) / w2) - lam * (12.0 * d("l2k_cross", 2.0) / w3),
-            -lam * (d("l4_sum", 1.0) / w2),
-            -lam * (d("l4_cross", 1.0) / w2),
-            -lam * (d("l4_sq", 1.0) / w2))
-
-
 @lru_cache(maxsize=16)
 def _coefficient_table(params: OscillatorParams, beta: float):
-    """The lattice table of one (params, beta): row 0 holds omega_k = z_k/beta,
-    rows 1 to 6 the coefficient of each endpoint monomial in dW1/domega
-    there, and rows 7 and 8 B and C of a diagonal point (x, x), whose
-    residual is A + (B + C x^2) x^2 with A = row 1.  _combine turns a span
-    of it into the residual at a point."""
+    """The lattice table of one (params, beta): column k is _coefficients at
+    omega_k = z_k/beta (row 0 omega_k, rows 1 to 6 the coefficients, rows 7
+    and 8 B and C of a diagonal point (x, x), whose residual is
+    A + (B + C x^2) x^2 with A = row 1).  _combine reads a span of it."""
     def fill(k_lo, k_hi):
         z, *factors = _TABLE.span(k_lo, k_hi)
-        omega = z / beta
-        c = _monomial_coefficients(params, *hyper.split_rows(factors), omega, z)
-        # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
-        return np.concatenate([omega[None], c, [2.0 * c[1] + c[2],
-                                               2.0 * c[3] + 8.0 * c[4] + 6.0 * c[5]]])
+        return np.array(_coefficients(params, *hyper.split_rows(factors), z / beta, z))
     return hyper.LatticeTable(fill)
 
 
 def _combine(rows, x_a, x_b):
-    """dW1/domega at the endpoints from rows 1 to 8 of a _coefficient_table
-    span; a diagonal point takes A + (B + C x^2) x^2, as the batch does."""
+    """dW1/domega at the endpoints from a _coefficient_table span; a
+    diagonal point takes A + (B + C x^2) x^2, as the batch does."""
     if x_a == x_b:
         t = x_a * x_a
         return rows[1] + (rows[7] + rows[8] * t) * t
-    _, sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
-    return (rows[1] + rows[2] * sq + rows[3] * cross + rows[4] * q_sum
-            + rows[5] * q_cross + rows[6] * q_sq)
+    return _monomial_sum(rows, x_a, x_b)
 
 
 def _scan_imag(params: OscillatorParams, x_a: float, x_b: float, beta: float):

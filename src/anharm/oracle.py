@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import OscillatorParams
-from .thermo import DensityProfile, FreeEnergyResult, _check_beta
+from .thermo import DensityProfile, FreeEnergyResult, _check_beta, _check_grid
 
 TAIL_BOUND = 1e-14
 JACOBI_TOL = 1e-13
@@ -128,6 +128,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL,
 def _solve_cached(params: OscillatorParams, n: int, omega: float) -> SpectralSolution:
     h = hamiltonian_matrix(params, n, omega)
     energies, vectors = jacobi_eigh(h)
+    energies.flags.writeable = vectors.flags.writeable = False
     return SpectralSolution(energies, vectors, n, omega, params)
 
 
@@ -135,7 +136,7 @@ def solve_spectrum(params: OscillatorParams, n: int,
                    omega: float | None = None) -> SpectralSolution:
     """Diagonalize the potential in an n-state oscillator basis.
 
-    Results are cached per (params, n, omega); treat the returned arrays as
+    Results are cached per (params, n, omega), so the returned arrays are
     read-only.
     """
     if n < 16:
@@ -190,8 +191,8 @@ def hermite_functions(n: int, omega: float, grid: np.ndarray) -> np.ndarray:
 def exact_density(s: SpectralSolution, beta: float, grid) -> DensityProfile:
     """Boltzmann-weighted sum of |psi_n(x)|^2, normalized by the same sum."""
     _check_beta(beta)
+    grid = _check_grid(grid)
     _check_tail(s, beta)
-    grid = np.asarray(grid, dtype=float)
     weights = np.exp(-beta * (s.energies - s.energies[0]))
     psi = hermite_functions(s.basis_size, s.basis_frequency, grid) @ s.eigenvectors
     rho = (psi * psi) @ weights / float(np.sum(weights))

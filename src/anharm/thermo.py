@@ -91,6 +91,15 @@ def _check_beta(beta):
         raise ValueError(f"beta must be a positive finite number, got {beta!r}")
 
 
+def _check_grid(grid):
+    """grid as a float array; ValueError unless finite, strictly increasing, 1-d, >= 2 points."""
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("grid must be a finite, strictly increasing 1-d array")
+    return grid
+
+
 def _initial_halfwidth(params: OscillatorParams, beta: float) -> float:
     """Covers the classical width, the quantum width and the well positions."""
     scales = [1.0, 1.0 / math.sqrt(beta * max(params.m2, 1.0))]
@@ -316,10 +325,7 @@ def density_oep(params: OscillatorParams, beta: float, grid=None,
     _check_beta(beta)
     if grid is None:
         grid = default_grid(params, beta, tol_quad=tol_quad, tol_root=tol_root)
-    grid = np.asarray(grid, dtype=float)
-    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
-            or np.any(np.diff(grid) <= 0)):
-        raise ValueError("grid must be a finite, strictly increasing 1-d array")
+    grid = _check_grid(grid)
     ln_z, _, _, _ = _log_partition_oep(params, beta, tol_quad, tol_root)
     x, solve_of = np.unique(np.abs(grid), return_inverse=True)
     try:

@@ -9,8 +9,7 @@ from scipy import integrate
 
 from anharm import (CausticError, EuclideanPoint, OscillatorParams,
                     RealTimePoint, kernel_integrals_imag,
-                    kernel_integrals_imag_domega, kernel_integrals_imag_quad,
-                    kernel_integrals_real, kernel_integrals_real_domega,
+                    kernel_integrals_imag_quad, kernel_integrals_real,
                     path_K, path_L, w0_imag, w0_real)
 from anharm.oracle import hermite_functions
 
@@ -23,18 +22,6 @@ Z_HARMONIC_1 = 0.95951737566747186           # 1/(2 sinh 0.5)
 
 def _five(k):
     return (k.iL2, k.iK, k.iL4, k.iL2K, k.iKK)
-
-
-def _check_omega_derivatives(integrals, derivatives, p, omega):
-    """Analytic omega-derivatives of the five integrals against central
-    differences, step 1e-6 * omega; the quotient carries a roundoff floor
-    ~ eps |value| / (2h)."""
-    h = 1e-6 * omega
-    lo, hi = integrals(p, omega - h), integrals(p, omega + h)
-    for a, b, got in zip(_five(lo), _five(hi), _five(derivatives(p, omega))):
-        fd = (b - a) / (2.0 * h)
-        noise = 8e-16 * max(1.0, abs(a)) / (2.0 * h)
-        assert abs(fd - got) <= 1e-6 * abs(got) + noise, (p, omega)
 
 
 class TestValidation:
@@ -176,13 +163,6 @@ class TestImagIntegrals:
                 worst = max(worst, rel)
         assert worst <= 1e-10, worst
 
-    def test_omega_derivatives_match_finite_differences(self, rng):
-        for _ in range(30):
-            xa, xb = rng.uniform(-2, 2, 2)
-            p = EuclideanPoint(xa, xb, 10.0 ** rng.uniform(-1.5, 1.5))
-            _check_omega_derivatives(kernel_integrals_imag, kernel_integrals_imag_domega,
-                                     p, 10.0 ** rng.uniform(-1, 1))
-
     def test_swap_symmetry(self, rng):
         for _ in range(20):
             xa, xb = rng.uniform(-3, 3, 2)
@@ -319,19 +299,6 @@ class TestRealIntegrals:
             factors = (-1j, -1.0, -1j, -1.0, 1j)
             for got, fac, want in zip(_five(kr), factors, _five(ki)):
                 assert got == pytest.approx(fac * want, rel=1e-9, abs=1e-13)
-
-    def test_omega_derivatives_match_finite_differences(self, rng):
-        # real T away from the focal points, the wedge and its edge T = -i*beta
-        for k in range(30):
-            omega = 10.0 ** rng.uniform(-0.7, 0.7)
-            size = rng.uniform(0.2, 3.0)
-            T = (size, size * cmath.exp(-0.5j * math.pi * rng.uniform(0.05, 0.95)),
-                 -1j * size)[k % 3]
-            if k % 3 == 0 and abs(math.sin(omega * T)) < 1e-2:
-                continue
-            xa, xb = rng.uniform(-2, 2, 2)
-            _check_omega_derivatives(kernel_integrals_real, kernel_integrals_real_domega,
-                                     RealTimePoint(xa, xb, T), omega)
 
     def test_caustic_raises(self):
         with pytest.raises(CausticError):

@@ -171,16 +171,22 @@ class TestGapResidual:
         assert np.any(signs[:-1] != signs[1:])
 
     def test_real_time_finite_difference(self, rng):
-        params = OscillatorParams(0.8, 0.3)
-        for _ in range(10):
-            p = RealTimePoint(*rng.uniform(-1.5, 1.5, 2), rng.uniform(0.4, 2.5))
-            omega = 10.0 ** rng.uniform(-0.4, 0.4)
-            if abs(math.sin(omega * p.T)) < 1e-2:
+        # real T away from the focal points, the wedge and its edge T = -i*beta;
+        # central differences of W1 as in test_finite_difference_agreement
+        for k in range(30):
+            params = OscillatorParams(rng.uniform(-1, 2), rng.uniform(0.05, 2))
+            omega = 10.0 ** rng.uniform(-0.7, 0.7)
+            size = rng.uniform(0.2, 3.0)
+            T = (size, size * cmath.exp(-0.5j * math.pi * rng.uniform(0.05, 0.95)),
+                 -1j * size)[k % 3]
+            if k % 3 == 0 and abs(math.sin(omega * T)) < 1e-2:
                 continue
+            p = RealTimePoint(*rng.uniform(-2, 2, 2), T)
             h = 1e-6 * omega
             fd = (w1_real(params, p, omega + h) - w1_real(params, p, omega - h)) / (2 * h)
             an = gap_residual_real(params, p, omega)
-            assert an == pytest.approx(fd, rel=2e-6, abs=1e-10)
+            noise = 8e-16 * max(1.0, abs(w1_real(params, p, omega))) / (2 * h)
+            assert abs(fd - an) <= 1e-6 * abs(an) + noise, (params, p, omega)
 
 
 class TestOptimizeImag:
@@ -404,8 +410,8 @@ REAL_PINS = [
     (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0), 1.0, 1, False),
     (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0), 1.0013401742060046, 0, True),
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
-    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471774610044, 0, True),
-    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321552516832, 0, True),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471772264036, 0, True),
+    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.38032154586922, 0, True),
     (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
 ]
 # W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
@@ -415,9 +421,9 @@ REAL_PIN_W1 = {
     (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0)): complex(-0.7563319866538861, 0.5512430465506604),
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318)):
         complex(-0.581898000940667, 1.241712188977814),
-    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363213848974, -0.04302889341581394),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363212100352, -0.04302889402439833),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
-        complex(-1.1906424908902113, 1.8328590702496046),
+        complex(-1.1906424909099924, 1.8328590696397047),
     (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
 }
 
@@ -785,15 +791,15 @@ class TestLatticeScan:
 # an end of its window returns that end.
 SCREEN_PINS = [
     (1.8119412615293302, 0.01216392045649809, -1.8637786204150837, 0.9363511648986176,
-     complex(2.175758684326429, 0.0), 1.8790334443349952, 0, True),
+     complex(2.175758684326429, 0.0), 1.8790334442923906, 0, True),
     (1.727326754794352, 0.006833438458679529, -1.7239126134859686, -1.5237320312232758,
      complex(0.5286532727815427, 0.0), 1.3444333496939178, 0, True),
     (0.7699538472697821, 2.318914135157262, -1.9257742698621918, -1.9906978556302586,
-     complex(2.4292040268025366, 0.0), 5.430415335623977, 0, True),
+     complex(2.4292040268025366, 0.0), 5.430415331953492, 0, True),
     (0.40999255715082916, 3.535502918271593, -0.05230845694650732, 1.3631686158837901,
-     complex(0.7714582549129205, 0.0), 5.903573942583775, 0, True),
+     complex(0.7714582549129205, 0.0), 5.903573942242528, 0, True),
     (-0.6315060766356986, 0.15558028464847906, -1.3770899358600128, -1.0157466278761453,
-     complex(0.47100240136217186, 0.0), 11.496241324331118, 0, True),
+     complex(0.47100240136217186, 0.0), 11.496241325269315, 0, True),
     (-1.4778241576588393, 0.15284777905516675, -1.7877262614633103, -0.04125534305970424,
      complex(1.4667324888713325, 0.0), 3.1508484929636715, 0, True),
     (1.6704835808154108, 0.0, 1.0525321808605717, -1.3036053658523175,
@@ -803,15 +809,15 @@ SCREEN_PINS = [
     (0.9817948078662004, 0.023498523927500296, 0.3494354702546234, 0.36402304838677413,
      complex(0.3558051137219493, -1.4809210845745073), 1.0354912663461795, 0, True),
     (0.5507950410868906, 0.036835117399414585, -1.5604878322028606, 1.6294270173042293,
-     complex(1.1535867671929287, -2.13949496416933), 0.9170183161247332, 0, True),
+     complex(1.1535867671929287, -2.13949496416933), 0.9170183145369668, 0, True),
     (0.5648919447987901, 3.711671017601152, 0.5430681448566235, 0.5149881845601074,
      complex(0.8703334464946478, -0.6942184798116879), 4.796070661815079, 0, True),
     (0.0020260485140375373, 0.8035064970354872, -1.1005071271688358, 1.250331046718164,
-     complex(1.2718660034382474, -0.9991294339208509), 1.9595767925659944, 0, True),
+     complex(1.2718660034382474, -0.9991294339208509), 1.9595767920833629, 0, True),
     (-1.4830556752005655, 0.12657178436390393, -1.424253701746188, 0.49473476199815236,
-     complex(0.7669913141699188, -0.8549775802928442), 8.881461038277074, 0, True),
+     complex(0.7669913141699188, -0.8549775802928442), 8.881461053202099, 0, True),
     (-1.3862143910233495, 0.08294389161163353, 0.6807711739649416, 1.1680218546559713,
-     complex(1.0489937161093115, -0.8105237345034102), 4.4330945292936885, 0, True),
+     complex(1.0489937161093115, -0.8105237345034102), 4.433094533797264, 0, True),
     (1.78070680961713, 0.0, -0.344577224167689, -0.42011179952608835,
      complex(1.400046805651382, -1.3136010156184208), 1.3344312682252053, 1, False),
     (1.2832789571016845, 0.0, 1.7178863920169576, 0.6456733035580338,
@@ -821,11 +827,11 @@ SCREEN_PINS = [
     (1.8989507475794292, 0.04087893285041474, 0.7458575894051669, -1.5921885671870473,
      complex(0.0, -1.8731876545171535), 1.4604463781818644, 1, False),
     (0.5648873763771115, 2.4230813711929775, 0.20095924589513325, 1.6886417910219569,
-     complex(0.0, -1.1666269500051962), 3.2468180601014356, 1, False),
+     complex(0.0, -1.1666269500051962), 3.246818060101436, 1, False),
     (0.07392746895627678, 1.2016787010664298, 0.5759617569228532, 1.6557538730299113,
      complex(0.0, -1.5357010559951587), 2.3394773317962363, 1, False),
     (-0.8302649927743389, 0.15111340608895288, -1.6539047660030066, -0.27044190969047666,
-     complex(0.0, -2.079500742736352), 0.7098852367560942, 1, False),
+     complex(0.0, -2.079500742736352), 0.7098852367560948, 1, False),
     (-1.052589108747604, 0.13735420301584123, 1.0784412078498975, -1.465569915776928,
      complex(0.0, -1.8481591051359827), 0.013973796934434676, 0, True),
     (0.8785495470870877, 0.0, 0.7907864572735295, 0.027579848878203084,
@@ -937,7 +943,7 @@ class TestRealScreen:
         g = optimize_omega_real(params, RealTimePoint(0.38005541743812987, 1.2588475123979697,
                                                       -0.5525972391582087j))
         assert (g.n_roots, g.fallback_used) == (1, False)
-        assert g.omega_star == pytest.approx(0.043577342419179675, rel=1e-12)
+        assert g.omega_star == pytest.approx(0.04357734241412863, rel=1e-12)
         assert g.residual < 1e-14
         assert g.omega_star not in scan_window(params, 0.38005541743812987,
                                                1.2588475123979697, 0.5525972391582087)

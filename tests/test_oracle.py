@@ -161,6 +161,22 @@ class TestExactDensity:
         prof = exact_density(quartic_spectrum, 2.0, grid)
         assert prof.normalization_error < 1e-8
 
+    def test_rejects_bad_grid(self, quartic_spectrum):
+        # the grids density_oep rejects: a NaN, decreasing, 2-d, one point
+        for grid in ([0.0, math.nan], [1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]], [0.5]):
+            with pytest.raises(ValueError, match="grid must be"):
+                exact_density(quartic_spectrum, 2.0, grid)
+
+
+def test_cached_spectrum_is_read_only(quartic):
+    s = solve_spectrum(quartic, 32, 2.0)
+    e0 = s.energies[0]
+    with pytest.raises(ValueError, match="read-only"):
+        s.energies[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.eigenvectors[0, 0] = 0.0
+    assert solve_spectrum(quartic, 32, 2.0).energies[0] == e0
+
 
 def test_hamiltonian_matrix_symmetric(quartic):
     h = hamiltonian_matrix(quartic, 64, 2.0)
