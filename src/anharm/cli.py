@@ -3,14 +3,18 @@
 Subcommands emit CSV (with a ``#`` comment header echoing the full
 configuration) or key=value records, so sweeps are reproducible from their
 output alone.  Exit codes: 0 success, 2 configuration error (also an
-argument the library rejects), 3 numerical failure.
+argument the library rejects, or an output file that cannot be opened),
+3 numerical failure.
 
 Two tables drive the parser.  ``OPTIONS`` declares each option once; its
 name is the flag, the argparse dest and the config-file key.  ``COMMANDS``
 gives each subcommand its function, help, own options and allowed methods.
 A config file may carry any option; a subcommand ignores the ones it does
-not take.  ``propagator`` runs one path in both modes: real time uses the
-real-time point, residual, solver and W1 in place of the imaginary-time ones.
+not take.  One option dict (flag, else config file, else default) runs from
+the parser to the output, with grids and methods parsed in place and the
+potential and the header echo beside them.  ``propagator`` runs one path in
+both modes: real time uses the real-time point, residual, solver and W1 in
+place of the imaginary-time ones.
 """
 
 import argparse
@@ -18,7 +22,6 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,8 +55,6 @@ def _fmt(v) -> str:
 
 def parse_grid(spec) -> list:
     """Grid specs: a number, a comma list, start:stop:count, or log:start:stop:count."""
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
     s = str(spec).strip()
     logspace = s.startswith("log:")
     if logspace:
@@ -68,9 +69,7 @@ def parse_grid(spec) -> list:
                 raise ValueError("count must be >= 1")
             if logspace and (start <= 0 or stop <= 0):
                 raise ValueError("log spacing needs positive endpoints")
-            if count == 1:
-                values = [start]
-            elif logspace:
+            if logspace:
                 values = list(np.geomspace(start, stop, count))
             else:
                 values = list(np.linspace(start, stop, count))
@@ -132,18 +131,8 @@ OPTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    params: OscillatorParams
-    opt: dict       # option name -> value: flag, else config file, else default
-    betas: tuple = ()
-    methods: tuple = ()
-    x_grid: object = None
-    echo: dict = field(default_factory=dict)
-
-
-def _build_config(args) -> RunConfig:
-    """RunConfig from flags, the config file and the option table's defaults."""
+def _build_config(args) -> dict:
+    """Options from flags, the config file and the table's defaults, plus params and header."""
     _, _, own, methods = COMMANDS[args.command]
     opt = {name: default for name, (_, default, _) in OPTIONS.items()}
     if args.config:
@@ -158,18 +147,18 @@ def _build_config(args) -> RunConfig:
     opt.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
     if opt["m2"] is None or opt["lambda"] is None:
         raise ConfigError("--m2 and --lambda are required (flag or config file)")
+    opt["params"] = OscillatorParams(opt["m2"], opt["lambda"])
     # workers is deliberately not echoed: output bytes are identical for any
     # parallelism degree, and the echo must not break that
-    cfg = RunConfig(OscillatorParams(opt["m2"], opt["lambda"]), opt, echo={
-        name: "" if opt[name] is None else repr(opt[name])
-        for name in ("m2", "lambda", "tol-root", "tol-quad", "basis-size", "basis-omega")})
+    echo = {name: "" if opt[name] is None else repr(opt[name])
+            for name in ("m2", "lambda", "tol-root", "tol-quad", "basis-size", "basis-omega")}
     if "beta" in own:
         if opt["beta"] is None:
             raise ConfigError("--beta is required")
-        cfg.betas = tuple(sorted(parse_grid(opt["beta"])))
-        if any(b <= 0 for b in cfg.betas):
+        echo["beta"] = opt["beta"]
+        opt["beta"] = tuple(sorted(parse_grid(opt["beta"])))
+        if any(b <= 0 for b in opt["beta"]):
             raise ConfigError("beta values must be > 0")
-        cfg.echo["beta"] = opt["beta"]
     if methods:
         spec = ",".join(methods) if opt["methods"] is None else opt["methods"]
         chosen = tuple(sorted({tok.strip().upper() for tok in spec.split(",") if tok.strip()}))
@@ -178,11 +167,11 @@ def _build_config(args) -> RunConfig:
         bad = [m for m in chosen if m not in methods]
         if bad:
             raise ConfigError(f"unknown methods {bad}; choose from {','.join(methods)}")
-        cfg.methods = chosen
-        cfg.echo["methods"] = ",".join(chosen)
+        opt["methods"] = chosen
+        echo["methods"] = ",".join(chosen)
     if "x-grid" in own and opt["x-grid"] is not None:
-        cfg.x_grid = parse_grid(opt["x-grid"])
-        cfg.echo["x-grid"] = opt["x-grid"]
+        echo["x-grid"] = opt["x-grid"]
+        opt["x-grid"] = parse_grid(opt["x-grid"])
     tols = (opt["tol-root"], opt["tol-quad"])
     if not all(math.isfinite(t) for t in tols):
         raise ConfigError("tolerances must be finite")
@@ -190,175 +179,149 @@ def _build_config(args) -> RunConfig:
         raise ConfigError("tolerances must be positive")
     if opt["workers"] < 1:
         raise ConfigError("workers must be >= 1")
-    return cfg
+    opt["header"] = [f"# anharm {args.command}", f"# version={__version__}",
+                     *(f"# {key}={echo[key]}" for key in sorted(echo))]
+    return opt
 
 
-def _write_lines(out, lines):
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _write(opt, lines) -> int:
+    """Writes the header and then lines to the --out file, or else to stdout."""
+    text = "\n".join(opt["header"] + lines) + "\n"
+    if not opt["out"]:
         sys.stdout.write(text)
-
-
-def _header(cfg: RunConfig, command: str) -> list:
-    lines = [f"# anharm {command}", f"# version={__version__}"]
-    for key in sorted(cfg.echo):
-        lines.append(f"# {key}={cfg.echo[key]}")
-    return lines
-
-
-def _spectrum(cfg: RunConfig):
-    return oracle.solve_spectrum(cfg.params, cfg.opt["basis-size"],
-                                 cfg.opt["basis-omega"])
-
-
-def cmd_free_energy(cfg: RunConfig) -> int:
-    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
-
-    def run(task):
-        beta, method = task
-        try:
-            if method == "OEP":
-                r = thermo.free_energy_oep(cfg.params, beta, tol_quad, tol_root)
-                return (beta, method, r.f, r.omega_info["omega_star_origin"],
-                        r.omega_info["quad_rel_error"], "")
-            if method == "OEF":
-                r = thermo.free_energy_oef(cfg.params, beta, tol_root)
-                return (beta, method, r.f, r.omega_info["omega_star"],
-                        r.omega_info["residual"], "")
-            if method == "FK":
-                r = thermo.free_energy_fk(cfg.params, beta, tol_quad)
-                s0 = r.omega_info["omega_sq_origin"]
-                diag = math.sqrt(s0) if s0 > 0 else None
-                return (beta, method, r.f, diag, r.omega_info["quad_rel_error"], "")
-            r = oracle.exact_free_energy(_spectrum(cfg), beta)
-            return (beta, method, r.f, None, r.omega_info["tail"], "")
-        except NUMERICAL_ERRORS as exc:
-            return (beta, method, None, None, None, type(exc).__name__)
-
-    rows = [run((b, m)) for b in cfg.betas for m in cfg.methods]
-    lines = _header(cfg, "free-energy")
-    lines.append("beta,method,F,omega_diag,err_est,error")
-    for beta, method, f, diag, err, code in rows:
-        lines.append(f"{_fmt(beta)},{method},{_fmt(f)},{_fmt(diag)},{_fmt(err)},{code}")
-    _write_lines(cfg.opt["out"], lines)
+        return EXIT_OK
+    try:
+        fh = open(opt["out"], "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {opt['out']}: {exc}") from exc
+    with fh:
+        fh.write(text)
     return EXIT_OK
 
 
-def cmd_density(cfg: RunConfig) -> int:
-    beta = cfg.betas[0]
-    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
-    if len(cfg.betas) != 1:
+def _spectrum(opt):
+    return oracle.solve_spectrum(opt["params"], opt["basis-size"], opt["basis-omega"])
+
+
+def cmd_free_energy(opt) -> int:
+    p, tol_quad, tol_root = opt["params"], opt["tol-quad"], opt["tol-root"]
+    lines = ["beta,method,F,omega_diag,err_est,error"]
+    for beta in opt["beta"]:
+        for method in opt["methods"]:
+            vals, code = (None, None, None), ""
+            try:
+                if method == "OEP":
+                    r = thermo.free_energy_oep(p, beta, tol_quad, tol_root)
+                    vals = (r.f, r.omega_info["omega_star_origin"],
+                            r.omega_info["quad_rel_error"])
+                elif method == "OEF":
+                    r = thermo.free_energy_oef(p, beta, tol_root)
+                    vals = (r.f, r.omega_info["omega_star"], r.omega_info["residual"])
+                elif method == "FK":
+                    r = thermo.free_energy_fk(p, beta, tol_quad)
+                    s0 = r.omega_info["omega_sq_origin"]
+                    vals = (r.f, math.sqrt(s0) if s0 > 0 else None,
+                            r.omega_info["quad_rel_error"])
+                else:
+                    r = oracle.exact_free_energy(_spectrum(opt), beta)
+                    vals = (r.f, None, r.omega_info["tail"])
+            except NUMERICAL_ERRORS as exc:
+                code = type(exc).__name__
+            lines.append(",".join([_fmt(beta), method, *map(_fmt, vals), code]))
+    return _write(opt, lines)
+
+
+def cmd_density(opt) -> int:
+    beta = opt["beta"][0]
+    p, tol_quad, tol_root = opt["params"], opt["tol-quad"], opt["tol-root"]
+    if len(opt["beta"]) != 1:
         raise ConfigError("density takes a single beta")
-    if cfg.x_grid is not None and len(cfg.x_grid) < 2:
+    if opt["x-grid"] is not None and len(opt["x-grid"]) < 2:
         raise ConfigError("density needs an x-grid of at least two points")
-    grid = (np.asarray(cfg.x_grid, dtype=float) if cfg.x_grid is not None
-            else thermo.default_grid(cfg.params, beta, tol_quad=tol_quad, tol_root=tol_root))
-    profiles = {}
-    failures = {}
-    for method in cfg.methods:
+    grid = (np.asarray(opt["x-grid"], dtype=float) if opt["x-grid"] is not None
+            else thermo.default_grid(p, beta, tol_quad=tol_quad, tol_root=tol_root))
+    profiles, failures = {}, {}
+    for method in opt["methods"]:
         try:
             if method == "OEP":
-                profiles[method] = thermo.density_oep(cfg.params, beta, grid,
-                                                      tol_quad, tol_root)
+                profiles[method] = thermo.density_oep(p, beta, grid, tol_quad, tol_root)
             else:
-                profiles[method] = oracle.exact_density(_spectrum(cfg), beta, grid)
+                profiles[method] = oracle.exact_density(_spectrum(opt), beta, grid)
         except NUMERICAL_ERRORS as exc:
             failures[method] = type(exc).__name__
-    lines = _header(cfg, "density")
-    lines.append(f"# beta={_fmt(beta)}")
-    lines.append("x,method,rho,error")
+    lines = [f"# beta={_fmt(beta)}", "x,method,rho,error"]
     for i, x in enumerate(grid):
-        for method in cfg.methods:
+        for method in opt["methods"]:
             if method in profiles:
                 lines.append(f"{_fmt(x)},{method},{_fmt(profiles[method].rho[i])},")
             else:
                 lines.append(f"{_fmt(x)},{method},,{failures[method]}")
-    for method in cfg.methods:
+    for method in opt["methods"]:
         if method in profiles:
             lines.append(f"# normalization_error {method}="
                          f"{profiles[method].normalization_error:.3e}")
-    _write_lines(cfg.opt["out"], lines)
-    return EXIT_OK
+    return _write(opt, lines)
 
 
-def cmd_density_matrix(cfg: RunConfig) -> int:
-    if len(cfg.betas) != 1:
+def cmd_density_matrix(opt) -> int:
+    if len(opt["beta"]) != 1:
         raise ConfigError("density-matrix takes a single beta")
-    beta = cfg.betas[0]
-    tol_quad, tol_root = cfg.opt["tol-quad"], cfg.opt["tol-root"]
-    grid = (np.asarray(cfg.x_grid, dtype=float) if cfg.x_grid is not None
-            else thermo.default_grid(cfg.params, beta, n=21, tol_quad=tol_quad,
-                                     tol_root=tol_root))
-
-    def run(pair):
-        xa, xb = pair
-        try:
-            entry = thermo.density_matrix_oep(cfg.params, beta, xa, xb, tol_quad, tol_root)
-            return (xa, xb, entry.value, "")
-        except NUMERICAL_ERRORS as exc:
-            return (xa, xb, None, type(exc).__name__)
-
-    rows = [run((float(xa), float(xb))) for xa in grid for xb in grid]
-    lines = _header(cfg, "density-matrix")
-    lines.append(f"# beta={_fmt(beta)}")
-    lines.append("x_a,x_b,value,error")
-    for xa, xb, val, code in rows:
-        lines.append(f"{_fmt(xa)},{_fmt(xb)},{_fmt(val)},{code}")
-    _write_lines(cfg.opt["out"], lines)
-    return EXIT_OK
+    beta = opt["beta"][0]
+    p, tol_quad, tol_root = opt["params"], opt["tol-quad"], opt["tol-root"]
+    grid = (opt["x-grid"] if opt["x-grid"] is not None
+            else thermo.default_grid(p, beta, n=21, tol_quad=tol_quad, tol_root=tol_root))
+    lines = [f"# beta={_fmt(beta)}", "x_a,x_b,value,error"]
+    for xa in map(float, grid):
+        for xb in map(float, grid):
+            try:
+                entry = thermo.density_matrix_oep(p, beta, xa, xb, tol_quad, tol_root)
+                value, code = entry.value, ""
+            except NUMERICAL_ERRORS as exc:
+                value, code = None, type(exc).__name__
+            lines.append(f"{_fmt(xa)},{_fmt(xb)},{_fmt(value)},{code}")
+    return _write(opt, lines)
 
 
-def cmd_propagator(cfg: RunConfig) -> int:
-    o = cfg.opt
-    if o["time"] is None:
+def cmd_propagator(opt) -> int:
+    if opt["time"] is None:
         raise ConfigError("--time is required")
-    if o["mode"] == "imag":
+    if opt["mode"] == "imag":
         point, resid, solve, w1 = (EuclideanPoint, gap_residual_imag,
                                    optimize_omega_imag, w1_imag)
-    elif o["mode"] == "real":
+    elif opt["mode"] == "real":
         point, resid, solve, w1 = (RealTimePoint, gap_residual_real,
                                    optimize_omega_real, w1_real)
     else:
         raise ConfigError("--mode must be imag or real")
-    p = point(o["xa"], o["xb"], o["time"])
-    kv = {"mode": o["mode"], "x_a": _fmt(o["xa"]), "x_b": _fmt(o["xb"]),
-          "time": _fmt(o["time"])}
-    if o["omega"] is not None:
-        omega = o["omega"]
-        kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid(cfg.params, p, omega))),
+    params, p = opt["params"], point(opt["xa"], opt["xb"], opt["time"])
+    kv = {"mode": opt["mode"], "x_a": _fmt(opt["xa"]), "x_b": _fmt(opt["xb"]),
+          "time": _fmt(opt["time"])}
+    if opt["omega"] is not None:
+        omega = opt["omega"]
+        kv.update(omega_star=_fmt(omega), residual=_fmt(abs(resid(params, p, omega))),
                   n_roots="", fallback="forced")
-        w = w1(cfg.params, p, omega)
+        w = w1(params, p, omega)
     else:
-        gap = solve(cfg.params, p, o["tol-root"])
+        gap = solve(params, p, opt["tol-root"])
         omega = gap.omega_star
         kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
                   n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
         # an imaginary-time solve carries its W1; a real-time one is recomputed
-        w = gap.value if o["mode"] == "imag" else w1(cfg.params, p, omega)
-    if o["mode"] == "imag":
+        w = gap.value if opt["mode"] == "imag" else w1(params, p, omega)
+    if opt["mode"] == "imag":
         kv.update(W=_fmt(w), amplitude=_fmt(math.exp(w)))
     else:
         amp = cmath.exp(1j * w)
         kv.update(W_re=_fmt(w.real), W_im=_fmt(w.imag),
                   amp_re=_fmt(amp.real), amp_im=_fmt(amp.imag))
-    lines = _header(cfg, "propagator")
-    lines.extend(f"{k}={v}" for k, v in kv.items())
-    _write_lines(o["out"], lines)
-    return EXIT_OK
+    return _write(opt, [f"{k}={v}" for k, v in kv.items()])
 
 
-def cmd_exact_spectrum(cfg: RunConfig) -> int:
-    s = _spectrum(cfg)
-    lines = _header(cfg, "exact-spectrum")
-    lines.append(f"# basis_frequency={_fmt(s.basis_frequency)}")
-    lines.append("n,E")
-    for n, e in enumerate(s.energies):
-        lines.append(f"{n},{_fmt(e)}")
-    _write_lines(cfg.opt["out"], lines)
-    return EXIT_OK
+def cmd_exact_spectrum(opt) -> int:
+    s = _spectrum(opt)
+    lines = [f"# basis_frequency={_fmt(s.basis_frequency)}", "n,E"]
+    lines.extend(f"{n},{_fmt(e)}" for n, e in enumerate(s.energies))
+    return _write(opt, lines)
 
 
 class _Parser(argparse.ArgumentParser):

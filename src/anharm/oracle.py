@@ -141,6 +141,8 @@ def solve_spectrum(params: OscillatorParams, n: int,
     """
     if n < 16:
         raise ValueError("basis size must be at least 16")
+    if not float(n).is_integer():
+        raise ValueError(f"basis size must be an integer, got {n!r}")
     if omega is None:
         omega = default_basis_frequency(params)
     if not (omega > 0.0 and math.isfinite(omega)):

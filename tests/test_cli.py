@@ -18,6 +18,8 @@ def run_cli(args):
 class TestGridSpec:
     def test_single_value(self):
         assert parse_grid("2.5") == [2.5]
+        assert parse_grid(2.5) == [2.5]
+        assert parse_grid(1) == [1.0]
 
     def test_comma_list(self):
         assert parse_grid("0.1,1,5") == [0.1, 1.0, 5.0]
@@ -345,10 +347,18 @@ class TestConfigHandling:
          "at least one method is required"),
         (["free-energy", "--m2", "1", "--lambda", "1", "--beta", "1", "--workers", "0"], None,
          "workers must be >= 1"),
+        # {tmp} is the test's own directory: the work runs, then the output
+        # file cannot be opened
+        (["exact-spectrum", "--m2", "1", "--lambda", "0", "--basis-size", "16",
+          "--out", "{tmp}/missing/x.csv"], None, "cannot write output file"),
+        (["exact-spectrum", "--m2", "1", "--lambda", "0", "--basis-size", "16",
+          "--out", "{tmp}"], None, "cannot write output file"),
     ], ids=["density-two-betas", "density-matrix-two-betas", "propagator-no-time",
             "config-mode", "config-line-without-equals", "config-unreadable",
-            "config-value-unparsed", "no-beta", "negative-beta", "no-methods", "no-workers"])
+            "config-value-unparsed", "no-beta", "negative-beta", "no-methods", "no-workers",
+            "out-in-missing-directory", "out-is-a-directory"])
     def test_exit_2_on_bad_config(self, argv, config, message, tmp_path, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         if config is not None:
             cfgfile = tmp_path / "run.cfg"
             if config != "unreadable":

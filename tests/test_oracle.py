@@ -64,6 +64,14 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             solve_spectrum(quartic, 8)
 
+    def test_basis_size_must_be_integral(self):
+        weak = OscillatorParams(1.0, 0.1)
+        for n in (16.9, 16.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="basis size"):
+                solve_spectrum(weak, n)
+        assert solve_spectrum(weak, np.int64(16)).basis_size == 16
+        assert solve_spectrum(weak, 16.0).basis_size == 16
+
     def test_default_basis_frequency(self, quartic, harmonic):
         assert default_basis_frequency(quartic) == pytest.approx(6.0 ** (1.0 / 3.0))
         assert default_basis_frequency(harmonic) == 1.0
