@@ -8,8 +8,8 @@ alone.  The nine z-functions evaluated here combine coth(z) and powers of
 loses roughly half the mantissa as z -> 0.  We therefore split:
 
 * |z| <  0.5 (Z_SWITCH), for every z, real or complex: Maclaurin series
-  (coefficients below to z^27, full double precision only well inside the
-  series' radius pi),
+  to z^27, their coefficients derived at import from the closed forms below
+  (full double precision only well inside the series' radius pi),
 * |z| >= 0.5, a real z below -0.5 too: closed hyperbolic forms, written so
   that nothing overflows for arbitrarily large Re z (only coth(z) -> 1 and
   exp(-z) -> 0 appear).
@@ -65,96 +65,98 @@ ShapeFactors = namedtuple(
 Z_SWITCH = 0.5
 _LN2 = math.log(2.0)
 
-# Maclaurin coefficients (coefficient of z^k at index k).  Regenerated and
-# checked against sympy by tests/test_hyper.py.
-_SERIES = {
-    # k1 = z*coth(z) - 1
-    "k1": [0.0, 0.0, 0.3333333333333333, 0.0, -0.022222222222222223, 0.0,
-           0.0021164021164021165, 0.0, -0.00021164021164021165, 0.0,
-           2.1377799155576935e-05, 0.0, -2.1644042808063972e-06, 0.0,
-           2.1925947851873778e-07, 0.0, -2.2214608789979678e-08, 0.0,
-           2.2507846516808994e-09, 0.0, -2.2805151204592183e-10, 0.0,
-           2.3106432599002624e-11, 0.0, -2.3411706819824882e-12, 0.0,
-           2.3721017400233653e-13, 0.0],
-    # l2_sum = coth(z) - z/sinh(z)^2
-    "l2_sum": [0.0, 0.6666666666666666, 0.0, -0.08888888888888889, 0.0,
-               0.012698412698412698, 0.0, -0.0016931216931216932, 0.0,
-               0.00021377799155576933, 0.0, -2.5972851369676765e-05, 0.0,
-               3.069632699262329e-06, 0.0, -3.5543374063967485e-07, 0.0,
-               4.0514123730256185e-08, 0.0, -4.561030240918436e-09, 0.0,
-               5.083415171780577e-10, 0.0, -5.6188096367579724e-11, 0.0,
-               6.16746452406075e-12, 0.0, -6.729636293326158e-13],
-    # l2_cross = (z*coth(z) - 1)/sinh(z)
-    "l2_cross": [0.0, 0.3333333333333333, 0.0, -0.07777777777777778, 0.0,
-                 0.012301587301587301, 0.0, -0.00167989417989418, 0.0,
-                 0.00021336045641601198, 0.0, -2.5960169313343916e-05, 0.0,
-                 3.06925798823947e-06, 0.0, -3.554228936627266e-07, 0.0,
-                 4.051381463202216e-08, 0.0, -4.561021541443643e-09, 0.0,
-                 5.083412747819333e-10, 0.0, -5.618808966943667e-11, 0.0,
-                 6.167464340255984e-12, 0.0, -6.72963624318646e-13],
-    # l4_sum = coth^3/4 - 5 coth/(8 sinh^2) + 3 z/(8 sinh^4)
-    "l4_sum": [0.0, 0.2, 0.0, -0.0380952380952381, 0.0, 0.007619047619047619,
-               0.0, -0.0013852813852813853, 0.0, 0.0002320078510554701, 0.0,
-               -3.64221316602269e-05, 0.0, 5.4324760207113145e-06, 0.0,
-               -7.775985385742739e-07, 0.0, 1.0762055233219563e-07, 0.0,
-               -1.4484222386153624e-08, 0.0, 1.9040339269192233e-09, 0.0,
-               -2.4532694374417306e-10, 0.0, 3.106814536798371e-11, 0.0,
-               -3.875825908276322e-12],
-    # l4_cross = (1/sinh - 3 (z coth - 1)/sinh^3)/8
-    "l4_cross": [0.0, 0.05, 0.0, -0.02023809523809524, 0.0,
-                 0.005178571428571428, 0.0, -0.0010651154401154401, 0.0,
-                 0.00019181119255524018, 0.0, -3.154777596741883e-05, 0.0,
-                 4.856754103588254e-06, 0.0, -7.109487795982971e-07, 0.0,
-                 1.0002394886285923e-07, 0.0, -1.3629022309365977e-08, 0.0,
-                 1.8087196654698055e-09, 0.0, -2.347916683639392e-10, 0.0,
-                 2.9911745538246595e-11, 0.0, -3.749645220557168e-12],
-    # l4_sq = 3 z/(8 sinh^4) + z/(4 sinh^2) - 3 coth/(8 sinh^2)
-    "l4_sq": [0.0, 0.03333333333333333, 0.0, -0.015873015873015872, 0.0,
-              0.0044444444444444444, 0.0, -0.000962000962000962, 0.0,
-              0.00017856335316652778, 0.0, -2.9928918817807705e-05, 0.0,
-              4.665067845895733e-06, 0.0, -6.887401034143551e-07, 0.0,
-              9.749202139963158e-08, 0.0, -1.3343964825924015e-08, 0.0,
-              1.7769485476247088e-09, 0.0, -2.3127991965227812e-10, 0.0,
-              2.9526279236968515e-11, 0.0, -3.707585000943168e-12],
-    # l2k_sum = (1 - 3 (z coth - 1)/sinh^2)/8
-    "l2k_sum": [0.0, 0.0, 0.05, 0.0, -0.011904761904761904, 0.0,
-                0.0022222222222222222, 0.0, -0.00036075036075036075, 0.0,
-                5.356900594995833e-05, 0.0, -7.482229704451926e-06, 0.0,
-                9.996573955490856e-07, 0.0, -1.291387693901916e-07, 0.0,
-                1.624867023327193e-08, 0.0, -2.0015947238886024e-09, 0.0,
-                2.4231116558518756e-10, 0.0, -2.8909989956534765e-11, 0.0,
-                3.4068783734963674e-12, 0.0],
-    # l2k_cross = 3 z/(8 sinh^3) + z/(4 sinh) - 3 coth/(8 sinh)
-    "l2k_cross": [0.0, 0.0, 0.03333333333333333, 0.0, -0.010317460317460317,
-                  0.0, 0.002076719576719577, 0.0, -0.00034692159692159693,
-                  0.0, 5.220934635617175e-05, 0.0, -7.346107131160041e-06,
-                  0.0, 9.859248438360638e-07, 0.0, -1.277494134612006e-07,
-                  0.0, 1.6107966273920678e-08, 0.0, -1.9873405771368508e-09,
-                  0.0, 2.4086698535063336e-10, 0.0, -2.87636659447691e-11,
-                  0.0, 3.3920527126798377e-12, 0.0],
-    # k2 = z/4 + 3 z/(8 sinh^2) - 3 coth/8
-    "k2": [0.0, 0.0, 0.0, 0.03333333333333333, 0.0, -0.004761904761904762,
-           0.0, 0.0006349206349206349, 0.0, -8.01667468334135e-05, 0.0,
-           9.739819263628788e-06, 0.0, -1.1511122622233733e-06, 0.0,
-           1.3328765273987807e-07, 0.0, -1.519279639884607e-08, 0.0,
-           1.7103863403444138e-09, 0.0, -1.9062806894177164e-10, 0.0,
-           2.1070536137842396e-11, 0.0, -2.3127991965227814e-12, 0.0,
-           2.5236136099973093e-13, 0.0],
-}
 
+def _values(z, ch, u):
+    """The nine shape factors from z, ch = coth(z) and u = 1/sinh(z), on
+    numbers (_closed_d) or on exact series (_derive_series)."""
+    u2 = u * u
+    u3 = u2 * u
+    u4 = u2 * u2
+    k1 = z * ch - 1.0
+    return ShapeFactors(
+        ch - z * u2,
+        k1 * u,
+        k1,
+        ch * ch * ch / 4.0 - 0.625 * ch * u2 + 0.375 * z * u4,
+        (u - 3.0 * k1 * u3) / 8.0,
+        0.375 * z * u4 + 0.25 * z * u2 - 0.375 * ch * u2,
+        (1.0 - 3.0 * k1 * u2) / 8.0,
+        0.375 * z * u3 + 0.25 * z * u - 0.375 * ch * u,
+        0.25 * z + 0.375 * z * u2 - 0.375 * ch,
+    )
+
+
+class _Series:
+    """A Laurent series in z cut above z^TOP, exact: num[i] / den is the
+    coefficient of z^(i - 4), as no pole of _values is deeper.  A float
+    enters as its exact ratio, so _values runs on series unchanged."""
+
+    TOP = 30
+
+    def __init__(self, num, den=1):
+        self.num, self.den = np.zeros(self.TOP + 5, dtype=object), den
+        self.num[:len(num)] = num
+
+    def __add__(self, other):
+        if not isinstance(other, _Series):      # a constant: other * z^0
+            other = _Series([0] * 4 + [1]) * other
+        den = math.lcm(self.den, other.den)
+        return _Series(den // self.den * self.num + den // other.den * other.num, den)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            p, q = other.as_integer_ratio()
+            return _Series(self.num * p, self.den * q)
+        # entry m of the convolution holds z^(m - 8)
+        return _Series(np.convolve(self.num, other.num)[4:self.TOP + 9], self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __rsub__(self, other):
+        return -1.0 * self + other
+
+    def __truediv__(self, other):
+        p, q = other.as_integer_ratio()
+        return _Series(self.num * q, self.den * p)
+
+
+def _derive_series():
+    """The Maclaurin coefficients of the shape factors (of z^k at index k,
+    to z^27) and LOG_SINH_RATIO_W, each the correctly rounded float of its
+    exact value (an int / int rounds correctly).
+
+    c = z*coth(z) and s = z/sinh(z) come from (sinh(z)/z) c = cosh(z) and
+    (sinh(z)/z) s = 1, solved term by term to z^(TOP + 1).  A term of z^j is
+    a sum of ones over products of factorials whose arguments add to at most
+    3j/2, so one factorial clears every denominator and each division is
+    exact.  _values at ch = c/z and u = s/z is then exact to z^(TOP - 3),
+    its poles reaching z^-4.
+    """
+    top = _Series.TOP + 1
+    den = math.factorial(3 * top // 2)
+    c, s = [den], [den]
+    for j in range(1, top + 1):
+        for cs, lead in ((c, den // math.factorial(j)), (s, 0)):
+            cs.append(0 if j % 2 else lead - sum(
+                cs[j - k] // math.factorial(k + 1) for k in range(2, j + 1, 2)))
+    # z, ch = c/z and u = s/z
+    val = _values(_Series([0] * 5 + [1]), _Series([0] * 3 + c, den), _Series([0] * 3 + s, den))
+    # the derivative of log(sinh(z)/z) is (c - 1)/z
+    return ({name: [v.num[k + 4] / v.den for k in range(top - 3)]
+             for name, v in zip(ShapeFactors._fields, val)},
+            [c[2 * n] / (2 * n * den) for n in range(1, top // 2)])
+
+
+# LOG_SINH_RATIO_W: log(sinh(z)/z) as a series in w = z^2, from w^1 (used by
+# the smeared-potential route, where w = beta^2 * omega^2 / 4 may be negative
+# for unstable curvature).
+_SERIES, LOG_SINH_RATIO_W = _derive_series()
 _NAMES = ShapeFactors._fields
 _COEF = [_SERIES[name] for name in _NAMES]
 _DCOEF = [[k * c[k] for k in range(1, len(c))] for c in _COEF]
-
-# log(sinh(z)/z) as a series in w = z^2 (used by the smeared-potential route,
-# where w = beta^2 * omega^2 / 4 may be negative for unstable curvature).
-LOG_SINH_RATIO_W = [
-    0.16666666666666666, -0.005555555555555556, 0.0003527336860670194,
-    -2.6455026455026456e-05, 2.1377799155576935e-06, -1.803670234005331e-07,
-    1.5661391322766983e-08, -1.3884130493737299e-09, 1.2504359176004997e-10,
-    -1.1402575602296091e-11, 1.0502923908637557e-12, -9.754877841593701e-14,
-    9.123468230859098e-15, -8.5837197618956095e-16,
-]
 
 # k1(z)/z^2 as a series in w = z^2 (same negative-curvature continuation).
 K1_OVER_Z2_W = [c for c in _SERIES["k1"][2::2]]
@@ -248,24 +250,13 @@ def _closed_d(z, m):
     den = 1.0 - q2
     u = 2.0 * q / den          # 1/sinh(z), exact and overflow-free
     ch = (1.0 + q2) / den      # coth(z)
+    val = _values(z, ch, u)
+    k1, l2_sum = val.k1, val.l2_sum
     u2 = u * u
     u3 = u2 * u
     u4 = u2 * u2
     ch2 = ch * ch
-    k1 = z * ch - 1.0
-    l2_sum = ch - z * u2
     zchu = z * ch * u
-    val = ShapeFactors(
-        l2_sum,
-        k1 * u,
-        k1,
-        ch2 * ch / 4.0 - 0.625 * ch * u2 + 0.375 * z * u4,
-        (u - 3.0 * k1 * u3) / 8.0,
-        0.375 * z * u4 + 0.25 * z * u2 - 0.375 * ch * u2,
-        (1.0 - 3.0 * k1 * u2) / 8.0,
-        0.375 * z * u3 + 0.25 * z * u - 0.375 * ch * u,
-        0.25 * z + 0.375 * z * u2 - 0.375 * ch,
-    )
     der = ShapeFactors(
         2.0 * u2 * k1,
         u * (l2_sum - ch * k1),
@@ -318,8 +309,10 @@ def shape_factors(z):
 
 
 # Both coefficient tables as one (18 x powers) matrix, zero-padded to a
-# common length, so the series branch of a complex array is a product.
-_SERIES_LEN = max(len(c) for c in _COEF + _DCOEF)
+# common length, so the series branch of a complex array is a product.  It
+# keeps one zero column past z^27: OpenBLAS sums 28 columns in another order,
+# which moves the last bit of some entries of arrays of 958 z or more.
+_SERIES_LEN = len(_COEF[0]) + 1
 _SERIES_MATRIX = np.array([c + [0.0] * (_SERIES_LEN - len(c)) for c in _COEF + _DCOEF])
 
 

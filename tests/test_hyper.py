@@ -52,6 +52,22 @@ def test_log_sinh_ratio_series_matches_sympy():
         assert got == pytest.approx(float(poly.coeff_monomial(z ** (2 * k))), rel=1e-13)
 
 
+def test_derived_tables_are_the_exact_coefficients_rounded():
+    # every entry, to the last one: the nearest float to sympy's exact
+    # rational coefficient, as the exact arithmetic at import must give
+    import sympy as sp
+    z, funcs = _sympy_funcs()
+    for name, expr in funcs.items():
+        stored = hyper._SERIES[name]
+        poly = sp.Poly(sp.series(expr, z, 0, len(stored)).removeO(), z)
+        assert stored == [float(poly.coeff_monomial(z**k)) for k in range(len(stored))], name
+    n = len(hyper.LOG_SINH_RATIO_W)
+    poly = sp.Poly(sp.series(sp.log(sp.sinh(z) / z), z, 0, 2 * n + 1).removeO(), z)
+    assert hyper.LOG_SINH_RATIO_W == [float(poly.coeff_monomial(z ** (2 * k)))
+                                      for k in range(1, n + 1)]
+    assert n == 14 and {len(c) for c in hyper._COEF} == {28}
+
+
 @pytest.mark.parametrize("z", [0.35, 0.45, 0.5, 0.55, 0.65, 0.75])
 def test_series_and_closed_forms_agree_near_switch(z):
     series = [hyper.horner_w(c, z) for c in hyper._COEF]

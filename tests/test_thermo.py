@@ -613,10 +613,12 @@ print(codes, edge.gap.fallback_used)
 
 
 def test_import_does_not_load_scipy():
-    # only the test-only quadrature twin in kernels imports scipy, on first call
+    # only the test-only quadrature twin in kernels imports scipy, on first
+    # call; the series tables hyper derives at import need neither of the
+    # test extras sympy and mpmath
     src = Path(thermo.__file__).resolve().parents[1]
-    code = ("import sys; import anharm, anharm.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; import anharm, anharm.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
