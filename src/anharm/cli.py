@@ -29,7 +29,7 @@ from . import __version__, oracle, thermo
 from .kernels import (CausticError, EuclideanPoint, OscillatorParams,
                       QuadratureError, RealTimePoint)
 from .oep import (NoStationaryPointError, gap_residual_imag,
-                  gap_residual_real, optimize_omega_imag, optimize_omega_real,
+                  gap_residual_real, optimized_w1_imag, optimized_w1_real,
                   w1_imag, w1_real)
 from .oracle import ConvergenceError, TruncationError
 from .thermo import IntegrandError
@@ -287,10 +287,10 @@ def cmd_propagator(opt) -> int:
         raise ConfigError("--time is required")
     if opt["mode"] == "imag":
         point, resid, solve, w1 = (EuclideanPoint, gap_residual_imag,
-                                   optimize_omega_imag, w1_imag)
+                                   optimized_w1_imag, w1_imag)
     elif opt["mode"] == "real":
         point, resid, solve, w1 = (RealTimePoint, gap_residual_real,
-                                   optimize_omega_real, w1_real)
+                                   optimized_w1_real, w1_real)
     else:
         raise ConfigError("--mode must be imag or real")
     params, p = opt["params"], point(opt["xa"], opt["xb"], opt["time"])
@@ -302,12 +302,10 @@ def cmd_propagator(opt) -> int:
                   n_roots="", fallback="forced")
         w = w1(params, p, omega)
     else:
-        gap = solve(params, p, opt["tol-root"])
-        omega = gap.omega_star
-        kv.update(omega_star=_fmt(omega), residual=_fmt(gap.residual),
+        sol = solve(params, p, opt["tol-root"])
+        gap, w = sol.gap, sol.w_value
+        kv.update(omega_star=_fmt(gap.omega_star), residual=_fmt(gap.residual),
                   n_roots=str(gap.n_roots), fallback=str(gap.fallback_used).lower())
-        # an imaginary-time solve carries its W1; a real-time one is recomputed
-        w = gap.value if opt["mode"] == "imag" else w1(params, p, omega)
     if opt["mode"] == "imag":
         kv.update(W=_fmt(w), amplitude=_fmt(math.exp(w)))
     else:

@@ -31,30 +31,10 @@ def _sympy_funcs():
     }
 
 
-def test_series_tables_match_sympy():
-    import sympy as sp
-    nterms = 16
-    z, funcs = _sympy_funcs()
-    for name, expr in funcs.items():
-        poly = sp.Poly(sp.series(expr, z, 0, nterms).removeO(), z)
-        stored = hyper._SERIES[name]
-        for k in range(nterms):
-            want = float(poly.coeff_monomial(z**k))
-            got = stored[k]
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-300), (name, k)
-
-
-def test_log_sinh_ratio_series_matches_sympy():
-    import sympy as sp
-    z = sp.symbols("z")
-    poly = sp.Poly(sp.series(sp.log(sp.sinh(z) / z), z, 0, 12).removeO(), z)
-    for k, got in enumerate(hyper.LOG_SINH_RATIO_W[:5], start=1):
-        assert got == pytest.approx(float(poly.coeff_monomial(z ** (2 * k))), rel=1e-13)
-
-
 def test_derived_tables_are_the_exact_coefficients_rounded():
-    # every entry, to the last one: the nearest float to sympy's exact
-    # rational coefficient, as the exact arithmetic at import must give
+    # every entry of every table, to the last bit: the nearest float to
+    # sympy's exact rational coefficient, as the exact arithmetic at import
+    # must give (the shape factors to z^27, log(sinh(z)/z) to w^14)
     import sympy as sp
     z, funcs = _sympy_funcs()
     for name, expr in funcs.items():

@@ -405,25 +405,26 @@ class TestOptimizeReal:
 
 # optimize_omega_real before it read both residual components off one scan:
 # (m2, lam, x_a, x_b, T, omega_star, n_roots, fallback_used) at real T, in the
-# wedge, in the harmonic limit and on the continuation edge T = -i beta.
+# wedge, in the harmonic limit and on the continuation edge T = -i beta.  The
+# off-edge fallbacks are those of Brent's minimizer.
 REAL_PINS = [
     (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0), 1.0, 1, False),
-    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0), 1.0013401742060046, 0, True),
-    (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.782098520181417, 0, True),
-    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471772264036, 0, True),
-    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.38032154586922, 0, True),
+    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0), 1.0013401733291407, 0, True),
+    (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318), 1.7820985234876556, 0, True),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0), 2.4505471764117184, 0, True),
+    (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921), 4.380321555330204, 0, True),
     (0.0, 1.0, 0.4, -0.3, -2j, 1.7336805050219815, 1, False),
 ]
 # W1 at the returned omega* of each REAL_PINS point (m2, lam, x_a, x_b, T),
 # compared exactly
 REAL_PIN_W1 = {
     (1.0, 0.0, 0.4, -0.3, complex(2.0, 0.0)): complex(-0.71063533725713, 0.8713970151570923),
-    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0)): complex(-0.7563319866538861, 0.5512430465506604),
+    (1.0, 0.01, 0.3, 0.1, complex(0.5, 0.0)): complex(-0.756331986653895, 0.5512430465506718),
     (0.0, 1.0, 0.5, 0.2, complex(0.7641208279802151, -1.0517220926874318)):
-        complex(-0.581898000940667, 1.241712188977814),
-    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.3599363212100352, -0.04302889402439833),
+        complex(-0.5818980009246526, 1.2417121890966765),
+    (-1.0, 0.1, 1.0, -0.5, complex(1.7, 0.0)): complex(0.35993632060337694, -0.043028896135760115),
     (1.0, 10.0, 0.2, 0.7, complex(0.8019058717695311, -0.4085914497655921)):
-        complex(-1.1906424909099924, 1.8328590696397047),
+        complex(-1.1906424908818398, 1.8328590705077237),
     (0.0, 1.0, 0.4, -0.3, -2j): complex(0.0, 1.8868110791500854),
 }
 
@@ -435,14 +436,21 @@ class TestOptimizeRealPinned:
         g = optimize_omega_real(params, p)
         assert (g.n_roots, g.fallback_used) == (n_roots, fallback)
         if fallback:
-            # the golden section stops at BRACKET_REL_WIDTH
+            # the search stops at BRACKET_REL_WIDTH
             assert g.omega_star == pytest.approx(omega, rel=1e-12)
         else:
             assert g.omega_star == omega
         assert w1_real(params, p, g.omega_star) == REAL_PIN_W1[m2, lam, x_a, x_b, T]
 
 
+def _two_minima(w):
+    return ((w - 0.7) * (w - 1.3)) ** 2 + 0.02 * (w - 1.0)
+
+
 class TestGoldenFallback:
+    """Brent's minimizer, golden section's steps with parabolic ones, as the
+    minimal-sensitivity search of a scan without a bracket."""
+
     def test_fallback_brackets_within_bisection_width(self, double_well, quartic):
         gaps = [optimize_omega_imag(double_well, EuclideanPoint(x, x, beta))
                 for beta in (0.25, 1.0) for x in np.linspace(-1.5, 1.5, 9)]
@@ -462,12 +470,21 @@ class TestGoldenFallback:
             calls.append(w)
             return (w - 1.03) ** 2
 
-        omega, (lo, hi) = oep._golden_min(f, 0.9, 1.1)
+        omega, (lo, hi) = oep._brent_min(f, 0.9, 1.1)
         assert omega == pytest.approx(1.03, rel=1e-11)
-        # the first step that brings the width under BRACKET_REL_WIDTH is the last
-        assert oep.GOLDEN * oep.BRACKET_REL_WIDTH * hi < hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        # in fewer calls than golden section's two points and steps to that width
         steps = math.ceil(math.log(oep.BRACKET_REL_WIDTH * hi / 0.2) / math.log(oep.GOLDEN))
-        assert len(calls) == 2 + steps
+        assert len(calls) < 2 + steps
+
+    def test_two_minima_in_the_bracket(self):
+        # local minima near 0.675 (the deeper) and 1.267: golden section's
+        # first cut of [0.5, 1.7] keeps the right one, and the search stays there
+        omega, (lo, hi) = oep._brent_min(_two_minima, 0.5, 1.7)
+        left, _, right = sorted(np.roots([4.0, -12.0, 11.64, -3.62]).real)   # f' = 0
+        assert omega == pytest.approx(right, rel=1e-8)
+        assert _two_minima(left) < _two_minima(omega)
+        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
 
     def test_rows_are_the_scalar_search_bit_for_bit(self):
         # rows of different widths close at different steps; a row already
@@ -479,16 +496,36 @@ class TestGoldenFallback:
         def f(rows, w):
             return np.abs(np.sin(w - mins[rows]))
 
-        got = oep._golden_rows(f, lo, hi)
+        got = oep._brent_rows(f, lo, hi)
         for k in range(lo.size):
-            want, _ = oep._golden_min(lambda w: abs(math.sin(w - mins[k])), lo[k], hi[k])
+            want, _ = oep._brent_min(lambda w: abs(math.sin(w - mins[k])), lo[k], hi[k])
             assert got[k] == want
+
+    def test_rows_mix_parabolic_and_golden_steps(self):
+        # a parabola, whose vertex one parabolic step hits, beside a
+        # constant, on which every step is golden, and the two minima: each
+        # row probes where the scalar search probes, in the same order
+        fs = [lambda w: (w - 1.03) ** 2, lambda w: 1.0, _two_minima]
+        lo, hi = np.array([0.9, 0.9, 0.5]), np.array([1.1, 1.1, 1.7])
+        probes = [[] for _ in fs]
+
+        def f(rows, w):
+            for k, v in zip(rows.tolist(), w.tolist()):
+                probes[k].append(v)
+            return np.array([fs[k](v) for k, v in zip(rows.tolist(), w.tolist())])
+
+        got = oep._brent_rows(f, lo, hi)
+        for k, fk in enumerate(fs):
+            calls = []
+            want, _ = oep._brent_min(lambda w: calls.append(w) or fk(w), lo[k], hi[k])
+            assert got[k] == want and probes[k] == calls
+        assert len(probes[0]) < 10 and len(probes[1]) > 50
 
 
 class TestEndFallback:
     """A scan with no bracket whose least |dW1/domega| lies at an end of its
     window returns that end, with the bracket (end, end) and no search; only
-    an interior least sample takes the golden section."""
+    an interior least sample takes Brent's minimizer."""
 
     @pytest.mark.parametrize("beta", [0.25, 1.0])
     def test_foot_fallback_is_the_scanned_foot(self, double_well, beta):
@@ -514,20 +551,20 @@ class TestEndFallback:
 
     def test_foot_fallback_trace_runs_no_golden_section(self, double_well, monkeypatch):
         calls = []
-        body = oep._golden_rows
+        body = oep._brent_rows
 
         def counted(f, lo, hi):
             calls.append(lo.size)
             return body(f, lo, hi)
 
-        monkeypatch.setattr(oep, "_golden_rows", counted)
+        monkeypatch.setattr(oep, "_brent_rows", counted)
         thermo._log_partition_oep.__wrapped__(double_well, 1.0, thermo.TOL_QUAD, thermo.TOL_ROOT)
         assert calls == []
         assert thermo.free_energy_oep(double_well, 1.0).omega_info["fallbacks"] > 0
 
     def test_interior_least_sample_is_searched(self):
         # a deep double well at low temperature: the least |dW1/domega| of
-        # this scan is at column 174, so golden section narrows its two cells
+        # this scan is at column 174, so Brent's minimizer narrows its two cells
         params, beta = OscillatorParams(-2.5, 0.005), 20.0
         grid, vals = oep._scan_imag(params, 0.0, 0.0, beta)
         i = int(np.argmin(np.abs(vals)))
@@ -644,7 +681,7 @@ class TestDiagonalBatch:
             assert batch.fallback_used.any()    # the double well falls back near x = 0
 
     def test_fallback_does_not_depend_on_the_batch(self):
-        # a fallback at x = 0 whose golden section compares residuals in
+        # a fallback at x = 0 whose search compares residuals in
         # rounding noise: the trace's 25-point probe, its first 145-point
         # call and the point solve once gave three different omega*
         params, beta = OscillatorParams(-1.5, 0.08), 0.05
@@ -788,36 +825,37 @@ class TestLatticeScan:
 # points each at real T, in the wedge and at T = -i beta for the weak, strong,
 # double-well and harmonic families.  The roots at T = -i beta are those of
 # the Illinois bracket rule, and a fallback there whose least |dW1/domega| is
-# an end of its window returns that end.
+# an end of its window returns that end.  The off-edge fallbacks are those of
+# Brent's minimizer.
 SCREEN_PINS = [
     (1.8119412615293302, 0.01216392045649809, -1.8637786204150837, 0.9363511648986176,
-     complex(2.175758684326429, 0.0), 1.8790334442923906, 0, True),
+     complex(2.175758684326429, 0.0), 1.8790334457567586, 0, True),
     (1.727326754794352, 0.006833438458679529, -1.7239126134859686, -1.5237320312232758,
-     complex(0.5286532727815427, 0.0), 1.3444333496939178, 0, True),
+     complex(0.5286532727815427, 0.0), 1.344433349678487, 0, True),
     (0.7699538472697821, 2.318914135157262, -1.9257742698621918, -1.9906978556302586,
-     complex(2.4292040268025366, 0.0), 5.430415331953492, 0, True),
+     complex(2.4292040268025366, 0.0), 5.43041533018134, 0, True),
     (0.40999255715082916, 3.535502918271593, -0.05230845694650732, 1.3631686158837901,
-     complex(0.7714582549129205, 0.0), 5.903573942242528, 0, True),
+     complex(0.7714582549129205, 0.0), 5.9035739399033496, 0, True),
     (-0.6315060766356986, 0.15558028464847906, -1.3770899358600128, -1.0157466278761453,
-     complex(0.47100240136217186, 0.0), 11.496241325269315, 0, True),
+     complex(0.47100240136217186, 0.0), 11.496241326485563, 0, True),
     (-1.4778241576588393, 0.15284777905516675, -1.7877262614633103, -0.04125534305970424,
-     complex(1.4667324888713325, 0.0), 3.1508484929636715, 0, True),
+     complex(1.4667324888713325, 0.0), 3.150848492873702, 0, True),
     (1.6704835808154108, 0.0, 1.0525321808605717, -1.3036053658523175,
      complex(0.26234948586697643, 0.0), 1.2924718878240296, 1, False),
     (1.4211228749469735, 0.0, 0.6290036437824598, 0.4179206624750611,
      complex(2.187114868802637, 0.0), 1.1921085835388374, 1, False),
     (0.9817948078662004, 0.023498523927500296, 0.3494354702546234, 0.36402304838677413,
-     complex(0.3558051137219493, -1.4809210845745073), 1.0354912663461795, 0, True),
+     complex(0.3558051137219493, -1.4809210845745073), 1.035491265320643, 0, True),
     (0.5507950410868906, 0.036835117399414585, -1.5604878322028606, 1.6294270173042293,
-     complex(1.1535867671929287, -2.13949496416933), 0.9170183145369668, 0, True),
+     complex(1.1535867671929287, -2.13949496416933), 0.9170183155526016, 0, True),
     (0.5648919447987901, 3.711671017601152, 0.5430681448566235, 0.5149881845601074,
-     complex(0.8703334464946478, -0.6942184798116879), 4.796070661815079, 0, True),
+     complex(0.8703334464946478, -0.6942184798116879), 4.796070667299085, 0, True),
     (0.0020260485140375373, 0.8035064970354872, -1.1005071271688358, 1.250331046718164,
-     complex(1.2718660034382474, -0.9991294339208509), 1.9595767920833629, 0, True),
+     complex(1.2718660034382474, -0.9991294339208509), 1.9595767933149213, 0, True),
     (-1.4830556752005655, 0.12657178436390393, -1.424253701746188, 0.49473476199815236,
-     complex(0.7669913141699188, -0.8549775802928442), 8.881461053202099, 0, True),
+     complex(0.7669913141699188, -0.8549775802928442), 8.88146093098434, 0, True),
     (-1.3862143910233495, 0.08294389161163353, 0.6807711739649416, 1.1680218546559713,
-     complex(1.0489937161093115, -0.8105237345034102), 4.433094533797264, 0, True),
+     complex(1.0489937161093115, -0.8105237345034102), 4.433094531613353, 0, True),
     (1.78070680961713, 0.0, -0.344577224167689, -0.42011179952608835,
      complex(1.400046805651382, -1.3136010156184208), 1.3344312682252053, 1, False),
     (1.2832789571016845, 0.0, 1.7178863920169576, 0.6456733035580338,
@@ -873,7 +911,7 @@ SCREEN_DOUBLE_ZERO_PINS = [
 # optimize_omega_real at lam = 1e-10, m2 = 1.2, as REAL_PINS without m2 and lam:
 # the near-harmonic residual has no exact real zero, but its least |dW1/domega|
 # may pass the acceptance test.  Before the solve was split into cases it
-# polished the zero of one residual part; now the golden-section minimum of
+# polished the zero of one residual part; now the searched minimum of
 # |dW1/domega| is accepted instead, so omega* moves within the accepted band.
 NEAR_HARMONIC_PINS = [
     (0.5003818664186679, 1.588855203878302, complex(1.9840770875639449, 0.0),
