@@ -44,8 +44,8 @@ the point's monomials (_combine): on the diagonal x_a = x_b = x as
 A + (B + C x^2) x^2.  Keeping
 each window's own ends keeps the fallback cells, and with them the kinks of
 a trace that falls back, where they were; a window snapped onto the lattice
-moved them with x.  Illinois, minimizer, acceptance and W1 evaluations run
-off the lattice through _gap_residual and _w1.  OEF and the real-time
+moved them with x.  Illinois, golden-section, acceptance and W1 evaluations
+run off the lattice through _gap_residual and _w1.  OEF and the real-time
 solve off the edge scan scan_window directly.
 
 optimize_omega_imag solves one point: its scan, then the scalar sequence of
@@ -56,16 +56,11 @@ their brackets off the scan with _bracket_ends, an exact zero counting as
 positive, and refine the last by one rule (_illinois, over arrays
 _illinois_rows) to the secant point of its final bracket: exactly its end
 where the residual there is 0.  With no bracket the fallback is the least
-|dW1/domega| of the scan: a window end as scanned, for a search would only
-close in on it, and an interior sample by Brent's minimizer over its two
-cells (_brent_min, over arrays _brent_rows: golden section's steps, and
-parabolic ones through the three least points).  Off a smooth nonzero dip
-the residual's values fix such a fallback omega only to about sqrt(eps) of
-its scale, on the flat dips of deep double wells only to about 1e-6; the
-digits beyond that come from the search.  Every operation of
-the two, down to the shape factors (hyper), is elementwise and made in the
-same order, so a diagonal point gets the same bits from the point solve as
-from any row of any batch.
+|dW1/domega| of the scan: a window end as scanned, for golden section would
+only close in on it, and an interior sample by golden section over its two
+cells.  Every operation of the two, down to the shape factors (hyper), is
+elementwise and made in the same order, so a diagonal point gets the same
+bits from the point solve as from any row of any batch.
 
 optimize_omega_real reads three cases off the input.  On the continuation
 edge T = -i*beta the residual is -i times the real imaginary-time one, so it
@@ -73,7 +68,15 @@ is optimize_omega_imag there: every real residual has the one root and
 fallback rule of _solve_scanned.  In the harmonic limit omega = sqrt(m2) is
 the exact root.  Elsewhere a complex residual has no real zero, and the solve
 is Brent's minimizer on the deepest dip of |dW1/domega| in a complex array
-scan (Stevenson 1981).
+scan (Stevenson 1981), golden section's steps with parabolic ones.
+
+Off a smooth nonzero dip the residual's values fix a fallback omega only to
+about sqrt(eps) of its scale, and the digits beyond that come from the
+search.  On the flat dips of deep double wells at low temperature and of OEF
+at high temperature that band is about 1e-6 and 1e-4 wide, and any other
+search than golden section ends elsewhere in it; W1 and OEF's free energy,
+whose derivative is not zero at a fallback, move with it.  So the
+imaginary-time and OEF searches keep golden section's steps.
 """
 
 import math
@@ -240,6 +243,24 @@ def _illinois(f, lo, hi, flo, fhi):
     return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
 
 
+def _golden_min(f, lo, hi):
+    """Golden-section minimum of f, narrowed to BRACKET_REL_WIDTH like _illinois."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > BRACKET_REL_WIDTH * b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), (a, b)
+
+
 def _brent_min(f, lo, hi):
     """Brent's minimum of f on [lo, hi] (Brent 1973, ch. 5), narrowed to
     BRACKET_REL_WIDTH like _illinois; returns it and its bracket.
@@ -253,7 +274,7 @@ def _brent_min(f, lo, hi):
     shorter than tol = BRACKET_REL_WIDTH * b / 4, and a vertex within 2 tol
     of an end is replaced by a step of tol towards the middle, so that steps
     of tol on both sides of x close the bracket.  x lies inside the bracket
-    throughout, and is returned.  _brent_rows takes the same steps on arrays.
+    throughout, and is returned.
     """
     a, b = lo, hi
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
@@ -315,10 +336,10 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     ends, to its secant root; with no sign change anywhere, takes the
     minimal-sensitivity frequency, the least |resid| of the scan: an end of
     the grid as it is, with the bracket (end, end), an interior sample by
-    Brent's minimizer (_brent_min) on its two cells.  The solution is
-    flagged fallback_used unless it is a root with |resid| <= tol * max(1,
-    |value|/omega).  where names the solve in NoStationaryPointError, raised
-    if resid is nowhere finite on the scan or not finite at the solution.
+    golden section on its two cells.  The solution is flagged fallback_used
+    unless it is a root with |resid| <= tol * max(1, |value|/omega).  where
+    names the solve in NoStationaryPointError, raised if resid is nowhere
+    finite on the scan or not finite at the solution.
     """
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
@@ -334,7 +355,7 @@ def _solve_scanned(resid, value, grid, vals, tol, where) -> GapSolution:
     else:
         i = int(np.argmin(np.where(finite, np.abs(vals), np.inf)))
         if 0 < i < len(grid) - 1:
-            omega, (lo, hi) = _brent_min(lambda w: abs(resid(w)), grid[i - 1], grid[i + 1])
+            omega, (lo, hi) = _golden_min(lambda w: abs(resid(w)), grid[i - 1], grid[i + 1])
         else:
             omega = lo = hi = grid[i]
     res = abs(resid(omega))
@@ -480,60 +501,31 @@ def _illinois_rows(f, lo, hi, flo, fhi):
         kept[act] = np.where(left, -1, 1)
 
 
-def _brent_rows(f, lo, hi):
-    """_brent_min on every row at once; returns the minimizers.
+def _golden_rows(f, lo, hi):
+    """_golden_min on every row at once; returns the minimizers.
 
-    Every row takes its own steps, parabolic or golden, by the same float
-    operations as _brent_min, and the search state is held for the open
-    rows only, so a step costs the same few array operations however many
-    rows have closed."""
+    The search state is held for the open rows only, so a step costs the
+    same few array operations however many rows have closed."""
+    end_a, end_b = lo.copy(), hi.copy()
     rows = np.arange(lo.size)
-    a, b = lo, hi
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    c = hi - GOLDEN * (hi - lo)
+    d = lo + GOLDEN * (hi - lo)
     fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
-    left = fc < fd
-    a, b = np.where(left, a, c), np.where(left, d, b)
-    x, fx, w, fw = (np.where(left, c, d), np.where(left, fc, fd),
-                    np.where(left, d, c), np.where(left, fd, fc))
-    v, fv, step, e = w, fw, np.zeros(lo.size), np.zeros(lo.size)
-    out, act = x.copy(), rows
-    while True:
+    act = rows[hi - lo > BRACKET_REL_WIDTH * hi]
+    a, b, c, d, fc, fd = lo[act], hi[act], c[act], d[act], fc[act], fd[act]
+    while act.size:
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fp = f(act, probe)
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
         going = b - a > BRACKET_REL_WIDTH * b
         if not going.all():
-            out[act[~going]] = x[~going]
-            act, a, b, x, fx, w, fw, v, fv, step, e = (
-                s[going] for s in (act, a, b, x, fx, w, fw, v, fv, step, e))
-            if not act.size:
-                return out
-        tol = 0.25 * BRACKET_REL_WIDTH * b
-        below = x < 0.5 * (a + b)
-        # the vertex of every row, used only where the row's test holds
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            para = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * e))
-                    & (q * (a - x) < p) & (p < q * (b - x)))
-            vertex = p / q
-            u = x + vertex
-            near_end = (u - a < 2.0 * tol) | (b - u < 2.0 * tol)
-        vertex = np.where(near_end, np.where(below, tol, -tol), vertex)
-        side = np.where(below, b - x, a - x)
-        e, step = np.where(para, step, side), np.where(para, vertex, (1.0 - GOLDEN) * side)
-        u = np.where(np.abs(step) >= tol, x + step, x + np.where(step > 0.0, tol, -tol))
-        fu = f(act, u)
-        better, lower = fu <= fx, u < x
-        end = np.where(better, x, u)      # the new end of the bracket
-        a, b = np.where(better == lower, a, end), np.where(better == lower, end, b)
-        to_w = ~better & ((fu <= fw) | (w == x))
-        to_v = ~better & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-        shift = better | to_w
-        v, fv = np.where(shift, w, np.where(to_v, u, v)), np.where(shift, fw, np.where(to_v, fu, fv))
-        w, fw = np.where(better, x, np.where(to_w, u, w)), np.where(better, fx, np.where(to_w, fu, fw))
-        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+            end_a[act], end_b[act] = a, b
+            act, a, b, c, d, fc, fd = (v[going] for v in (act, a, b, c, d, fc, fd))
+    return 0.5 * (end_a + end_b)
 
 
 def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
@@ -547,8 +539,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     as positive) shrunk to BRACKET_REL_WIDTH by Illinois regula falsi from
     its scanned end values, to the secant root of the final bracket, or
     where the scan has no bracket its least |residual|, a window end as
-    scanned and an interior one by Brent's minimizer over its two cells
-    (_brent_rows, the steps of _brent_min); then
+    scanned and an interior one by golden section over its two cells; then
     one residual and one W1 call over all rows, and the acceptance test
     tol * max(1, |W1|/omega), which only a bracketed row can pass.  Every row
     agrees with the point solve (omega_star, residual, n_roots, fallback_used
@@ -588,13 +579,13 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     j = last[rows]
     omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid[rows, j - 1],
                                        grid[rows, j], flo[rows], fhi[rows])
-    # no bracket: the least |residual|, by Brent's minimizer where it is interior
+    # no bracket: the least |residual|, by golden section where it is interior
     none = np.flatnonzero(n_roots == 0)
     omega[none] = grid[none, least[none]]
     dip = none[(least[none] > 0) & (least[none] < SCAN_POINTS - 1)]
     if dip.size:
-        omega[dip] = _brent_rows(lambda k, w: np.abs(resid(dip[k], w)),
-                                 grid[dip, least[dip] - 1], grid[dip, least[dip] + 1])
+        omega[dip] = _golden_rows(lambda k, w: np.abs(resid(dip[k], w)),
+                                  grid[dip, least[dip] - 1], grid[dip, least[dip] + 1])
 
     residual = np.abs(_gap_residual(params, x, x, beta, omega))
     dead = np.flatnonzero(~np.isfinite(residual))

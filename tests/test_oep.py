@@ -443,14 +443,7 @@ class TestOptimizeRealPinned:
         assert w1_real(params, p, g.omega_star) == REAL_PIN_W1[m2, lam, x_a, x_b, T]
 
 
-def _two_minima(w):
-    return ((w - 0.7) * (w - 1.3)) ** 2 + 0.02 * (w - 1.0)
-
-
 class TestGoldenFallback:
-    """Brent's minimizer, golden section's steps with parabolic ones, as the
-    minimal-sensitivity search of a scan without a bracket."""
-
     def test_fallback_brackets_within_bisection_width(self, double_well, quartic):
         gaps = [optimize_omega_imag(double_well, EuclideanPoint(x, x, beta))
                 for beta in (0.25, 1.0) for x in np.linspace(-1.5, 1.5, 9)]
@@ -470,21 +463,12 @@ class TestGoldenFallback:
             calls.append(w)
             return (w - 1.03) ** 2
 
-        omega, (lo, hi) = oep._brent_min(f, 0.9, 1.1)
+        omega, (lo, hi) = oep._golden_min(f, 0.9, 1.1)
         assert omega == pytest.approx(1.03, rel=1e-11)
-        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
-        # in fewer calls than golden section's two points and steps to that width
+        # the first step that brings the width under BRACKET_REL_WIDTH is the last
+        assert oep.GOLDEN * oep.BRACKET_REL_WIDTH * hi < hi - lo <= oep.BRACKET_REL_WIDTH * hi
         steps = math.ceil(math.log(oep.BRACKET_REL_WIDTH * hi / 0.2) / math.log(oep.GOLDEN))
-        assert len(calls) < 2 + steps
-
-    def test_two_minima_in_the_bracket(self):
-        # local minima near 0.675 (the deeper) and 1.267: golden section's
-        # first cut of [0.5, 1.7] keeps the right one, and the search stays there
-        omega, (lo, hi) = oep._brent_min(_two_minima, 0.5, 1.7)
-        left, _, right = sorted(np.roots([4.0, -12.0, 11.64, -3.62]).real)   # f' = 0
-        assert omega == pytest.approx(right, rel=1e-8)
-        assert _two_minima(left) < _two_minima(omega)
-        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        assert len(calls) == 2 + steps
 
     def test_rows_are_the_scalar_search_bit_for_bit(self):
         # rows of different widths close at different steps; a row already
@@ -496,36 +480,62 @@ class TestGoldenFallback:
         def f(rows, w):
             return np.abs(np.sin(w - mins[rows]))
 
-        got = oep._brent_rows(f, lo, hi)
+        got = oep._golden_rows(f, lo, hi)
         for k in range(lo.size):
-            want, _ = oep._brent_min(lambda w: abs(math.sin(w - mins[k])), lo[k], hi[k])
+            want, _ = oep._golden_min(lambda w: abs(math.sin(w - mins[k])), lo[k], hi[k])
             assert got[k] == want
 
-    def test_rows_mix_parabolic_and_golden_steps(self):
-        # a parabola, whose vertex one parabolic step hits, beside a
-        # constant, on which every step is golden, and the two minima: each
-        # row probes where the scalar search probes, in the same order
-        fs = [lambda w: (w - 1.03) ** 2, lambda w: 1.0, _two_minima]
-        lo, hi = np.array([0.9, 0.9, 0.5]), np.array([1.1, 1.1, 1.7])
-        probes = [[] for _ in fs]
 
-        def f(rows, w):
-            for k, v in zip(rows.tolist(), w.tolist()):
-                probes[k].append(v)
-            return np.array([fs[k](v) for k, v in zip(rows.tolist(), w.tolist())])
+def _two_minima(w):
+    return ((w - 0.7) * (w - 1.3)) ** 2 + 0.02 * (w - 1.0)
 
-        got = oep._brent_rows(f, lo, hi)
-        for k, fk in enumerate(fs):
-            calls = []
-            want, _ = oep._brent_min(lambda w: calls.append(w) or fk(w), lo[k], hi[k])
-            assert got[k] == want and probes[k] == calls
-        assert len(probes[0]) < 10 and len(probes[1]) > 50
+
+class TestBrentSearch:
+    """Brent's minimizer, golden section's steps with parabolic ones, as the
+    search of the real-time solve off the continuation edge."""
+
+    def test_stops_at_bisection_width_in_fewer_calls(self):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return (w - 1.03) ** 2
+
+        omega, (lo, hi) = oep._brent_min(f, 0.9, 1.1)
+        assert omega == pytest.approx(1.03, rel=1e-11)
+        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+        # in fewer calls than golden section's two points and steps to that width
+        steps = math.ceil(math.log(oep.BRACKET_REL_WIDTH * hi / 0.2) / math.log(oep.GOLDEN))
+        assert len(calls) < 2 + steps
+
+    def test_two_minima_in_the_bracket(self):
+        # local minima near 0.675 (the deeper) and 1.267: golden section's
+        # first cut of [0.5, 1.7] keeps the right one, and both searches stay there
+        omega, (lo, hi) = oep._brent_min(_two_minima, 0.5, 1.7)
+        left, _, right = sorted(np.roots([4.0, -12.0, 11.64, -3.62]).real)   # f' = 0
+        assert omega == pytest.approx(right, rel=1e-8)
+        assert oep._golden_min(_two_minima, 0.5, 1.7)[0] == pytest.approx(right, rel=1e-8)
+        assert _two_minima(left) < _two_minima(omega)
+        assert lo < omega < hi and hi - lo <= oep.BRACKET_REL_WIDTH * hi
+
+    def test_only_the_real_time_solve_takes_it(self, monkeypatch):
+        # the imaginary-time fallback searches stay golden section's
+        calls = []
+        body = oep._brent_min
+        monkeypatch.setattr(oep, "_brent_min", lambda f, lo, hi: calls.append(lo) or body(f, lo, hi))
+        params, beta = OscillatorParams(-2.5, 0.005), 20.0
+        gap = oep.optimize_omega_imag.__wrapped__(params, EuclideanPoint(0.0, 0.0, beta))
+        assert gap.fallback_used and gap.bracket[0] < gap.omega_star < gap.bracket[1]
+        assert calls == []
+        oep._solve_real.cache_clear()
+        optimize_omega_real(OscillatorParams(1.0, 0.01), RealTimePoint(0.3, 0.1, 0.5))
+        assert len(calls) == 1
 
 
 class TestEndFallback:
     """A scan with no bracket whose least |dW1/domega| lies at an end of its
     window returns that end, with the bracket (end, end) and no search; only
-    an interior least sample takes Brent's minimizer."""
+    an interior least sample takes the golden section."""
 
     @pytest.mark.parametrize("beta", [0.25, 1.0])
     def test_foot_fallback_is_the_scanned_foot(self, double_well, beta):
@@ -551,20 +561,20 @@ class TestEndFallback:
 
     def test_foot_fallback_trace_runs_no_golden_section(self, double_well, monkeypatch):
         calls = []
-        body = oep._brent_rows
+        body = oep._golden_rows
 
         def counted(f, lo, hi):
             calls.append(lo.size)
             return body(f, lo, hi)
 
-        monkeypatch.setattr(oep, "_brent_rows", counted)
+        monkeypatch.setattr(oep, "_golden_rows", counted)
         thermo._log_partition_oep.__wrapped__(double_well, 1.0, thermo.TOL_QUAD, thermo.TOL_ROOT)
         assert calls == []
         assert thermo.free_energy_oep(double_well, 1.0).omega_info["fallbacks"] > 0
 
     def test_interior_least_sample_is_searched(self):
         # a deep double well at low temperature: the least |dW1/domega| of
-        # this scan is at column 174, so Brent's minimizer narrows its two cells
+        # this scan is at column 174, so golden section narrows its two cells
         params, beta = OscillatorParams(-2.5, 0.005), 20.0
         grid, vals = oep._scan_imag(params, 0.0, 0.0, beta)
         i = int(np.argmin(np.abs(vals)))
@@ -681,7 +691,7 @@ class TestDiagonalBatch:
             assert batch.fallback_used.any()    # the double well falls back near x = 0
 
     def test_fallback_does_not_depend_on_the_batch(self):
-        # a fallback at x = 0 whose search compares residuals in
+        # a fallback at x = 0 whose golden section compares residuals in
         # rounding noise: the trace's 25-point probe, its first 145-point
         # call and the point solve once gave three different omega*
         params, beta = OscillatorParams(-1.5, 0.08), 0.05
@@ -911,7 +921,7 @@ SCREEN_DOUBLE_ZERO_PINS = [
 # optimize_omega_real at lam = 1e-10, m2 = 1.2, as REAL_PINS without m2 and lam:
 # the near-harmonic residual has no exact real zero, but its least |dW1/domega|
 # may pass the acceptance test.  Before the solve was split into cases it
-# polished the zero of one residual part; now the searched minimum of
+# polished the zero of one residual part; now Brent's minimum of
 # |dW1/domega| is accepted instead, so omega* moves within the accepted band.
 NEAR_HARMONIC_PINS = [
     (0.5003818664186679, 1.588855203878302, complex(1.9840770875639449, 0.0),

@@ -346,7 +346,7 @@ class TestDensityMatrix:
 # F and omega_info of free_energy_oef before it shared the scalar gap solve of
 # oep: (m2, lam, beta, F, omega_star, residual, n_roots, fallback_used).  The
 # last one has no sign change in the window (its stationary omega ~ 6 lam lies
-# below it) and ends in the fallback at its window end.
+# below it) and ends in the golden-section fallback.
 OEF_PINS = [
     (0.0, 1.0, 0.01, -308.25066332272434, 5.886086664625896, 3.552713678800501e-15, 1, False),
     (0.0, 1.0, 1.0, 0.5212968972431612, 1.9913826402741213, 0.0, 1, False),
@@ -366,7 +366,7 @@ class TestFreeEnergyOEF:
         info = r.omega_info
         assert (info["n_roots"], info["fallback_used"]) == (n_roots, fallback)
         if fallback:
-            # a fallback search stops at BRACKET_REL_WIDTH, not after a fixed
+            # the golden section stops at BRACKET_REL_WIDTH, not after a fixed
             # step count, so the fallback frequency moves within that width
             for got, want in ((r.f, f), (info["omega_star"], omega),
                               (info["residual"], residual)):
