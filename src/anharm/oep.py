@@ -55,7 +55,8 @@ is how the thermal trace and the density solve their points.  Both read
 their brackets off the scan with _bracket_ends, an exact zero counting as
 positive, and refine the last by one rule (_illinois, over arrays
 _illinois_rows) to the secant point of its final bracket: exactly its end
-where the residual there is 0.  With no bracket the fallback is the least
+where the residual there is 0 (the batch's last SCALAR_ROWS open rows go on
+in _illinois, on floats).  With no bracket the fallback is the least
 |dW1/domega| of the scan: a window end as scanned, for golden section would
 only close in on it, and an interior sample by golden section over its two
 cells.  Every operation of the two, down to the shape factors (hyper), is
@@ -95,6 +96,8 @@ SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
 SCAN_LOG_STEP = 2.0 * SCAN_DECADES * math.log(10.0) / (SCAN_POINTS - 1)
 BRACKET_REL_WIDTH = 1e-12
+# open rows at or below which _illinois_rows goes on row by row in floats
+SCALAR_ROWS = 12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -145,19 +148,21 @@ class FirstOrderAmplitude:
     point: object
 
 
-def _w1(params: OscillatorParams, x_a, x_b, beta, omega):
+def _w1(params: OscillatorParams, x_a, x_b, beta, omega, s=None, m=None):
     """W1 at a real beta (float, or arrays broadcast with the endpoints and
-    omega) or at beta = i*T, where it is i times the real-time W1; unchecked."""
-    k = _assemble(hyper.shape_factors(omega * beta), _monomials(x_a, x_b), omega)
+    omega) or at beta = i*T, where it is i times the real-time W1; unchecked.
+    s and m: the shape factors at omega*beta and monomials, if at hand."""
+    if s is None:
+        s, m = hyper.shape_factors(omega * beta), _monomials(x_a, x_b)
+    k = _assemble(s, m, omega)
     return (_w0(x_a, x_b, beta, omega) - 0.5 * (params.m2 - omega * omega) * (k.iL2 + k.iK)
             - params.lam * (k.iL4 + 6.0 * k.iL2K + 3.0 * k.iKK))
 
 
 def _coefficients(params: OscillatorParams, s, sd, omega, z):
-    """omega, dW1/domega's coefficients of 1 and of each monomial of
-    kernels._monomials, and B and C of a diagonal point: the nine rows of a
-    _coefficient_table column, from the shape factors s and z-derivatives sd
-    at z = omega*beta.  G(z)/omega^k of kernels._sums has the derivative
+    """omega, then dW1/domega's coefficients of 1 and of each monomial of
+    kernels._monomials, from the shape factors s and z-derivatives sd at
+    z = omega*beta.  G(z)/omega^k of kernels._sums has the derivative
     (z G'(z) - k G(z))/omega^(k+1) at fixed beta."""
     w2 = omega * omega
     w3 = omega * w2
@@ -172,13 +177,13 @@ def _coefficients(params: OscillatorParams, s, sd, omega, z):
          -lam * ((z * sd.l4_sum - s.l4_sum) / w2),
          -lam * ((z * sd.l4_cross - s.l4_cross) / w2),
          -lam * ((z * sd.l4_sq - s.l4_sq) / w2))
-    # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
-    return (omega, *c, 2.0 * c[1] + c[2], 2.0 * c[3] + 8.0 * c[4] + 6.0 * c[5])
+    return (omega, *c)
 
 
-def _monomial_sum(c, x_a, x_b):
-    """dW1/domega at the endpoints from the coefficient rows c of _coefficients."""
-    sq, cross, q_sum, q_cross, q_sq = _monomials(x_a, x_b)
+def _monomial_sum(c, m):
+    """dW1/domega from the coefficient rows c of _coefficients and the
+    endpoint monomials m of kernels._monomials."""
+    sq, cross, q_sum, q_cross, q_sq = m
     return c[1] + c[2] * sq + c[3] * cross + c[4] * q_sum + c[5] * q_cross + c[6] * q_sq
 
 
@@ -186,8 +191,8 @@ def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):
     """dW1/domega at a real beta (float or arrays) or at beta = i*T: the
     _coefficients there summed with the endpoint monomials; unchecked."""
     z = omega * beta
-    return _monomial_sum(_coefficients(params, *hyper.shape_factors_d(z), omega, z), x_a, x_b)
-
+    return _monomial_sum(_coefficients(params, *hyper.shape_factors_d(z), omega, z),
+                         _monomials(x_a, x_b))
 
 def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
     _check_path_args(omega, p.beta)
@@ -227,10 +232,11 @@ def scan_window(params: OscillatorParams, x_a: float, x_b: float, horizon: float
     return [math.exp(lo + i * SCAN_LOG_STEP) for i in range(SCAN_POINTS)]
 
 
-def _illinois(f, lo, hi, flo, fhi):
-    """_illinois_rows on one bracket: the same steps, the same stop and root."""
-    glo, ghi = flo, fhi     # f at lo and hi; flo and fhi may have been halved
-    kept = 0                # -1: lo survived the last step, +1: hi
+def _illinois(f, lo, hi, flo, fhi, glo=None, ghi=None, kept=0):
+    """_illinois_rows on one bracket: the same steps, the same stop and root.
+    glo and ghi (f at lo and hi; flo and fhi may have been halved) and kept
+    (-1: lo survived the last step, +1: hi) take over a row's state."""
+    glo, ghi = (flo, fhi) if glo is None else (glo, ghi)
     while hi - lo > BRACKET_REL_WIDTH * hi and lo != 0.5 * (lo + hi) != hi:
         t = (lo * fhi - hi * flo) / (fhi - flo) if fhi != flo else math.nan
         d = 0.5 * BRACKET_REL_WIDTH * hi
@@ -388,7 +394,9 @@ def _coefficient_table(params: OscillatorParams, beta: float):
     A + (B + C x^2) x^2 with A = row 1).  _combine reads a span of it."""
     def fill(k_lo, k_hi):
         z, *factors = _TABLE.span(k_lo, k_hi)
-        return np.array(_coefficients(params, *hyper.split_rows(factors), z / beta, z))
+        c = _coefficients(params, *hyper.split_rows(factors), z / beta, z)
+        # the diagonal's monomials are 1, 2t, t, 2t^2, 8t^2, 6t^2 with t = x^2
+        return np.array([*c, 2.0 * c[2] + c[3], 2.0 * c[4] + 8.0 * c[5] + 6.0 * c[6]])
     return hyper.LatticeTable(fill)
 
 
@@ -398,7 +406,7 @@ def _combine(rows, x_a, x_b):
     if x_a == x_b:
         t = x_a * x_a
         return rows[1] + (rows[7] + rows[8] * t) * t
-    return _monomial_sum(rows, x_a, x_b)
+    return _monomial_sum(rows, _monomials(x_a, x_b))
 
 
 def _scan_imag(params: OscillatorParams, x_a: float, x_b: float, beta: float):
@@ -459,7 +467,7 @@ def _scan_brackets(vals, point):
             vals[rows, last - 1], vals[rows, last])
 
 
-def _illinois_rows(f, lo, hi, flo, fhi):
+def _illinois_rows(f, lo, hi, flo, fhi, g=None):
     """Shrink every row's sign-change bracket to BRACKET_REL_WIDTH at once.
 
     Illinois regula falsi: the secant point of the bracket, with the function
@@ -472,33 +480,40 @@ def _illinois_rows(f, lo, hi, flo, fhi):
     where the secant point is not finite.  An exact zero counts as positive,
     as in _bracket_ends: a step onto a root becomes an end with value 0, and
     the final bracket's secant point through it is that end.  f(rows, omega)
-    evaluates the residual.  Returns the roots, the secant points of the
-    final brackets through the unhalved values of f at their ends, and the
-    brackets.
+    evaluates the residual; the state is held for the open rows only.  Given
+    g(row, omega), one row's residual at a float, the last SCALAR_ROWS open
+    rows go on one by one in _illinois from their state: the same steps,
+    without numpy's fixed cost per step.  Returns the roots, the secant
+    points of the final brackets through the unhalved values of f at their
+    ends, and the brackets.
     """
-    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
-    glo, ghi = flo.copy(), fhi.copy()
-    kept = np.zeros(lo.size, dtype=np.int8)     # -1: lo survived last step, +1: hi
+    root, lo, hi = np.empty(lo.size), lo.copy(), hi.copy()
     act = np.arange(lo.size)
+    a, b, fa, fb, ga, gb = lo, hi, flo, fhi, flo, fhi
+    kept = np.zeros(lo.size, dtype=int)     # -1: lo survived the last step, +1: hi
     while True:
-        a, b = lo[act], hi[act]
         mid = 0.5 * (a + b)
-        act = act[(b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)]
-        if not act.size:
-            return lo + (hi - lo) * (glo / (glo - ghi)), lo, hi
-        a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
+        going = (b - a > BRACKET_REL_WIDTH * b) & (mid != a) & (mid != b)
+        if not going.all():
+            s = ~going
+            lo[act[s]], hi[act[s]] = a[s], b[s]
+            root[act[s]] = a[s] + (b[s] - a[s]) * (ga[s] / (ga[s] - gb[s]))
+            act, a, b, fa, fb, ga, gb, kept = (v[going] for v in (act, a, b, fa, fb, ga, gb, kept))
+        if not act.size or g is not None and act.size <= SCALAR_ROWS:
+            for k, *state in zip(*(v.tolist() for v in (act, a, b, fa, fb, ga, gb, kept))):
+                root[k], lo[k], hi[k] = _illinois(partial(g, k), *state)
+            return root, lo, hi
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (a * fb - b * fa) / (fb - fa)
         d = 0.5 * BRACKET_REL_WIDTH * b
         t = np.where(np.isfinite(t), np.minimum(np.maximum(t, a + d), b - d), 0.5 * (a + b))
         ft = f(act, t)
-        left = (fa < 0.0) != (ft < 0.0)     # sign change in [lo, t]
-        right = ~left
-        hi[act[left]], fhi[act[left]], ghi[act[left]] = t[left], ft[left], ft[left]
-        flo[act[left & (kept[act] == -1)]] *= 0.5
-        lo[act[right]], flo[act[right]], glo[act[right]] = t[right], ft[right], ft[right]
-        fhi[act[right & (kept[act] == 1)]] *= 0.5
-        kept[act] = np.where(left, -1, 1)
+        left = (fa < 0.0) != (ft < 0.0)     # sign change in [a, t]
+        a, ga, fa = (np.where(left, a, t), np.where(left, ga, ft),
+                     np.where(left, fa * np.where(kept == -1, 0.5, 1.0), ft))
+        b, gb, fb = (np.where(left, t, b), np.where(left, ft, gb),
+                     np.where(left, ft, fb * np.where(kept == 1, 0.5, 1.0)))
+        kept = np.where(left, -1, 1)
 
 
 def _golden_rows(f, lo, hi):
@@ -540,7 +555,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     its scanned end values, to the secant root of the final bracket, or
     where the scan has no bracket its least |residual|, a window end as
     scanned and an interior one by golden section over its two cells; then
-    one residual and one W1 call over all rows, and the acceptance test
+    the residual and W1 of all rows from one shape-factor call, and the test
     tol * max(1, |W1|/omega), which only a bracketed row can pass.  Every row
     agrees with the point solve (omega_star, residual, n_roots, fallback_used
     and its value W1) bit for bit, whatever the batch.  Raises ValueError if
@@ -551,7 +566,10 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("diagonal points must be finite")
-    log_lo = np.array([_log_window_start(params, v * v + v * v, beta) for v in x.tolist()])
+    # _log_window_start of each row, its math functions inlined
+    lam6, ref = 6.0 * params.lam, max(math.sqrt(abs(params.m2)), 1.0 / beta)
+    log_lo = np.array([math.log(max(ref, (lam6 * max(1.0, v * v + v * v)) ** (1.0 / 3.0)))
+                       for v in x.tolist()]) - SCAN_DECADES * math.log(10.0)
     k0 = _lattice_start(log_lo, beta)
     base = int(k0.min(initial=0))
     table = _coefficient_table(params, beta).span(base, int(k0.max(initial=0)) + SCAN_POINTS)
@@ -577,8 +595,10 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     omega = np.empty(x.size)
     rows = np.flatnonzero(n_roots)
     j = last[rows]
-    omega[rows], _, _ = _illinois_rows(lambda k, w: resid(rows[k], w), grid[rows, j - 1],
-                                       grid[rows, j], flo[rows], fhi[rows])
+    xr = x[rows].tolist()
+    omega[rows], _, _ = _illinois_rows(
+        lambda k, w: resid(rows[k], w), grid[rows, j - 1], grid[rows, j], flo[rows], fhi[rows],
+        lambda k, w: _gap_residual(params, xr[k], xr[k], beta, w))
     # no bracket: the least |residual|, by golden section where it is interior
     none = np.flatnonzero(n_roots == 0)
     omega[none] = grid[none, least[none]]
@@ -587,11 +607,14 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
         omega[dip] = _golden_rows(lambda k, w: np.abs(resid(dip[k], w)),
                                   grid[dip, least[dip] - 1], grid[dip, least[dip] + 1])
 
-    residual = np.abs(_gap_residual(params, x, x, beta, omega))
+    z = omega * beta
+    s, sd = hyper.shape_factors_d(z)
+    m = _monomials(x, x)
+    residual = np.abs(_monomial_sum(_coefficients(params, s, sd, omega, z), m))
     dead = np.flatnonzero(~np.isfinite(residual))
     if dead.size:
         raise NoStationaryPointError(f"residual not finite at the solution for {point(dead[0])}")
-    w1 = _w1(params, x, x, beta, omega)
+    w1 = _w1(params, x, x, beta, omega, s, m)
     accepted = (n_roots > 0) & (residual <= tol * np.maximum(1.0, np.abs(w1) / omega))
     return DiagonalGapBatch(omega, residual, n_roots, ~accepted, w1)
 

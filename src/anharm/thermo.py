@@ -21,9 +21,10 @@ density's row, as every batch row does.
 The OEP trace probes its half-width and integrates on an adaptive
 Gauss-Legendre rule.  Each probe also evaluates the first level of the rule
 on its own half-width, in the same batched gap solve
-(oep.optimize_omega_imag_diagonal), and each later refinement level is one
-more; see _log_partition_oep.  The FK route runs on the same probe and rule,
-each call one array evaluation of its effective potential (_fk_potential).
+(oep.optimize_omega_imag_diagonal), and each refinement call solves two
+levels: its own nodes and, ahead, every node the next level could need;
+see _log_partition_oep.  The FK route runs on the same probe and rule, each
+call one array evaluation of its effective potential (_fk_potential).
 Both raise QuadratureError when the tail or the panel count does not
 converge or a node's integrand is not finite, and IntegrandError naming the
 point where the integrand failed.
@@ -185,7 +186,10 @@ def _adaptive_gauss(logf, x_max, peak, first, tol):
 
     first holds the log-integrands at the first level's nodes, which the
     half-width probe (_grow_halfwidth) evaluated in its own call, so a trace
-    calls logf only from the second level on.  Every open panel is compared
+    calls logf only from the second level on.  logf(xs, ahead) gives the
+    log-integrands at the level's nodes xs; ahead, the nodes of its panels'
+    quarters, hold the next level's, and logf may evaluate them in the same
+    call (the OEP trace does).  Every open panel is compared
     with the sum over its two halves.  Where the difference is within the
     panel's share of the tolerance, tol * |integral| * width / x_max, the
     halves' sum is kept; elsewhere the halves become open panels of the next
@@ -227,7 +231,8 @@ def _adaptive_gauss(logf, x_max, peak, first, tol):
                 f"(error estimate {error:g})")
         ha, hh = _halves(a, h)
         xs = _gauss_nodes(ha, hh)
-        left, right = np.split(_gauss_sums(_weight(xs, logf(xs), peak), hh), 2)
+        logs = logf(xs, _gauss_nodes(*_halves(ha, hh)))
+        left, right = np.split(_gauss_sums(_weight(xs, logs, peak), hh), 2)
         nodes += 2 * a.size * GAUSS_POINTS
     if not value > 0.0:
         raise QuadratureError(
@@ -246,26 +251,39 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
     endpoint weight below TAIL_RATIO of the peak; the integral then runs on
     the adaptive Gauss-Legendre rule of _adaptive_gauss.  Each probe solves
     its points and the nodes of the first quadrature level on its half-width
-    in one batched gap solve (optimize_omega_imag_diagonal), and each later
-    level solves its nodes in one more, so a trace that neither doubles nor
-    refines makes one call.  Raises QuadratureError when the tail or the
-    panel count does not converge or a node's integrand is not finite
-    (_weight), and IntegrandError naming the x where the gap solve failed.
-    The diagnostics count the gap solves, fallbacks, points with more than
-    one root, quadrature nodes and batched gap-solve calls (solve_calls),
-    and give the worst residual and omega*(0), read off the first probe's
-    x = 0 node.
+    in one batched gap solve (optimize_omega_imag_diagonal), so a trace that
+    neither doubles nor refines makes one call.  A refinement call also
+    solves, ahead, the nodes of its panels' quarters and keeps W1 there by
+    x, and a level whose nodes are all kept makes no call: two levels per
+    call, with the sums and decisions of one, as a batch row does not depend
+    on its batch.  If a node ahead fails, the call solves its level alone,
+    so the trace raises only where a level needs a node.  Raises
+    QuadratureError when the tail or the panel count does not converge or a
+    node's integrand is not finite (_weight), and IntegrandError naming the
+    x where the gap solve failed.
+    The diagnostics count the gap solves (the nodes solved ahead included),
+    fallbacks, points with more than one root, quadrature nodes and batched
+    gap-solve calls (solve_calls), and give the worst residual and omega*(0),
+    read off the first probe's x = 0 node.
     """
     _check_tolerance(tol_quad=tol_quad, tol_root=tol_root)
     batches = []
+    ahead_w1 = {}       # W1 at the nodes solved ahead of their level, by x
 
-    def logw(xs):
+    def logw(xs, ahead=()):
+        keys = xs.tolist()
+        if all(k in ahead_w1 for k in keys):
+            return np.array([ahead_w1[k] for k in keys])
         try:
-            batch = optimize_omega_imag_diagonal(params, beta, xs, tol_root)
+            try:    # a node ahead may fail where no level needs it: then xs alone
+                batch = optimize_omega_imag_diagonal(params, beta, np.append(xs, ahead), tol_root)
+            except NoStationaryPointError:
+                batch = optimize_omega_imag_diagonal(params, beta, xs, tol_root)
         except NoStationaryPointError as exc:
             raise IntegrandError(f"trial-frequency optimization failed: {exc}") from exc
         batches.append(batch)
-        return batch.w1
+        ahead_w1.update(zip(np.asarray(ahead).tolist(), batch.w1[xs.size:].tolist()))
+        return batch.w1[:xs.size]
 
     x_max, peak, first = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
     val, err, nodes = _adaptive_gauss(logw, x_max, peak, first, tol_quad)
@@ -520,7 +538,7 @@ def free_energy_fk(params: OscillatorParams, beta: float,
     _check_tolerance(tol_quad=tol_quad)
     curvatures = []
 
-    def neg_beta_v(xs):
+    def neg_beta_v(xs, ahead=None):
         v, s = _fk_potential(params, beta, xs)
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:

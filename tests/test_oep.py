@@ -664,6 +664,70 @@ class TestIllinois:
         assert (float(bomega[0]), float(blo[0]), float(bhi[0])) == result
         assert row_calls == calls
 
+    @staticmethod
+    def _check_scalar_finish(f, g, lo, hi):
+        """_illinois_rows with the scalar finish g gives the roots and
+        brackets of the pure row steps, bit for bit; returns the rows it
+        handed over to the scalar finish."""
+        handed = set()
+
+        def scalar(k, w):
+            handed.add(k)
+            return g(k, w)
+
+        fl, fh = f(np.arange(lo.size), lo), f(np.arange(lo.size), hi)
+        want = oep._illinois_rows(f, lo, hi, fl, fh)
+        got = oep._illinois_rows(f, lo, hi, fl, fh, scalar)
+        for w, v in zip(want, got):
+            assert w.tobytes() == v.tobytes()
+        return handed
+
+    def test_scalar_finish_on_gap_residual_brackets(self, single_well, double_well):
+        # the last bracket of each row's scan, as the batch finds it; 40 rows
+        # hand over part way, 9 from the start
+        for params, beta in ((single_well, 0.7), (double_well, 2.0), (double_well, 0.3)):
+            x, lo, hi = [], [], []
+            for v in np.linspace(0.0, 3.0, 120).tolist():
+                grid, vals = oep._scan_imag(params, v, v, beta)
+                ends = np.flatnonzero(oep._bracket_ends(np.asarray(vals)))
+                if ends.size:
+                    x.append(v)
+                    lo.append(grid[ends[-1] - 1])
+                    hi.append(grid[ends[-1]])
+            x, lo, hi = np.array(x[:40]), np.array(lo[:40]), np.array(hi[:40])
+            assert x.size == 40
+            for rows in (np.arange(40), np.arange(0, 40, 5)[1:]):
+                xs = x[rows]
+                handed = self._check_scalar_finish(
+                    lambda k, w: _gap_residual(params, xs[k], xs[k], beta, w),
+                    lambda k, w: _gap_residual(params, float(xs[k]), float(xs[k]), beta, w),
+                    lo[rows], hi[rows])
+            assert handed == set(range(7))
+
+    def test_scalar_finish_on_a_triple_root(self):
+        # Illinois converges only linearly here, so the rows stay open long
+        # and close at different steps
+        def cube(w):
+            d = w - 1.03
+            return d * d * d
+
+        lo, hi = np.linspace(0.9, 1.02, 30), np.linspace(1.05, 1.3, 30)
+        handed = self._check_scalar_finish(lambda k, w: cube(w), lambda k, w: cube(w), lo, hi)
+        assert 0 < len(handed) <= oep.SCALAR_ROWS
+
+    def test_scalar_finish_with_an_exact_zero_on_an_end(self):
+        # the first secant point lands on the root 1 exactly in every row,
+        # and the last rows start with the root as their upper end
+        def f(w):
+            return w - 1.0
+
+        half = 2.0 ** -np.arange(1, 21)
+        lo, hi = np.concatenate([1.0 - half, [0.5, 0.75]]), np.concatenate([1.0 + half, [1.0, 1.0]])
+        for rows in (slice(None), slice(-10, None)):
+            handed = self._check_scalar_finish(lambda k, w: f(w), lambda k, w: f(w),
+                                               lo[rows], hi[rows])
+        assert handed == set(range(10))
+
 
 class TestDiagonalBatch:
     """optimize_omega_imag_diagonal against the point solver it batches."""

@@ -87,16 +87,20 @@ TRACE_PINS = [
 ]
 
 # (fallbacks, quadrature nodes, batched gap-solve calls) of each TRACE_PINS
-# trace; the first two as they were before the probe solved the first level
+# trace; the first two as they were before the probe solved the first level.
+# The double well at beta = 1 refines over nine levels, two per call: its
+# fallbacks count the nodes solved ahead of their level too.
 TRACE_COUNTS = {
     (0.0, 1.0, 0.1): (0, 200, 2),
     (0.0, 1.0, 2.0): (0, 120, 1),
     (0.0, 1.0, 50.0): (0, 120, 1),
     (1.0, 10.0, 1.0): (0, 120, 1),
     (1.0, 0.01, 0.3): (0, 120, 1),
-    (-1.0, 0.1, 1.0): (423, 560, 10),
+    (-1.0, 0.1, 1.0): (656, 560, 6),
     (-1.0, 0.1, 5.0): (0, 160, 3),
 }
+# a high-temperature double well that refines over eight levels
+DEEP_TRACE = (-1.0, 0.18, 0.6)
 # the five traces of the ROADMAP's global-rule table, and two whose first
 # probe had a bracket end on the root to rounding (26 and 28 Illinois steps
 # when the rule then bisected from the far end).  The double well at beta = 1
@@ -134,17 +138,25 @@ class TestTrace:
 
     @pytest.mark.parametrize("m2, lam, beta", ILLINOIS_TRACES)
     def test_illinois_steps_per_call(self, monkeypatch, m2, lam, beta):
+        # a call's steps: those over all its open rows, then the most that
+        # one row took in the scalar finish
         steps = []
         body = oep._illinois_rows
 
-        def counted(f, *brackets):
-            steps.append(0)
+        def counted(f, lo, hi, flo, fhi, g=None):
+            rows, finish = [0], {}
 
-            def step(rows, omega):
-                steps[-1] += 1
-                return f(rows, omega)
+            def step(act, omega):
+                rows[0] += 1
+                return f(act, omega)
 
-            return body(step, *brackets)
+            def scalar_step(k, omega):
+                finish[k] = finish.get(k, 0) + 1
+                return g(k, omega)
+
+            found = body(step, lo, hi, flo, fhi, g and scalar_step)
+            steps.append(rows[0] + max(finish.values(), default=0))
+            return found
 
         monkeypatch.setattr(oep, "_illinois_rows", counted)
         thermo._log_partition_oep.__wrapped__(OscillatorParams(m2, lam), beta,
@@ -166,7 +178,67 @@ class TestTrace:
         # the lattice scan keeps each window's own two ends, so the fallback
         # kinks do not move with x and the rule does not chase them
         info = free_energy_oep(double_well, 1.0).omega_info
-        assert (info["gap_solves"], info["fallbacks"], info["quad_nodes"]) == (585, 423, 560)
+        assert (info["gap_solves"], info["fallbacks"], info["quad_nodes"]) == (865, 656, 560)
+
+    @staticmethod
+    def _trace(m2, lam, beta):
+        ln_z, err, x_max, diag = thermo._log_partition_oep.__wrapped__(
+            OscillatorParams(m2, lam), beta, thermo.TOL_QUAD, thermo.TOL_ROOT)
+        return (ln_z, err, x_max, diag["quad_nodes"]), diag["solve_calls"]
+
+    @staticmethod
+    def _no_look_ahead(monkeypatch):
+        body = thermo._adaptive_gauss
+        monkeypatch.setattr(thermo, "_adaptive_gauss",
+                            lambda logf, *args: body(lambda xs, ahead=(): logf(xs), *args))
+
+    @pytest.mark.parametrize("m2, lam, beta", [pin[:3] for pin in TRACE_PINS] + [DEEP_TRACE])
+    def test_look_ahead_changes_no_bit(self, monkeypatch, m2, lam, beta):
+        # each refinement call also solves the next level's nodes, so a trace
+        # makes two levels per call; ln Z, its error, the half-width and the
+        # nodes are the bits of one level per call
+        ahead, calls = self._trace(m2, lam, beta)
+        self._no_look_ahead(monkeypatch)
+        alone, calls_alone = self._trace(m2, lam, beta)
+        assert ahead == alone
+        assert calls <= calls_alone
+        assert (calls_alone, calls) == {DEEP_TRACE: (9, 5), (-1.0, 0.1, 1.0): (10, 6)}.get(
+            (m2, lam, beta), (calls, calls))
+
+    def test_a_node_ahead_fails_only_where_its_level_needs_it(self, monkeypatch):
+        solved = []
+        solve = thermo.optimize_omega_imag_diagonal
+        monkeypatch.setattr(thermo, "optimize_omega_imag_diagonal",
+                            lambda *args: solved.append(args[2]) or solve(*args))
+        want = self._trace(*DEEP_TRACE)
+        ahead = set(np.concatenate(solved).tolist())
+        solved.clear()
+        with monkeypatch.context() as m:
+            self._no_look_ahead(m)
+            self._trace(*DEEP_TRACE)
+        levels = [x.tolist() for x in solved]
+        spare = min(ahead - set().union(*levels))     # solved ahead, needed by no level
+        late = levels[2][0]                           # solved ahead of its level
+
+        def poisoned(x_bad):
+            # the residual of the row at x_bad is nowhere finite in its scan
+            scan = oep._scan_brackets
+
+            def scan_bad(vals, point):
+                vals = vals.copy()
+                vals[[point(r).x_a == x_bad for r in range(len(vals))]] = np.nan
+                return scan(vals, point)
+            return scan_bad
+
+        monkeypatch.setattr(oep, "_scan_brackets", poisoned(spare))
+        assert self._trace(*DEEP_TRACE)[0] == want[0]
+        monkeypatch.setattr(oep, "_scan_brackets", poisoned(late))
+        with pytest.raises(IntegrandError, match=f"x_a={late!r}") as ahead_on:
+            self._trace(*DEEP_TRACE)
+        self._no_look_ahead(monkeypatch)
+        with pytest.raises(IntegrandError) as ahead_off:
+            self._trace(*DEEP_TRACE)
+        assert str(ahead_on.value) == str(ahead_off.value)
 
     def test_no_scalar_gap_solves(self):
         before = optimize_omega_imag.cache_info()

@@ -1,8 +1,8 @@
-"""Seeded audit of the gap solves' minimal-sensitivity searches, for
-comparing two checkouts of the package.
+"""Seeded audit of the gap solves' minimal-sensitivity searches and of the
+OEP trace, for comparing two checkouts of the package.
 
     python tools/gap_audit.py run CHECKOUT OUT.json [--seed S] [--real N]
-                                 [--imag N] [--oef N]
+                                 [--imag N] [--oef N] [--trace N]
     python tools/gap_audit.py compare BEFORE.json AFTER.json
 
 `run` imports anharm from CHECKOUT/src and records, for the same seeded
@@ -15,12 +15,19 @@ draws on either side:
   least sample (deep double wells at low temperature), with a check that
   every row of a diagonal batch equals its point solve bit for bit;
 * free_energy_oef solves with such an interior dip (OEF at high
-  temperature, small lam).
+  temperature, small lam);
+* traces: free_energy_oep and density_oep on its default grid, and one
+  300-row optimize_omega_imag_diagonal batch, at seeded (params, beta) over
+  the weak, strong and double-well families and high-temperature double
+  wells (beta in [0.2, 0.7], where fallback kinks make the trace refine).
 
 Every search is counted by wrapping the minimizers of oep.  `compare`
 prints flag changes, how far omega* moved, the search calls, and lists every
 solve whose omega* moved by more than 1e-6 relative with |dW1/domega|
-before and after.  Run each side in its own process.
+before and after.  For the traces it reports every draw where a bit of
+ln Z, the half-width, quad_nodes, rho or a batch row moved, and the totals
+of the trace's counts (solve_calls, gap_solves, fallbacks), which may
+change without any bit moving.  Run each side in its own process.
 """
 
 import argparse
@@ -34,13 +41,55 @@ FAMILIES = {"weak": ((0.5, 2.0), (0.005, 0.05)), "strong": ((0.0, 1.0), (0.5, 5.
             "double": ((-1.5, -0.5), (0.08, 0.2)), "near": ((0.5, 2.0), (1e-10, 1e-10)),
             "harmonic": ((0.5, 2.0), None)}
 MOVED = 1e-6
+# (m2 range, lam range, beta range) of the trace draws
+TRACE_FAMILIES = {"weak": ((0.5, 2.0), (0.005, 0.05), (0.1, 20.0)),
+                  "strong": ((0.0, 1.0), (0.5, 5.0), (0.1, 20.0)),
+                  "double": ((-1.5, -0.5), (0.08, 0.2), (0.7, 10.0)),
+                  "hot-double": ((-1.5, -0.5), (0.08, 0.2), (0.2, 0.7))}
+TRACE_BITS = ("ln_z", "halfwidth", "quad_nodes", "rho", "rows")
+TRACE_COUNTS = ("solve_calls", "gap_solves", "fallbacks")
 
 
 def _log_uniform(rng, lo, hi):
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def run(checkout, out_path, seed, n_real, n_imag, n_oef):
+def _traces(np, thermo, oep, OscillatorParams, seed, n):
+    """The trace records of `run`, seeded on their own."""
+    rng = np.random.default_rng(seed)
+    names = list(TRACE_FAMILIES)
+    out = []
+    for k in range(n):
+        fam = names[k % len(names)]
+        (a, b), lam_range, beta_range = TRACE_FAMILIES[fam]
+        params = OscillatorParams(float(rng.uniform(a, b)), _log_uniform(rng, *lam_range))
+        beta = _log_uniform(rng, *beta_range)
+        r = thermo.free_energy_oep(params, beta)
+        rho = thermo.density_oep(params, beta).rho
+        batch = oep.optimize_omega_imag_diagonal(params, beta, np.linspace(-3.0, 3.0, 300))
+        rows = b"".join(np.asarray(getattr(batch, f)).tobytes()
+                        for f in ("omega_star", "residual", "n_roots", "fallback_used", "w1"))
+        info = r.omega_info
+        out.append({"fam": fam, "in": [params.m2, params.lam, beta], "ln_z": -beta * r.f,
+                    "halfwidth": info["halfwidth"], "quad_nodes": info["quad_nodes"],
+                    "rho": rho.tobytes().hex(), "rows": rows.hex(),
+                    **{key: info[key] for key in TRACE_COUNTS}})
+    return out
+
+
+def _compare_traces(before, after):
+    pairs = list(zip(before, after))
+    assert all(x["in"] == y["in"] for x, y in pairs), "the two runs drew other inputs"
+    moved = [(x, [key for key in TRACE_BITS if x[key] != y[key]]) for x, y in pairs]
+    moved = [(x, keys) for x, keys in moved if keys]
+    print(f"trace: {len(pairs)} draws, {len(moved)} with a bit moved")
+    for key in TRACE_COUNTS:
+        print(f"  {key}: {sum(x[key] for x in before)} -> {sum(y[key] for y in after)}")
+    for x, keys in moved:
+        print(f"  MOVED {x['fam']} {x['in']}: {', '.join(keys)}")
+
+
+def run(checkout, out_path, seed, n_real, n_imag, n_oef, n_trace):
     sys.path.insert(0, checkout + "/src")
     import numpy as np
     from anharm import oep, thermo
@@ -115,6 +164,7 @@ def run(checkout, out_path, seed, n_real, n_imag, n_oef):
             out["oef"].append({"in": [m2, lam, beta], "omega": info["omega_star"],
                                "res": info["residual"], "n_roots": info["n_roots"],
                                "fb": info["fallback_used"], "w": r.f, "calls": calls[n0]})
+    out["trace"] = _traces(np, thermo, oep, OscillatorParams, seed, n_trace)
     with open(out_path, "w") as fh:
         json.dump(out, fh)
 
@@ -125,6 +175,8 @@ def compare(before_path, after_path):
     with open(after_path) as fh:
         after = json.load(fh)
     print("diagonal rows equal their point solves:", before["rows_equal"], after["rows_equal"])
+    if "trace" in before and "trace" in after:
+        _compare_traces(before["trace"], after["trace"])
     for kind in ("real", "imag", "oef"):
         pairs = list(zip(before[kind], after[kind]))
         assert all(x["in"] == y["in"] for x, y in pairs), "the two runs drew other inputs"
@@ -159,12 +211,13 @@ def main(argv=None):
     r.add_argument("--real", type=int, default=2500)
     r.add_argument("--imag", type=int, default=2500)
     r.add_argument("--oef", type=int, default=300)
+    r.add_argument("--trace", type=int, default=160)
     c = sub.add_parser("compare")
     c.add_argument("before")
     c.add_argument("after")
     a = parser.parse_args(argv)
     if a.cmd == "run":
-        run(a.checkout, a.out, a.seed, a.real, a.imag, a.oef)
+        run(a.checkout, a.out, a.seed, a.real, a.imag, a.oef, a.trace)
     else:
         compare(a.before, a.after)
 
