@@ -133,12 +133,12 @@ class DiagonalGapBatch:
     fallback_used: np.ndarray
     w1: np.ndarray              # W1 at omega_star
 
-    def counts(self) -> dict:
-        """Solves, fallbacks, points with more than one root, worst residual."""
-        return {"gap_solves": int(self.omega_star.size),
-                "fallbacks": int(np.count_nonzero(self.fallback_used)),
-                "multi_root": int(np.count_nonzero(self.n_roots > 1)),
-                "worst_residual": float(np.max(self.residual, initial=0.0))}
+    def counts(self, rows=slice(None)) -> dict:
+        """Solves, fallbacks, points with more than one root, worst residual, of rows."""
+        return {"gap_solves": int(self.omega_star[rows].size),
+                "fallbacks": int(np.count_nonzero(self.fallback_used[rows])),
+                "multi_root": int(np.count_nonzero(self.n_roots[rows] > 1)),
+                "worst_residual": float(np.max(self.residual[rows], initial=0.0))}
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,7 @@ def _gap_residual(params: OscillatorParams, x_a, x_b, beta, omega):
     z = omega * beta
     return _monomial_sum(_coefficients(params, *hyper.shape_factors_d(z), omega, z),
                          _monomials(x_a, x_b))
+
 
 def w1_imag(params: OscillatorParams, p: EuclideanPoint, omega: float) -> float:
     _check_path_args(omega, p.beta)
@@ -566,10 +567,7 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("diagonal points must be finite")
-    # _log_window_start of each row, its math functions inlined
-    lam6, ref = 6.0 * params.lam, max(math.sqrt(abs(params.m2)), 1.0 / beta)
-    log_lo = np.array([math.log(max(ref, (lam6 * max(1.0, v * v + v * v)) ** (1.0 / 3.0)))
-                       for v in x.tolist()]) - SCAN_DECADES * math.log(10.0)
+    log_lo = np.array([_log_window_start(params, v * v + v * v, beta) for v in x.tolist()])
     k0 = _lattice_start(log_lo, beta)
     base = int(k0.min(initial=0))
     table = _coefficient_table(params, beta).span(base, int(k0.max(initial=0)) + SCAN_POINTS)
@@ -607,10 +605,8 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
         omega[dip] = _golden_rows(lambda k, w: np.abs(resid(dip[k], w)),
                                   grid[dip, least[dip] - 1], grid[dip, least[dip] + 1])
 
-    z = omega * beta
-    s, sd = hyper.shape_factors_d(z)
-    m = _monomials(x, x)
-    residual = np.abs(_monomial_sum(_coefficients(params, s, sd, omega, z), m))
+    (s, sd), m = hyper.shape_factors_d(omega * beta), _monomials(x, x)
+    residual = np.abs(_monomial_sum(_coefficients(params, s, sd, omega, omega * beta), m))
     dead = np.flatnonzero(~np.isfinite(residual))
     if dead.size:
         raise NoStationaryPointError(f"residual not finite at the solution for {point(dead[0])}")

@@ -189,7 +189,7 @@ def _adaptive_gauss(logf, x_max, peak, first, tol):
     calls logf only from the second level on.  logf(xs, ahead) gives the
     log-integrands at the level's nodes xs; ahead, the nodes of its panels'
     quarters, hold the next level's, and logf may evaluate them in the same
-    call (the OEP trace does).  Every open panel is compared
+    call (the OEP trace does) or ignore them (FK).  Every open panel is compared
     with the sum over its two halves.  Where the difference is within the
     panel's share of the tolerance, tol * |integral| * width / x_max, the
     halves' sum is kept; elsewhere the halves become open panels of the next
@@ -253,27 +253,29 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
     its points and the nodes of the first quadrature level on its half-width
     in one batched gap solve (optimize_omega_imag_diagonal), so a trace that
     neither doubles nor refines makes one call.  A refinement call also
-    solves, ahead, the nodes of its panels' quarters and keeps W1 there by
-    x, and a level whose nodes are all kept makes no call: two levels per
-    call, with the sums and decisions of one, as a batch row does not depend
-    on its batch.  If a node ahead fails, the call solves its level alone,
-    so the trace raises only where a level needs a node.  Raises
-    QuadratureError when the tail or the panel count does not converge or a
-    node's integrand is not finite (_weight), and IntegrandError naming the
-    x where the gap solve failed.
-    The diagnostics count the gap solves (the nodes solved ahead included),
-    fallbacks, points with more than one root, quadrature nodes and batched
-    gap-solve calls (solve_calls), and give the worst residual and omega*(0),
-    read off the first probe's x = 0 node.
+    solves, ahead, the nodes of its panels' quarters, and a level whose nodes
+    it all solved makes no call: two levels per call, with the sums and
+    decisions of one, as a batch row does not depend on its batch.  If a
+    node ahead fails, the call solves its level alone, so the trace raises
+    only where a level needs a node.  Raises QuadratureError when the tail or
+    the panel count does not converge or a node's integrand is not finite
+    (_weight), and IntegrandError naming the x where the gap solve failed.
+    The diagnostics count the gap solves, fallbacks and points with more
+    than one root, and give the worst residual, of the points a probe or a
+    level used; they also count quadrature nodes and batched gap-solve calls
+    (solve_calls), and give omega*(0), read off the first probe's x = 0 node.
     """
     _check_tolerance(tol_quad=tol_quad, tol_root=tol_root)
-    batches = []
-    ahead_w1 = {}       # W1 at the nodes solved ahead of their level, by x
+    batches = []        # every batched call
+    used = []           # (batch, rows) of the entries that a probe or a level used
+    kept = {}           # the row of each node that the last call solved ahead, by x
 
     def logw(xs, ahead=()):
         keys = xs.tolist()
-        if all(k in ahead_w1 for k in keys):
-            return np.array([ahead_w1[k] for k in keys])
+        if all(k in kept for k in keys):
+            rows = [kept[k] for k in keys]
+            used.append((batches[-1], rows))
+            return batches[-1].w1[rows]
         try:
             try:    # a node ahead may fail where no level needs it: then xs alone
                 batch = optimize_omega_imag_diagonal(params, beta, np.append(xs, ahead), tol_root)
@@ -282,12 +284,14 @@ def _log_partition_oep(params: OscillatorParams, beta: float,
         except NoStationaryPointError as exc:
             raise IntegrandError(f"trial-frequency optimization failed: {exc}") from exc
         batches.append(batch)
-        ahead_w1.update(zip(np.asarray(ahead).tolist(), batch.w1[xs.size:].tolist()))
+        used.append((batch, slice(xs.size)))
+        kept.clear()
+        kept.update(zip(np.asarray(ahead).tolist(), range(xs.size, batch.w1.size)))
         return batch.w1[:xs.size]
 
     x_max, peak, first = _grow_halfwidth(logw, _initial_halfwidth(params, beta))
     val, err, nodes = _adaptive_gauss(logw, x_max, peak, first, tol_quad)
-    counts = [b.counts() for b in batches]
+    counts = [batch.counts(rows) for batch, rows in used]
     diag = {key: sum(c[key] for c in counts)
             for key in ("gap_solves", "fallbacks", "multi_root")}
     diag.update(worst_residual=max(c["worst_residual"] for c in counts),
@@ -538,7 +542,7 @@ def free_energy_fk(params: OscillatorParams, beta: float,
     _check_tolerance(tol_quad=tol_quad)
     curvatures = []
 
-    def neg_beta_v(xs, ahead=None):
+    def neg_beta_v(xs, ahead=()):
         v, s = _fk_potential(params, beta, xs)
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:

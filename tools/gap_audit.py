@@ -25,9 +25,10 @@ Every search is counted by wrapping the minimizers of oep.  `compare`
 prints flag changes, how far omega* moved, the search calls, and lists every
 solve whose omega* moved by more than 1e-6 relative with |dW1/domega|
 before and after.  For the traces it reports every draw where a bit of
-ln Z, the half-width, quad_nodes, rho or a batch row moved, and the totals
-of the trace's counts (solve_calls, gap_solves, fallbacks), which may
-change without any bit moving.  Run each side in its own process.
+ln Z, the half-width, quad_nodes, the worst residual, rho or a batch row
+moved, and the totals of the trace's counts (solve_calls, gap_solves,
+fallbacks), which may change without any bit moving.  Run each side in its
+own process.
 """
 
 import argparse
@@ -46,7 +47,7 @@ TRACE_FAMILIES = {"weak": ((0.5, 2.0), (0.005, 0.05), (0.1, 20.0)),
                   "strong": ((0.0, 1.0), (0.5, 5.0), (0.1, 20.0)),
                   "double": ((-1.5, -0.5), (0.08, 0.2), (0.7, 10.0)),
                   "hot-double": ((-1.5, -0.5), (0.08, 0.2), (0.2, 0.7))}
-TRACE_BITS = ("ln_z", "halfwidth", "quad_nodes", "rho", "rows")
+TRACE_BITS = ("ln_z", "halfwidth", "quad_nodes", "worst_residual", "rho", "rows")
 TRACE_COUNTS = ("solve_calls", "gap_solves", "fallbacks")
 
 
@@ -72,6 +73,7 @@ def _traces(np, thermo, oep, OscillatorParams, seed, n):
         info = r.omega_info
         out.append({"fam": fam, "in": [params.m2, params.lam, beta], "ln_z": -beta * r.f,
                     "halfwidth": info["halfwidth"], "quad_nodes": info["quad_nodes"],
+                    "worst_residual": info["worst_residual"],
                     "rho": rho.tobytes().hex(), "rows": rows.hex(),
                     **{key: info[key] for key in TRACE_COUNTS}})
     return out
