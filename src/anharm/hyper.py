@@ -309,10 +309,8 @@ def shape_factors(z):
 
 
 # Both coefficient tables as one (18 x powers) matrix, zero-padded to a
-# common length, so the series branch of a complex array is a product.  It
-# keeps one zero column past z^27: OpenBLAS sums 28 columns in another order,
-# which moves the last bit of some entries of arrays of 958 z or more.
-_SERIES_LEN = len(_COEF[0]) + 1
+# common length, so the series branch of a complex array is a product.
+_SERIES_LEN = len(_COEF[0])
 _SERIES_MATRIX = np.array([c + [0.0] * (_SERIES_LEN - len(c)) for c in _COEF + _DCOEF])
 
 

@@ -23,6 +23,8 @@ call the bodies directly.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hyper
 
 TWO_PI = 2.0 * math.pi
@@ -177,6 +179,13 @@ def w0_imag(p: EuclideanPoint, omega: float) -> float:
     return _w0(p.x_a, p.x_b, p.beta, omega)
 
 
+def _focal(omega, t: complex):
+    """Whether omega (a float: math.sin, an array: numpy's) is a focal point
+    of a real T, |sin(omega*T)| < CAUSTIC_TOL; never off the real axis."""
+    sin = np.sin if isinstance(omega, np.ndarray) else math.sin
+    return t.imag == 0.0 and abs(sin(omega * t.real)) < CAUSTIC_TOL
+
+
 def _real_time_beta(p: RealTimePoint, omega: float) -> complex:
     """beta = i*T of a real-time point, once omega is checked and no focal
     point is hit: the real-time amplitudes are the imaginary-time ones there."""
@@ -184,7 +193,7 @@ def _real_time_beta(p: RealTimePoint, omega: float) -> complex:
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
     t = complex(p.T)
-    if t.imag == 0.0 and abs(math.sin(omega * t.real)) < CAUSTIC_TOL:
+    if _focal(omega, t):
         raise CausticError(
             f"|sin(omega*T)| < {CAUSTIC_TOL:g} at omega={omega!r}, T={t.real!r}")
     return 1j * t

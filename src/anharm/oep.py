@@ -69,7 +69,8 @@ is optimize_omega_imag there: every real residual has the one root and
 fallback rule of _solve_scanned.  In the harmonic limit omega = sqrt(m2) is
 the exact root.  Elsewhere a complex residual has no real zero, and the solve
 is Brent's minimizer on the deepest dip of |dW1/domega| in a complex array
-scan (Stevenson 1981), golden section's steps with parabolic ones.
+scan (Stevenson 1981), golden section's steps with parabolic ones.  Each
+case carries W1 at beta = i*T, exactly i times the real-time W1.
 
 Off a smooth nonzero dip the residual's values fix a fallback omega only to
 about sqrt(eps) of its scale, and the digits beyond that come from the
@@ -87,10 +88,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import hyper
-from .kernels import (CAUSTIC_TOL, CausticError, EuclideanPoint,
-                      OscillatorParams, RealTimePoint, _assemble,
-                      _check_path_args, _check_tolerance, _monomials,
-                      _real_time_beta, _w0)
+from .kernels import (CAUSTIC_TOL, EuclideanPoint, OscillatorParams, RealTimePoint,
+                      _assemble, _check_path_args, _check_tolerance, _focal,
+                      _monomials, _real_time_beta, _w0)
 
 SCAN_POINTS = 200
 SCAN_DECADES = 2.0          # window spans [1e-2, 1e2] * omega_ref
@@ -111,8 +111,9 @@ class GapSolution:
     """Optimized trial frequency and solver diagnostics.
 
     value is the function that sets the acceptance scale at omega_star, as
-    the solve computed it: W1 for an imaginary-time point, the free-energy
-    series for OEF, and None for a real-time point off the continuation edge.
+    the solve computed it: W1 by _w1 at the point's beta (beta = i*T for a
+    real-time point, whose W1 is exactly -i times it), the free-energy series
+    for OEF, and None only where a real-time solve ends on a focal point.
     """
 
     omega_star: float
@@ -618,67 +619,54 @@ def optimize_omega_imag_diagonal(params: OscillatorParams, beta: float, x,
 def optimize_omega_real(params: OscillatorParams, p: RealTimePoint,
                         tol: float = 1e-10) -> GapSolution:
     """Real trial frequency for a real-time point, by three cases read off
-    the input before any scan.
+    the input before any scan, each carrying W1 at beta = i*T as its value.
 
     * On the continuation edge (Re T = 0) this is optimize_omega_imag at
       beta = -Im T (n_roots counts brackets, a fallback on a window end
-      returns that end); W1 is -i times its W1 to rounding.
+      returns that end); W1 is exactly -i times its W1.
     * In the harmonic limit (lam = 0, m2 > 0): omega = sqrt(m2), if it
       passes the test |dW1/domega| <= tol * max(1, |W1|/omega).
     * Anywhere else a complex residual has no real zero: Brent's minimizer
       (_brent_min) on |dW1/domega|^2 over the two cells of the deepest
       interior dip of |dW1/domega| in one array scan of the window, with
-      focal points (|sin(omega*T)| < CAUSTIC_TOL at real T) and non-finite
-      entries set to inf.  The result is flagged fallback_used unless it
-      passes the test, when it counts as one root.  Off a smooth nonzero
-      dip the residual's values fix this omega_star only to about sqrt(eps)
-      of its scale; the digits beyond that come from the search.
+      focal points (kernels._focal: |sin(omega*T)| < CAUSTIC_TOL at real
+      T) and non-finite entries set to inf.  The result is flagged
+      fallback_used unless it passes the test, when it counts as one root.
+      Off a smooth nonzero dip the residual's values fix this omega_star
+      only to about sqrt(eps) of its scale; the digits beyond that come from
+      the search.  The residual and W1 are evaluated once each at the
+      answer, and neither on a focal point (value None).
     """
     _check_tolerance(tol=tol)
-    return _solve_real(params, p, tol)[0]
-
-
-@lru_cache(maxsize=1)
-def _solve_real(params: OscillatorParams, p: RealTimePoint, tol: float):
-    """optimize_omega_real's solution and the real-time W1 at its omega_star
-    (None at a focal point), the residual and W1 each evaluated once there.
-    optimized_w1_real reads W1 off the solve optimize_omega_real just made."""
     t = complex(p.T)
     if t.real == 0.0:
-        gap = optimize_omega_imag(params, EuclideanPoint(p.x_a, p.x_b, -t.imag), tol)
-        return gap, w1_real(params, p, gap.omega_star)
+        return optimize_omega_imag(params, EuclideanPoint(p.x_a, p.x_b, -t.imag), tol)
     beta = 1j * t
 
     def resid(w):
         """|dW1/domega| at w, inf on a focal point of a real T."""
-        if t.imag == 0.0 and abs(math.sin(w * t.real)) < CAUSTIC_TOL:
-            return math.inf
-        return abs(_gap_residual(params, p.x_a, p.x_b, beta, w))
+        return math.inf if _focal(w, t) else abs(_gap_residual(params, p.x_a, p.x_b, beta, w))
 
     def answer(w, bracket):
-        """The solution at w, one root if it passes the test, and W1 there."""
-        try:
-            w1 = w1_real(params, p, w)
-        except CausticError:
-            return GapSolution(w, math.inf, 0, bracket, True, None), None
-        res = resid(w)
+        """The solution at w, one root if it passes the test."""
+        if _focal(w, t):
+            return GapSolution(w, math.inf, 0, bracket, True, None)
+        w1, res = _w1(params, p.x_a, p.x_b, beta, w), resid(w)
         accepted = res <= tol * max(1.0, abs(w1) / w)
-        return GapSolution(w, res, int(accepted), bracket, not accepted, None), w1
+        return GapSolution(w, res, int(accepted), bracket, not accepted, w1)
 
     if params.lam == 0.0 and params.m2 > 0.0:
         omega = math.sqrt(params.m2)
-        gap, w1 = answer(omega, (omega, omega))
+        gap = answer(omega, (omega, omega))
         if not gap.fallback_used:
-            return gap, w1
+            return gap
 
     grid = scan_window(params, p.x_a, p.x_b, abs(t))
     omegas = np.array(grid)
     with np.errstate(all="ignore"):
         mags = np.abs(_gap_residual(params, p.x_a, p.x_b, beta, omegas))
+    mags[~np.isfinite(mags) | _focal(omegas, t)] = math.inf
     finite = np.isfinite(mags)
-    if t.imag == 0.0:
-        finite &= np.abs(np.sin(omegas * t.real)) >= CAUSTIC_TOL
-    mags[~finite] = math.inf
     if not finite.any():
         raise NoStationaryPointError(
             f"residual not finite anywhere in the scan window for {p}")
@@ -704,6 +692,6 @@ def optimized_w1_imag(params: OscillatorParams, p: EuclideanPoint,
 def optimized_w1_real(params: OscillatorParams, p: RealTimePoint,
                       tol: float = 1e-10) -> FirstOrderAmplitude:
     gap = optimize_omega_real(params, p, tol)
-    w1 = _solve_real(params, p, tol)[1]
-    # None: the solve ended on a focal point, where w1_real raises CausticError
-    return FirstOrderAmplitude(w1_real(params, p, gap.omega_star) if w1 is None else w1, gap, p)
+    if gap.value is None:       # the solve ended on a focal point
+        w1_real(params, p, gap.omega_star)      # raises CausticError
+    return FirstOrderAmplitude(-1j * gap.value, gap, p)

@@ -352,7 +352,8 @@ class TestOptimizeReal:
         with pytest.raises(CausticError):
             gap_residual_real(harmonic, p, 1.0)
         g = optimize_omega_real(harmonic, p)
-        assert (g.n_roots, g.fallback_used, g.value) == (0, True, None)
+        assert (g.n_roots, g.fallback_used) == (0, True)
+        assert g.value == 1j * w1_real(harmonic, p, g.omega_star)
         assert math.isfinite(g.omega_star) and g.omega_star != 1.0
         assert math.isfinite(g.residual)
 
@@ -393,6 +394,57 @@ class TestOptimizeReal:
             assert abs(1j * ar.w_value - ai.w_value) <= 2e-15 * max(1.0, abs(ai.w_value))
             fallbacks += ai.gap.fallback_used
         assert fallbacks >= 20
+
+    def test_value_is_w1_at_beta_i_t(self):
+        # off the edge the solution carries W1 at beta = i*T, i times the
+        # real-time W1 at omega_star, bit for bit: at real T, in the wedge
+        # and in the harmonic limit
+        roots = 0
+        for k, (family, params, x_a, x_b, r) in enumerate(_family_points(43, 96, (0.2, 2.5))):
+            t = r * cmath.exp(-0.3j * math.pi) if (k // 4) % 2 else complex(r)
+            p = RealTimePoint(x_a, x_b, t)
+            g = optimize_omega_real(params, p)
+            assert g.value == 1j * w1_real(params, p, g.omega_star)
+            assert optimized_w1_real(params, p).w_value == w1_real(params, p, g.omega_star)
+            roots += family == "harmonic" and g.n_roots == 1
+        assert roots >= 12
+
+    def test_continuation_edge_w1_is_exact(self):
+        # on T = -i beta the real-time W1 is -i times the imaginary-time one,
+        # exactly: both are read off the one imaginary-time solve
+        for _, params, x_a, x_b, beta in _family_points(19, 200, (0.2, 5.0)):
+            ar = optimized_w1_real(params, RealTimePoint(x_a, x_b, -1j * beta))
+            ai = optimized_w1_imag(params, EuclideanPoint(x_a, x_b, beta))
+            assert 1j * ar.w_value == ai.w_value
+
+    def test_one_search_and_one_w1_per_amplitude(self, monkeypatch):
+        # optimized_w1_real reads W1 off its own solve, whatever other
+        # real-time solve runs between that solve and its return
+        params = OscillatorParams(1.0, 0.01)
+        p, other = RealTimePoint(0.3, 0.1, 0.5), RealTimePoint(-0.4, 0.7, 0.9)
+        calls = []
+        recording = [True]
+        for name in ("_brent_min", "_w1"):
+            body = getattr(oep, name)
+
+            def counted(*args, _name=name, _body=body):
+                if recording[0]:
+                    calls.append(_name)
+                return _body(*args)
+            monkeypatch.setattr(oep, name, counted)
+        solve = oep.optimize_omega_real
+
+        def solve_then_another(params, p, tol=1e-10):
+            gap = solve(params, p, tol)
+            recording[0] = False
+            solve(params, other, tol)
+            recording[0] = True
+            return gap
+        monkeypatch.setattr(oep, "optimize_omega_real", solve_then_another)
+        amp = optimized_w1_real(params, p)
+        assert sorted(calls) == ["_brent_min", "_w1"]
+        assert amp.gap.fallback_used
+        assert amp.w_value == w1_real(params, p, amp.gap.omega_star)
 
     def test_continuation_edge_with_scan_beyond_overflow(self):
         # the scan reaches omega*beta ~ 1600, where cos(omega*T) overflows
@@ -527,7 +579,6 @@ class TestBrentSearch:
         gap = oep.optimize_omega_imag.__wrapped__(params, EuclideanPoint(0.0, 0.0, beta))
         assert gap.fallback_used and gap.bracket[0] < gap.omega_star < gap.bracket[1]
         assert calls == []
-        oep._solve_real.cache_clear()
         optimize_omega_real(OscillatorParams(1.0, 0.01), RealTimePoint(0.3, 0.1, 0.5))
         assert len(calls) == 1
 

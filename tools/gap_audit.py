@@ -9,8 +9,9 @@ OEP trace, for comparing two checkouts of the package.
 draws on either side:
 
 * real-time solves (optimized_w1_real) over the weak, strong, double-well,
-  harmonic and near-harmonic (lam = 1e-10) families, alternately at a real
-  T in [0.2, 2.5] and inside the wedge;
+  harmonic and near-harmonic (lam = 1e-10) families, in turn at a real T
+  in [0.2, 2.5], inside the wedge and on the continuation edge T = -i*beta,
+  with a check that i times an edge W1 is the imaginary-time W1 exactly;
 * imaginary-time point solves whose scan has no bracket and an interior
   least sample (deep double wells at low temperature), with a check that
   every row of a diagonal batch equals its point solve bit for bit;
@@ -24,7 +25,10 @@ draws on either side:
 Every search is counted by wrapping the minimizers of oep.  `compare`
 prints flag changes, how far omega* moved, the search calls, and lists every
 solve whose omega* moved by more than 1e-6 relative with |dW1/domega|
-before and after.  For the traces it reports every draw where a bit of
+before and after.  For the real-time solves it also counts the records that
+are byte-identical off the edge but for the solution's value (None there
+before W1 went into it) and, on the edge, the solutions that are equal and
+how far W1 moved.  For the traces it reports every draw where a bit of
 ln Z, the half-width, quad_nodes, the worst residual, rho or a batch row
 moved, and the totals of the trace's counts (solve_calls, gap_solves,
 fallbacks), which may change without any bit moving.  Run each side in its
@@ -42,6 +46,8 @@ FAMILIES = {"weak": ((0.5, 2.0), (0.005, 0.05)), "strong": ((0.0, 1.0), (0.5, 5.
             "double": ((-1.5, -0.5), (0.08, 0.2)), "near": ((0.5, 2.0), (1e-10, 1e-10)),
             "harmonic": ((0.5, 2.0), None)}
 MOVED = 1e-6
+REAL_KINDS = ("real", "wedge", "edge")
+GAP_FIELDS = ("omega", "res", "n_roots", "fb", "bracket", "value")
 # (m2 range, lam range, beta range) of the trace draws
 TRACE_FAMILIES = {"weak": ((0.5, 2.0), (0.005, 0.05), (0.1, 20.0)),
                   "strong": ((0.0, 1.0), (0.5, 5.0), (0.1, 20.0)),
@@ -128,15 +134,25 @@ def run(checkout, out_path, seed, n_real, n_imag, n_oef, n_trace):
         lam = 0.0 if lam_range is None else _log_uniform(rng, *lam_range)
         xa, xb = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
         r = float(rng.uniform(0.2, 2.5))
-        wedge = (k // len(names)) % 2
-        t = r * cmath.exp(-0.5j * math.pi * float(rng.uniform(0.1, 0.9))) if wedge else complex(r)
+        where = REAL_KINDS[(k // len(names)) % len(REAL_KINDS)]
+        if where == "wedge":
+            t = r * cmath.exp(-0.5j * math.pi * float(rng.uniform(0.1, 0.9)))
+        else:
+            t = complex(0.0, -r) if where == "edge" else complex(r)
         n0 = len(calls)
-        amp = oep.optimized_w1_real(OscillatorParams(m2, lam), RealTimePoint(xa, xb, t))
+        params = OscillatorParams(m2, lam)
+        amp = oep.optimized_w1_real(params, RealTimePoint(xa, xb, t))
         g = amp.gap
-        out["real"].append({"fam": fam, "in": [m2, lam, xa, xb, t.real, t.imag],
-                            "omega": g.omega_star, "res": g.residual, "n_roots": g.n_roots,
-                            "fb": g.fallback_used, "w": [amp.w_value.real, amp.w_value.imag],
-                            "calls": searched(n0)})
+        v = None if g.value is None else complex(g.value)
+        rec = {"fam": fam, "where": where, "in": [m2, lam, xa, xb, t.real, t.imag],
+               "omega": g.omega_star, "res": g.residual, "n_roots": g.n_roots,
+               "fb": g.fallback_used, "bracket": list(g.bracket),
+               "value": v if v is None else [v.real, v.imag],
+               "w": [amp.w_value.real, amp.w_value.imag], "calls": searched(n0)}
+        if where == "edge":
+            w_imag = oep.optimized_w1_imag(params, EuclideanPoint(xa, xb, r)).w_value
+            rec["exact"] = 1j * amp.w_value == w_imag
+        out["real"].append(rec)
     while len(out["imag"]) < n_imag:
         m2 = float(rng.uniform(-3.0, -1.5))
         lam, beta = _log_uniform(rng, 1e-3, 0.02), _log_uniform(rng, 5.0, 50.0)
@@ -171,6 +187,21 @@ def run(checkout, out_path, seed, n_real, n_imag, n_oef, n_trace):
         json.dump(out, fh)
 
 
+def _compare_real(pairs):
+    """Byte-identical records off the edge, value aside; equal solutions,
+    W1 moved and exact continuation on it."""
+    off = [(x, y) for x, y in pairs if x["where"] != "edge"]
+    same = sum(json.dumps({**x, "value": 0}) == json.dumps({**y, "value": 0}) for x, y in off)
+    print(f"  off the edge: {same} of {len(off)} records byte-identical")
+    edge = [(x, y) for x, y in pairs if x["where"] == "edge"]
+    equal = sum(all(x[f] == y[f] for f in GAP_FIELDS) for x, y in edge)
+    dw = [abs(complex(*y["w"]) - complex(*x["w"])) for x, y in edge]
+    print(f"  on the edge: {equal} of {len(edge)} solutions equal, W1 moved by at most",
+          f"{max(dw, default=0.0):.2g} absolute ({sum(d > 0.0 for d in dw)} moved); i W1 is",
+          f"the imaginary-time W1 exactly in {sum(x['exact'] for x, _ in edge)} before,",
+          f"{sum(y['exact'] for _, y in edge)} after")
+
+
 def compare(before_path, after_path):
     with open(before_path) as fh:
         before = json.load(fh)
@@ -198,6 +229,8 @@ def compare(before_path, after_path):
               if kind == "real" else abs(y["w"] - x["w"]) / abs(x["w"]) for x, y in pairs]
         print(f"  {'F' if kind == 'oef' else 'W1'} moved by at most {max(dw, default=0.0):.2g}",
               "relative")
+        if kind == "real":
+            _compare_real(pairs)
         for x, y, d in big:
             print(f"  MOVED {x.get('fam', kind)} {x['in']}: omega* {x['omega']!r} -> {y['omega']!r}",
                   f"({d:.3g}), |dW1/domega| {x['res']!r} -> {y['res']!r}")
@@ -210,7 +243,7 @@ def main(argv=None):
     r.add_argument("checkout")
     r.add_argument("out")
     r.add_argument("--seed", type=int, default=2027)
-    r.add_argument("--real", type=int, default=2500)
+    r.add_argument("--real", type=int, default=3000)
     r.add_argument("--imag", type=int, default=2500)
     r.add_argument("--oef", type=int, default=300)
     r.add_argument("--trace", type=int, default=160)
